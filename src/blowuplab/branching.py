@@ -43,7 +43,6 @@ class BranchRecord:
     residual_norm: float
     converged: bool
     profile: Profile
-    file: Optional[str] = None
 
 
 @dataclass

@@ -51,7 +51,6 @@ __all__ = [
     "EpsContinuationResult",
     "assemble_residual",
     "assemble_jacobian",
-    "banded_to_dense",
     "linear_limit_residual",
     "solve_profile",
     "eps_continuation",
@@ -87,10 +86,10 @@ class ShootingError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """Strictly increasing nodes, uniform in v1 (graded is a reserved tag)."""
+    """Strictly increasing, uniformly spaced nodes with their spacing h."""
 
     nodes: np.ndarray
-    spacing: str = "uniform"
+    h: float = field(init=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -99,6 +98,10 @@ class Mesh:
             raise ValueError("mesh needs a 1-d array of at least 2 nodes")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("mesh nodes must be strictly increasing")
+        h = float(nodes[1] - nodes[0])
+        if not np.allclose(np.diff(nodes), h, rtol=1e-12, atol=1e-12):
+            raise ValueError("stencils require a uniform mesh")
+        object.__setattr__(self, "h", h)
 
     @staticmethod
     def uniform(a: float, b: float, m: int) -> "Mesh":
@@ -109,13 +112,6 @@ class Mesh:
     def m(self) -> int:
         """Number of intervals."""
         return self.nodes.size - 1
-
-    @property
-    def h(self) -> float:
-        h = float(self.nodes[1] - self.nodes[0])
-        if not np.allclose(np.diff(self.nodes), h, rtol=1e-12, atol=1e-12):
-            raise ValueError("stencils require a uniform mesh")
-        return h
 
 
 @dataclass(eq=False)
@@ -157,7 +153,7 @@ class Profile:
         sign = 1.0 if self.bc == "symmetry" else -1.0
         nodes = np.concatenate([-y[:0:-1], y])
         values = np.concatenate([sign * self.values[:0:-1], self.values])
-        return Profile(Mesh(nodes, self.mesh.spacing), values, self.params,
+        return Profile(Mesh(nodes), values, self.params,
                        "dirichlet-far", self.residual_norm, self.converged,
                        self.newton_iters)
 
@@ -310,15 +306,6 @@ def _band_add(ab: np.ndarray, i: int, j: int, v: float) -> None:
     ab[2 + i - j, j] += v
 
 
-def banded_to_dense(ab: np.ndarray) -> np.ndarray:
-    m1 = ab.shape[1]
-    J = np.zeros((m1, m1))
-    for i in range(m1):
-        for j in range(max(0, i - 2), min(m1, i + 3)):
-            J[i, j] = ab[2 + i - j, j]
-    return J
-
-
 def linear_limit_residual(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     """The n -> 0 linear-limit operator -D4 - (1/4) y D + I on interior nodes.
 
@@ -433,7 +420,8 @@ class EpsContinuationResult:
     stages: list = field(default_factory=list)
 
 
-def eps_continuation(params: ProblemParams, guess: Profile, schedule) -> EpsContinuationResult:
+def eps_continuation(params: ProblemParams, guess: Profile, schedule,
+                     opts: NewtonOptions = NewtonOptions()) -> EpsContinuationResult:
     """Homotopy in eps: chain of solves, each warm-started from the last.
 
     The schedule must decrease strictly, start at eps >= 1e-2 and never go
@@ -455,7 +443,7 @@ def eps_continuation(params: ProblemParams, guess: Profile, schedule) -> EpsCont
     last_converged = None
     for eps in schedule:
         stage_params = params.with_eps(eps)
-        sol = solve_profile(stage_params, current)
+        sol = solve_profile(stage_params, current, opts)
         result.stages.append((eps, sol.converged, sol.residual_norm))
         if not sol.converged:
             result.failed_eps = eps
@@ -748,7 +736,6 @@ def save_profile(profile: Profile, csv_path) -> Path:
         "converged": profile.converged,
         "newton_iters": profile.newton_iters,
         "mesh": {
-            "spacing": profile.mesh.spacing,
             "a": profile.mesh.nodes[0],
             "b": profile.mesh.nodes[-1],
             "intervals": profile.mesh.m,
@@ -766,7 +753,7 @@ def load_profile(csv_path) -> Profile:
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
     meta = json.loads(csv_path.with_suffix(".json").read_text(encoding="utf-8"))
     params = ProblemParams(n=meta["n"], p=meta["p"], eps=meta["eps"])
-    prof = Profile(Mesh(data[:, 0], meta["mesh"]["spacing"]), data[:, 1],
+    prof = Profile(Mesh(data[:, 0]), data[:, 1],
                    params, meta["bc"], converged=meta["converged"],
                    newton_iters=meta["newton_iters"])
     return prof.replace(residual_norm=residual_norm(prof))

@@ -122,7 +122,9 @@ def _solve_with_warm_start(params, guess, spec, opts):
     """Solve directly, or walk in p from the variational exponent.
 
     Guesses are built from the p = n+1 geometry; far from it the cold
-    solve is hopeless, so the profile is continued across p instead.
+    solve is hopeless, so the profile is continued across p instead.  A
+    walk that stops short of params.p returns its last profile marked
+    unconverged.
     """
     p_var = params.n + 1.0
     if spec.kind == "q_type" or abs(params.p - p_var) <= 0.05:
@@ -134,7 +136,10 @@ def _solve_with_warm_start(params, guess, spec, opts):
     schedule = np.linspace(p_var, params.p, steps + 1)[1:]
     branch = branching.trace_p_branch(anchor, schedule, label="warm-start",
                                       opts=opts)
-    return branch.records[-1].profile
+    reached = branch.records[-1].profile
+    if branch.stop_reason != "completed":
+        return reached.replace(converged=False)
+    return reached
 
 
 def cmd_solve(args, argv) -> int:
@@ -160,7 +165,7 @@ def cmd_solve(args, argv) -> int:
     opts = NewtonOptions(tol=args.tol, max_iters=args.max_iters)
     if args.eps_schedule:
         schedule = [float(s) for s in args.eps_schedule.split(",")]
-        result = bvp.eps_continuation(params, guess, schedule)
+        result = bvp.eps_continuation(params, guess, schedule, opts)
         sol = result.profile
     else:
         try:
@@ -175,6 +180,7 @@ def cmd_solve(args, argv) -> int:
                               "family": args.family, "R": args.R, "N": args.N,
                               "tol": args.tol, "bc": sol.bc}
     man.data["solver_stats"] = {"converged": sol.converged,
+                                "p": sol.params.p,
                                 "residual_norm": sol.residual_norm,
                                 "newton_iters": sol.newton_iters,
                                 "sup_norm": sol.sup_norm}

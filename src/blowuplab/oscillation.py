@@ -171,7 +171,6 @@ def osc_rhs(state: OscState, n: float, mu: float, lambda_sign: int,
 
 def integrate_osc(init: OscState, n: float, mu: float, lambda_sign: int,
                   span: tuple, tol: float = 1e-10,
-                  delta: float = DEFAULT_DELTA,
                   sample_points=None) -> OscTrajectory:
     """Adaptive explicit integration of the component equation.
 
@@ -213,7 +212,6 @@ def _refine_extremum(s: np.ndarray, v: np.ndarray, i: int) -> tuple:
 
 def find_periodic_osc(n: float, mu: float, init: OscState,
                       s_budget: float = 400.0, tol: float = 1e-10,
-                      delta: float = DEFAULT_DELTA,
                       min_cycles: int = 5,
                       drift_tol: float = 1e-6) -> PeriodicComponent:
     """Stable periodic component of the lambda = -1 branch.

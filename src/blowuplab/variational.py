@@ -17,7 +17,9 @@ The count of critical points on an interval (-R, R) is governed by the
 nonlinear eigenvalues of -(|psi''|^n psi'')'' + lambda |psi|^n psi = 0
 under clamped conditions; the first one is the minimum of the Rayleigh
 quotient int |psi''|^(n+2) / int |psi|^(n+2) and obeys the interval
-scaling lambda_k(R) = R^(-4-2n) lambda_k(1).
+scaling lambda_k(R) = R^(-4-2n) lambda_k(1).  It is computed by Newton on
+the discrete Euler-Lagrange system, started from the eigenvector of the
+linear (n = 0) clamped problem.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import minimize
+from scipy.linalg import eig_banded
+from scipy.sparse.linalg import splu
 
 from . import bvp, model
 from .bvp import Profile
@@ -42,6 +45,11 @@ __all__ = [
     "first_nonlinear_eigenvalue",
     "count_eigenvalues_below_one",
 ]
+
+# Newton budget of first_nonlinear_eigenvalue; n <= 1 converges in under 20
+NEWTON_STEPS = 100
+# the quotient error is quadratic in the eigenvector error
+STEP_TOL = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -174,78 +182,65 @@ def _curvature_matrix(m: int, h: float) -> sparse.csr_matrix:
     return sparse.csr_matrix((vals, (rows, cols)), shape=(m + 1, m - 1))
 
 
-def first_nonlinear_eigenvalue(n: float, R: float, m: int = 400,
-                               plateau_window: int = 50,
-                               plateau_tol: float = 1e-10) -> float:
+def first_nonlinear_eigenvalue(n: float, R: float, m: int = 400) -> float:
     """Minimum of the clamped Rayleigh quotient on (-R, R).
 
-    Projected gradient descent (an L-BFGS descent on the scale-invariant
-    log quotient, with the iterate renormalized through the quotient's
-    homogeneity) from a positive bump.  Descent stops when the relative
-    quotient decrease over plateau_window iterations falls below
-    plateau_tol.  The initial bump is normalized first, so the result is
-    exactly invariant under scaling of the start.
+    The minimizer solves the discrete Euler-Lagrange system
+
+        W^T (c phi(W x)) - lambda c_int phi(x) = 0,   phi(s) = |s|^n s,
+
+    which at n = 0 is the linear pencil W^T C W x = lambda C_int x.  Its
+    lowest eigenvector, from a banded symmetric eigensolver, starts Newton
+    on the system bordered by the normalization <x0, x> = <x0, x0>.  The
+    pentadiagonal block is singular at the solution (homogeneity gives
+    J x = 0), so each step solves the whole bordered system with one
+    sparse LU.  Newton stops once its correction is below sqrt(eps) of
+    the iterate; the quotient is stationary at the eigenvector, so the
+    returned quotient of the final x is then exact to rounding.  At n = 0
+    the start already solves the system and the one step only polishes
+    the eigensolver's rounding.
     """
     if n < 0 or R <= 0:
         raise ValueError("need n >= 0 and R > 0")
     if m < 64:
         raise ValueError("mesh too coarse")
     h = 2.0 * R / m
-    y = np.linspace(-R, R, m + 1)
     W = _curvature_matrix(m, h)
-    q = n + 2.0
     # trapezoid weights on the full node set
     c = np.full(m + 1, h)
     c[0] *= 0.5
     c[-1] *= 0.5
     c_int = c[1:-1]
 
-    def split(x):
+    def quotient(x):
+        return float(np.sum(c * np.abs(W @ x) ** (n + 2.0))
+                     / np.sum(c_int * np.abs(x) ** (n + 2.0)))
+
+    # symmetric form C_int^(-1/2) W^T C W C_int^(-1/2) in upper band storage
+    scale = sparse.diags(1.0 / np.sqrt(c_int))
+    S = scale @ (W.T @ sparse.diags(c) @ W) @ scale
+    band = np.zeros((3, m - 1))
+    for k in range(3):
+        band[2 - k, k:] = S.diagonal(k)
+    _, v = eig_banded(band, select="i", select_range=(0, 0))
+    x0 = v[:, 0] / np.sqrt(c_int)
+    x0 /= x0[np.argmax(np.abs(x0))]
+    x, lam = x0, quotient(x0)
+
+    for _ in range(NEWTON_STEPS):
         w = W @ x
-        num = float(np.sum(c * np.abs(w) ** q))
-        den = float(np.sum(c_int * np.abs(x) ** q))
-        return w, num, den
-
-    def objective(x):
-        w, num, den = split(x)
-        grad_num = q * (W.T @ (c * np.abs(w) ** n * w))
-        grad_den = q * (c_int * np.abs(x) ** n * x)
-        val = math.log(num) - math.log(den)
-        return val, grad_num / num - grad_den / den
-
-    x0 = (1.0 - (y[1:-1] / R) ** 2) ** 2
-    _, _, den0 = split(x0)
-    x0 = x0 / den0 ** (1.0 / q)
-
-    history = []
-
-    def plateau(intermediate):
-        x = getattr(intermediate, "x", intermediate)
-        _, num, den = split(np.asarray(x))
-        history.append(num / den)
-        if len(history) > plateau_window:
-            old = history[-plateau_window - 1]
-            if abs(old - history[-1]) <= plateau_tol * abs(history[-1]):
-                raise StopIteration
-
-    try:
-        fit = minimize(objective, x0, jac=True, method="L-BFGS-B",
-                       callback=plateau,
-                       options={"maxiter": 50000, "ftol": 1e-16, "gtol": 1e-14,
-                                "maxcor": 30})
-        x = fit.x
-    except StopIteration:  # scipy < 1.11 would propagate
-        x = None
-    if x is None:
-        raise RuntimeError("descent interrupted without an iterate")
-    _, num, den = split(x)
-    lam = num / den
-    if len(history) >= plateau_window + 1:
-        old = history[-plateau_window - 1]
-        if abs(old - lam) > 1e-6 * abs(lam):
-            raise RuntimeError(
-                f"descent stagnation above tolerance: last quotient {lam:.6g}")
-    return float(lam)
+        cw, cx = c * np.abs(w) ** n, c_int * np.abs(x) ** n
+        residual = np.append(W.T @ (cw * w) - lam * cx * x, x0 @ (x - x0))
+        block = (n + 1.0) * (W.T @ sparse.diags(cw) @ W - lam * sparse.diags(cx))
+        bordered = sparse.bmat([[block, -(cx * x)[:, None]], [x0[None, :], None]],
+                               format="csc")
+        step = splu(bordered).solve(-residual)
+        x = x + step[:-1]
+        lam += step[-1]
+        if np.max(np.abs(step[:-1])) <= STEP_TOL * np.max(np.abs(x)):
+            return quotient(x)
+    raise RuntimeError(f"Newton did not converge in {NEWTON_STEPS} steps: "
+                       f"last quotient {quotient(x):.6g}")
 
 
 def count_eigenvalues_below_one(n: float, R: float, lambda1_unit: float = None,

@@ -18,10 +18,20 @@ def random_profile(bc, n, p, m=80, seed=0, lo=0.3, hi=1.4):
     return bvp.Profile(mesh, vals, ProblemParams(n, p, 1e-2), bc)
 
 
+def banded_to_dense(ab):
+    """Dense matrix of a (2, 2)-banded Jacobian in solve_banded storage."""
+    m1 = ab.shape[1]
+    J = np.zeros((m1, m1))
+    for i in range(m1):
+        for j in range(max(0, i - 2), min(m1, i + 3)):
+            J[i, j] = ab[2 + i - j, j]
+    return J
+
+
 def jacobian_fd_error(prof, step=1e-7):
     """Column-wise relative mismatch of the analytic Jacobian against
     forward finite differences of the residual."""
-    J = bvp.banded_to_dense(bvp.assemble_jacobian(prof))
+    J = banded_to_dense(bvp.assemble_jacobian(prof))
     r0 = bvp.assemble_residual(prof)
     worst = 0.0
     for j in range(prof.values.size):
@@ -54,6 +64,9 @@ class TestResidual:
         prof = bvp.Profile(mesh, np.zeros(33), N02, "dirichlet-far")
         with pytest.raises(ValueError, match="too coarse"):
             bvp.assemble_residual(prof)
+        # the stencils need one spacing, so a graded mesh never exists
+        with pytest.raises(ValueError, match="uniform"):
+            bvp.Mesh(np.linspace(-1.0, 1.0, 101) ** 3)
 
     def test_residual_norm_reproducible(self, f0_profile):
         # recomputing the stored residual norm from values must agree

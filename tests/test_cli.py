@@ -53,6 +53,26 @@ class TestSolveCommand:
         man = json.loads((out / "manifest.json").read_text())
         assert man["solver_stats"]["converged"] is False
 
+    def test_warm_start_stuck_at_fold_exits_2(self, tmp_path):
+        # the dipole branch dies at its fold near p = 1.218, short of 1.3:
+        # the written profile, its sidecar and the manifest must all say so
+        out = tmp_path / "fold"
+        code = main(["solve", "--n", "0.2", "--p", "1.3", "--family", "basic:1",
+                     "--R", "30", "--N", "300", "--out", str(out)])
+        assert code == 2
+        man = json.loads((out / "manifest.json").read_text())
+        prof = bvp.load_profile(out / "profile.csv")
+        assert man["solver_stats"]["converged"] is False
+        assert not prof.converged
+        assert man["solver_stats"]["p"] == prof.params.p < 1.3
+
+    def test_eps_schedule_honours_max_iters(self, tmp_path):
+        out = tmp_path / "eps"
+        code = main(["solve", "--n", "0.2", "--p", "1.2", "--family", "basic:0",
+                     "--R", "20", "--N", "200", "--eps-schedule", "0.05,0.02",
+                     "--max-iters", "1", "--out", str(out)])
+        assert code == 2
+
     def test_far_p_warm_started(self, tmp_path):
         # guesses live at p = n+1; the command continues across p itself
         out = tmp_path / "far"

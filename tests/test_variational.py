@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import brentq
 
 import blowuplab.bvp as bvp
@@ -133,13 +134,51 @@ class TestFibering:
             var.fiber_reduce(prof)
 
 
+def clamped_pencil(R: float, m: int):
+    """Dense curvature map W, trapezoid weights c and interior weights
+    c_int of the clamped problem on (-R, R), built independently of the
+    module: row k of W is psi'' at node k, with psi = psi' = 0 at both
+    ends entering as ghost reflections."""
+    h = 2.0 * R / m
+    W = np.zeros((m + 1, m - 1))
+    for k in range(m + 1):
+        for j, coef in ((k - 1, 1.0), (k, -2.0), (k + 1, 1.0)):
+            if 1 <= j <= m - 1:
+                W[k, j - 1] += coef / h**2
+    W[0, 0] += 1.0 / h**2          # ghost psi_{-1} = psi_1
+    W[m, m - 2] += 1.0 / h**2      # ghost psi_{m+1} = psi_{m-1}
+    c = np.full(m + 1, h)
+    c[0] = c[-1] = 0.5 * h
+    return W, c, c[1:-1]
+
+
 class TestNonlinearEigenvalue:
     def test_linear_case_against_beam_oracle(self):
         lam = var.first_nonlinear_eigenvalue(0.0, 1.0, 400)
         oracle = clamped_beam_lambda1(2.0)
         assert lam == pytest.approx(oracle, rel=5e-3)
 
-    @pytest.mark.parametrize("n", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("R", [1.0, 2.0])
+    def test_linear_case_against_dense_eigh(self, R):
+        # LAPACK resolves eigenvalues only to eps * ||W^T C W|| absolute,
+        # about 2e-8 relative for the smallest one at m = 400, so the
+        # reference eigenvalue is the quotient of eigh's lowest
+        # eigenvector: stationary there, it is exact to second order
+        W, c, c_int = clamped_pencil(R, 400)
+        _, vecs = scipy.linalg.eigh(W.T @ (c[:, None] * W), np.diag(c_int))
+        v = vecs[:, 0]
+        ref = np.sum(c * (W @ v) ** 2) / np.sum(c_int * v * v)
+        lam = var.first_nonlinear_eigenvalue(0.0, R, 400)
+        assert lam == pytest.approx(ref, rel=1e-10)
+
+    def test_non_convergence_raises_with_last_quotient(self, monkeypatch):
+        # n = 1 needs about ten Newton steps; a two-step budget must fail
+        # loudly instead of returning the unconverged quotient
+        monkeypatch.setattr(var, "NEWTON_STEPS", 2)
+        with pytest.raises(RuntimeError, match=r"last quotient \d"):
+            var.first_nonlinear_eigenvalue(1.0, 1.0, 400)
+
+    @pytest.mark.parametrize("n", [0.0, 0.2, 1.0, 2.0])
     def test_interval_scaling_law(self, n):
         l1 = var.first_nonlinear_eigenvalue(n, 1.0, 400)
         l2 = var.first_nonlinear_eigenvalue(n, 2.0, 400)
@@ -149,9 +188,9 @@ class TestNonlinearEigenvalue:
         assert var.first_nonlinear_eigenvalue(0.5, 1.5, 200) > 0.0
 
     def test_invariant_under_start_scaling(self):
-        # homogeneity: the normalized start makes the result exactly
-        # independent of any scalar on the initial bump, so two runs agree
-        # to the last bit
+        # the start is the linear eigenvector scaled to unit maximum, so
+        # no scalar of the eigensolver's output survives and two runs
+        # agree to the last bit
         a = var.first_nonlinear_eigenvalue(0.2, 1.0, 200)
         b = var.first_nonlinear_eigenvalue(0.2, 1.0, 200)
         assert a == b
