@@ -34,11 +34,9 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
-from scipy.optimize import root
 
-from . import model
+from . import model, oscillation
 from .model import ProblemParams
 
 __all__ = [
@@ -62,6 +60,8 @@ __all__ = [
 
 BC_CHOICES = ("symmetry", "antisymmetry", "q-plateau", "dirichlet-far")
 MIN_INTERVALS = 64
+# absolute tolerance of the periodic-orbit shots
+ORBIT_ATOL = 1e-13
 
 
 class NewtonError(RuntimeError):
@@ -515,32 +515,31 @@ def _orbit_rhs(n: float):
     return rhs
 
 
-def _orbit_events(about: int):
+def _orbit_events():
     def escaped(t, u):       # left the oscillation strip toward F = 0
-        return u[0] * about - 0.02
+        return u[0] - 0.02
     escaped.terminal = True
 
     def diverged(t, u):
         return abs(u[0]) - 8.0
     diverged.terminal = True
 
-    return [escaped, diverged]
+    return (escaped, diverged)
 
 
-def _shoot_once(n: float, about: int, a: float, b: float, t_max: float = 80.0):
-    """Integrate one shot; return (sol, first section return time or None).
+def _orbit_start(n: float, a: float, b: float) -> tuple:
+    return (a, 0.0, _spow(b, n + 1.0), 0.0)
 
-    The section is {F' = 0} crossed in the direction that marks a minimum
-    of about * F (the starting extremum type).  The initial point sits on
-    the section exactly, so returns are located on the dense output by
-    strict sign change rather than integrator events.
+
+def _orbit_shot(n: float, a: float, b: float, dense: bool = False) -> list:
+    """Legs of the shot from the minimum (a, 0, b, 0) to its section return.
+
+    The section is F' = 0, crossed upward at minima of F; the shot runs
+    in the mirrored convention about = +1.
     """
-    rhs = _orbit_rhs(n)
-    u0 = (a, 0.0, _spow(b, n + 1.0), 0.0)
-    sol = solve_ivp(rhs, (0.0, t_max), u0, method="DOP853",
-                    rtol=1e-11, atol=1e-13, events=_orbit_events(about),
-                    dense_output=True)
-    return sol, _first_section_hit(sol, about)
+    return oscillation._section_return(_orbit_rhs(n), _orbit_start(n, a, b),
+                                       1, 1, ORBIT_ATOL, _orbit_events(),
+                                       dense)
 
 
 def _terminal_jet(n: float, u) -> tuple:
@@ -566,47 +565,38 @@ def _zero_energy_b(a: float, n: float) -> float:
     return (rhs * (n + 2.0) / (n + 1.0)) ** (1.0 / (n + 2.0))
 
 
-def _first_section_hit(sol, direction: int):
-    """First strict F' = 0 crossing of the dense solution, refined by brentq."""
-    from scipy.optimize import brentq
-
-    t_end = sol.t[-1]
-    ts = np.linspace(0.0, t_end, max(2000, int(400 * t_end)))
-    F1 = sol.sol(ts)[1] * direction
-    for i in range(1, F1.size - 1):
-        if F1[i] < 0.0 and F1[i + 1] >= 0.0:
-            return brentq(lambda t: sol.sol(t)[1], ts[i], ts[i + 1],
-                          xtol=1e-14, rtol=8.9e-16)
-    return None
-
-
-def _half_period_residual(n: float, a: float):
-    """F''' at the first opposite extremum of the zero-energy shot from a.
-
-    The equation is reversible, so a shot from the symmetric jet
-    (a, 0, b, 0) that reaches another symmetric jet (F' = F''' = 0) half a
-    cycle later closes into a periodic orbit by reflection.
-    """
-    b = _zero_energy_b(a, n)
-    sol, _ = _shoot_once(n, 1, a, b, t_max=40.0)
-    t_half = _first_section_hit(sol, -1)
-    if t_half is None:
-        return None, sol
-    return _terminal_jet(n, sol.sol(t_half))[3], sol
+def _returned(leg):
+    """The leg if it reached the section, else its ShootingError."""
+    if leg.t_events[0].size:
+        return leg
+    if leg.t_events[1].size:
+        raise ShootingError("trajectory escaped to the basin of F = 0",
+                            "escape-zero")
+    if leg.t_events[2].size:
+        raise ShootingError("trajectory diverged", "diverged")
+    raise ShootingError("no section return within the integration budget",
+                        "no-closure")
 
 
-def shoot_periodic_full(n: float, about: int, a_init: float, b_init: float = None) -> PeriodicOrbit:
+def _half_return(n: float, a: float):
+    """Leg of the zero-energy shot from a to the first maximum of F."""
+    return _returned(oscillation._cross(
+        _orbit_rhs(n), _orbit_start(n, a, _zero_energy_b(a, n)), 1, -1,
+        ORBIT_ATOL, _orbit_events()))
+
+
+def shoot_periodic_full(n: float, about: int, a_init: float) -> PeriodicOrbit:
     """Periodic orbit of the autonomous equation oscillating about +-1.
 
     Shooting runs on the zero-energy manifold of the conserved first
     integral (the level shared with compactly supported profiles), where
-    F''(0) is a closed form of F(0) = a and reversibility reduces closure
-    to the scalar condition F'''(T/2) = 0 at the opposite extremum; a is
-    then solved by bracketing + brentq from a_init.  A final 2d
-    secant/Newton polish on (a, b) removes any leftover closure gap
-    without assuming the zero-energy reduction, and the full jet must
-    return to 1e-8 over one period.  b_init, when given, only seeds that
-    polish.
+    F''(0) is a closed form of F(0) = a.  The equation is reversible, so
+    a shot from the symmetric jet (a, 0, b, 0) that reaches another
+    symmetric jet (F' = F''' = 0) at its half return closes into a
+    periodic orbit by reflection.  Newton on the section return (the
+    shooter of blowuplab.oscillation) solves F'''(T/2) = 0 for a, from
+    a_init once the walk below has given that a half return.  The full
+    jet must then return to 1e-8 over one period.
     """
     if about not in (1, -1):
         raise ValueError("about must be +1 or -1")
@@ -618,90 +608,39 @@ def shoot_periodic_full(n: float, about: int, a_init: float, b_init: float = Non
     if n <= 0:
         raise ValueError("n must be positive")
 
-    def classify_failure(sol):
-        if sol.t_events[0].size:
-            return ShootingError("trajectory escaped to the basin of F = 0",
-                                 "escape-zero")
-        if sol.t_events[1].size:
-            return ShootingError("trajectory diverged", "diverged")
-        return ShootingError("no section return within the integration budget",
-                             "no-closure")
-
     a0 = a_init * about  # mirrored problem oscillates about +1
 
     # walk a0 into the window where the zero-energy shot reaches the
     # opposite extremum: divergence means too much curvature (lower a),
     # escape toward zero means too little (raise a)
-    r0, probe = _half_period_residual(n, a0)
-    for _ in range(60):
-        if r0 is not None:
+    for attempt in range(60):
+        try:
+            _half_return(n, a0)
             break
-        if probe.t_events[1].size:
-            a0 *= 0.95
-        elif probe.t_events[0].size:
-            a0 = a0 * 1.05 + 1e-3
-        else:
-            raise classify_failure(probe)
-        if not 0.03 < a0 < 0.999:
-            raise classify_failure(probe)
-        r0, probe = _half_period_residual(n, a0)
-    if r0 is None:
-        raise classify_failure(probe)
+        except ShootingError as exc:
+            if exc.kind == "no-closure" or attempt == 59:
+                raise
+            a0 = a0 * 0.95 if exc.kind == "diverged" else a0 * 1.05 + 1e-3
+            if not 0.03 < a0 < 0.999:
+                raise
 
-    # expand a sign bracket, halving the step whenever it leaves the window
-    direction = -1.0 if r0 > 0.0 else 1.0
-    step = 0.02
-    a_prev, r_prev = a0, r0
-    bracket = None
-    for _ in range(100):
-        a_new = a_prev + direction * step
-        if not 0.03 < a_new < 0.999:
-            step *= 0.5
-            continue
-        r_new, _ = _half_period_residual(n, a_new)
-        if r_new is None:
-            step *= 0.5
-            continue
-        if r_prev * r_new <= 0.0:
-            bracket = (min(a_prev, a_new), max(a_prev, a_new))
-            break
-        a_prev, r_prev = a_new, r_new
-    if bracket is None:
-        raise ShootingError("could not bracket the symmetric return", "no-closure")
-    from scipy.optimize import brentq
+    def residual(x):
+        leg = _half_return(n, x[0])
+        return (np.array([_terminal_jet(n, leg.y[:, -1])[3]]),
+                np.array([np.max(np.abs(leg.y[0]))]))
 
-    a = brentq(lambda aa: _half_period_residual(n, aa)[0], *bracket,
-               xtol=1e-13, rtol=8.9e-16)
+    a = float(oscillation._newton(residual, [a0])[0][0])
     b = _zero_energy_b(a, n)
-
-    def full_residual(x):
-        aa, bb = x
-        sol, t_sec = _shoot_once(n, 1, aa, bb)
-        if t_sec is None:
-            return np.array([10.0 + abs(aa), 10.0 + abs(bb)])
-        jet = _terminal_jet(n, sol.sol(t_sec))
-        return np.array([jet[0] - aa, jet[3]])
-
-    seed_b = b if b_init is None else b_init * about
-    fit = root(full_residual, np.array([a, seed_b]), method="hybr",
-               options={"xtol": 1e-13})
-    if fit.success and max(abs(fit.fun)) <= 1e-9:
-        a, b = fit.x
-
-    sol, t_sec = _shoot_once(n, 1, a, b)
-    if t_sec is None:
-        raise classify_failure(sol)
-    jet0 = (a, 0.0, b, 0.0)
-    jetT = _terminal_jet(n, sol.sol(t_sec))
-    closure = max(abs(p - q) for p, q in zip(jet0, jetT))
+    legs = _orbit_shot(n, a, b, dense=True)
+    jetT = _terminal_jet(n, _returned(legs[-1]).y[:, -1])
+    closure = max(abs(p - q) for p, q in zip((a, 0.0, b, 0.0), jetT))
     if closure > 1e-8:
         raise ShootingError(
             f"no closure within iteration budget (jet mismatch {closure:.3e})",
             "no-closure")
 
-    period = float(t_sec)
-    ts = np.linspace(0.0, period, 4001)
-    Fs = sol.sol(ts)[0]
+    period = float(legs[0].t[-1] + legs[1].t[-1])
+    Fs = oscillation._sample_shot(legs, np.linspace(0.0, period, 4001))[0]
     lo_v, hi_v = float(np.min(Fs)), float(np.max(Fs))
     if about == -1:
         return PeriodicOrbit(a=-a, b=-b, period=period,
@@ -711,10 +650,11 @@ def shoot_periodic_full(n: float, about: int, a_init: float, b_init: float = Non
 
 
 def orbit_samples(orbit: PeriodicOrbit, n: float, num: int = 2001) -> tuple[np.ndarray, np.ndarray]:
-    """Re-integrate a converged orbit and sample one period of (y, F)."""
-    sol, _ = _shoot_once(n, orbit.about, orbit.a, orbit.b)
+    """Re-run the shot of a converged orbit and sample one period of (y, F)."""
+    legs = _orbit_shot(n, orbit.a * orbit.about, orbit.b * orbit.about,
+                       dense=True)
     ts = np.linspace(0.0, orbit.period, num)
-    return ts, sol.sol(ts)[0]
+    return ts, orbit.about * oscillation._sample_shot(legs, ts)[0]
 
 
 # -- serialization ------------------------------------------------------------

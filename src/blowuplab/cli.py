@@ -260,12 +260,13 @@ def cmd_oscillate(args, argv) -> int:
     init = oscillation.OscState(0.0, 0.5 * scale, 0.0, 0.0)
     stats = {"n": args.n, "mu": mu, "lambda": args.lam}
     if args.lam == -1:
-        pc = oscillation.find_periodic_osc(args.n, mu, init,
-                                           s_budget=args.s_budget)
+        pc = oscillation.find_periodic_osc(args.n, mu, init)
         # the dumped trajectory shows the transient settling onto phi_*
         traj = oscillation.integrate_osc(init, args.n, mu, -1,
                                          (0.0, args.s_budget))
-        stats.update(period=pc.period, amplitude=pc.amplitude)
+        stats.update(period=pc.period, amplitude=pc.amplitude,
+                     multipliers=[[float(z.real), float(z.imag)]
+                                  for z in pc.multipliers])
     else:
         traj = oscillation.integrate_osc(init, args.n, mu, +1,
                                          (0.0, args.s_budget))
@@ -434,7 +435,8 @@ def _build_parser() -> _Parser:
     po.add_argument("--n", type=float, required=True)
     po.add_argument("--mu", type=float)
     po.add_argument("--lambda", dest="lam", type=int, choices=[-1, 1], default=-1)
-    po.add_argument("--s-budget", type=float, default=400.0)
+    po.add_argument("--s-budget", type=float, default=400.0,
+                    help="span in s of the trajectory written to trajectory.csv")
     po.add_argument("--out")
     po.set_defaults(func=cmd_oscillate)
 

@@ -16,6 +16,10 @@ non-oscillatory branch with a pair of attracting constant equilibria.
 The exponent mu is always passed explicitly: (2n+3)/n for travelling
 waves, 2(n+2)/n in the regional regime, and whatever a once-integrated
 reduction calls for.
+
+phi_* is found by Newton on the return map of a Poincare section
+(Seydel, Practical Bifurcation and Stability Analysis, 2010, ch. 7).
+The same shooter finds the regional orbit about +-1 in blowuplab.bvp.
 """
 
 from __future__ import annotations
@@ -33,13 +37,22 @@ __all__ = [
     "OscTrajectory",
     "PeriodicComponent",
     "equilibrium_value",
-    "osc_rhs",
     "integrate_osc",
     "find_periodic_osc",
     "reconstruct_interface",
 ]
 
-DEFAULT_DELTA = 1e-9
+# the periodic-orbit shooter: DOP853 tolerance of every shot, Newton
+# budget, Newton stop (each correction below STEP_TOL of its coordinate's
+# amplitude along the orbit), forward-difference step relative to that
+# amplitude, and the span within which each leg must meet the section
+RTOL = 1e-11
+NEWTON_STEPS = 30
+STEP_TOL = 100.0 * RTOL
+FD_STEP = math.sqrt(RTOL)
+LEG_SPAN = 100.0
+# absolute tolerance of every integration of the component equation
+OSC_ATOL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -73,6 +86,7 @@ class PeriodicComponent:
     samples_s: np.ndarray
     samples_phi: np.ndarray
     amplitude: float
+    multipliers: np.ndarray   # Floquet multipliers, all of modulus < 1
 
     def phi_star(self, s):
         """Periodic interpolation of phi_* at arbitrary s."""
@@ -95,21 +109,6 @@ def equilibrium_value(n: float, mu: float) -> float:
     return ((n + 1.0) * (mu - 2.0)) ** (-1.0 / n) * (mu * (mu - 1.0)) ** (-(n + 1.0) / n)
 
 
-def _rhs_factory(n: float, mu: float, lambda_sign: int, delta: float):
-    c2 = pk_coefficients(2, mu)          # phi, phi', phi''
-    c3 = pk_coefficients(3, mu)          # phi, phi', phi'', phi''' (leading 1)
-    lam = float(lambda_sign)
-
-    def rhs(s, u):
-        phi, phi1, phi2 = u
-        p2 = c2[0] * phi + c2[1] * phi1 + c2[2] * phi2
-        lower = c3[0] * phi + c3[1] * phi1 + c3[2] * phi2
-        phi3 = lam * phi / ((n + 1.0) * (delta * delta + p2 * p2) ** (0.5 * n)) - lower
-        return (phi1, phi2, phi3)
-
-    return rhs
-
-
 # The integration backend works in flux variables.  With v = |P_2|^n P_2
 # the component equation (n+1)|P_2|^n (P_2' + (mu-2) P_2) = lambda phi is
 # exactly
@@ -119,7 +118,7 @@ def _rhs_factory(n: float, mu: float, lambda_sign: int, delta: float):
 #
 # whose right-hand side is merely Hoelder at v = 0 instead of carrying the
 # |P_2|^(-n) spike, so no delta smoothing and no step-rejection games are
-# needed; osc_rhs above keeps the documented jet form.
+# needed.
 
 
 def _spow(x, a):
@@ -153,22 +152,6 @@ def _flux_to_phi2(phi, phi1, v, n: float, mu: float):
     return _spow(v, 1.0 / (n + 1.0)) - c2[1] * phi1 - c2[0] * phi
 
 
-def osc_rhs(state: OscState, n: float, mu: float, lambda_sign: int,
-            delta: float = DEFAULT_DELTA) -> np.ndarray:
-    """State derivative (phi', phi'', phi''') of the component equation.
-
-    The |P_2|^(-n) factor is smoothed to (delta^2 + P_2^2)^(-n/2); the
-    equilibria of the lambda = +1 branch annihilate the result up to an
-    O(delta^2) remainder.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if lambda_sign not in (-1, 1):
-        raise ValueError("lambda_sign must be -1 or +1")
-    rhs = _rhs_factory(n, mu, lambda_sign, delta)
-    return np.array(rhs(state.s, state.jet()))
-
-
 def integrate_osc(init: OscState, n: float, mu: float, lambda_sign: int,
                   span: tuple, tol: float = 1e-10,
                   sample_points=None) -> OscTrajectory:
@@ -180,12 +163,14 @@ def integrate_osc(init: OscState, n: float, mu: float, lambda_sign: int,
     """
     if not (1e-12 <= tol <= 1e-6):
         raise ValueError("tol must lie in [1e-12, 1e-6]")
+    if lambda_sign not in (-1, 1):
+        raise ValueError("lambda_sign must be -1 or +1")
     s0, s1 = float(span[0]), float(span[1])
     if not (math.isfinite(s0) and math.isfinite(s1) and s1 > s0):
         raise ValueError("span must be finite with s1 > s0")
     rhs = _flux_rhs_factory(n, mu, lambda_sign)
     sol = solve_ivp(rhs, (s0, s1), _jet_to_flux(init.jet(), n, mu),
-                    method="DOP853", rtol=tol, atol=1e-16, dense_output=True)
+                    method="DOP853", rtol=tol, atol=OSC_ATOL, dense_output=True)
     if not sol.success:
         raise RuntimeError(
             f"integration stalled near s = {sol.t[-1]:.6g}: {sol.message}")
@@ -198,65 +183,113 @@ def integrate_osc(init: OscState, n: float, mu: float, lambda_sign: int,
                          _flux_to_phi2(phi, phi1, v, n, mu))
 
 
-def _refine_extremum(s: np.ndarray, v: np.ndarray, i: int) -> tuple:
-    """Parabolic refinement of an extremum through samples i-1, i, i+1."""
-    s0, s1, s2 = s[i - 1], s[i], s[i + 1]
-    v0, v1, v2 = v[i - 1], v[i], v[i + 1]
-    denom = (v0 - 2.0 * v1 + v2)
-    if denom == 0.0:
-        return s1, v1
-    ds = 0.5 * (v0 - v2) / denom * (s1 - s0)
-    vstar = v1 - 0.125 * (v0 - v2) ** 2 / denom
-    return s1 + ds, vstar
+# -- periodic orbits: Newton on the section return -----------------------------
 
 
-def find_periodic_osc(n: float, mu: float, init: OscState,
-                      s_budget: float = 400.0, tol: float = 1e-10,
-                      min_cycles: int = 5,
-                      drift_tol: float = 1e-6) -> PeriodicComponent:
-    """Stable periodic component of the lambda = -1 branch.
+def _cross(rhs, u0, k: int, direction: int, atol: float, events=(),
+           dense: bool = False):
+    """Integrate from u0 to the first crossing of {u_k = 0} in direction.
 
-    Integrates forward, discards the first half of the span as transient,
-    and reads period and amplitude off successive maxima of phi.  The last
-    min_cycles cycles must agree to drift_tol relative, else the failure
-    is reported with the drift achieved.
+    The crossing is the terminal event 0, ahead of the caller's terminal
+    events; the leg reached it iff sol.t_events[0].size.
+    """
+    def section(s, u):
+        return u[k]
+    section.terminal = True
+    section.direction = direction
+    return solve_ivp(rhs, (0.0, LEG_SPAN), u0, method="DOP853", rtol=RTOL,
+                     atol=atol, events=[section, *events], dense_output=dense)
+
+
+def _section_return(rhs, u0, k: int, direction: int, atol: float, events=(),
+                    dense: bool = False) -> list:
+    """Shot from u0 on {u_k = 0} to its return, as the list of legs run.
+
+    Crossings of one section alternate in direction, so from any start on
+    it the first leg stops at the half return (the first crossing against
+    direction) and the second at the return.  The shot returned iff the
+    last leg reached the section, after legs[0].t[-1] + legs[-1].t[-1].
+    """
+    legs = [_cross(rhs, u0, k, -direction, atol, events, dense)]
+    if legs[0].t_events[0].size:
+        legs.append(_cross(rhs, legs[0].y[:, -1], k, direction, atol,
+                           events, dense))
+    return legs
+
+
+def _sample_shot(legs: list, ts: np.ndarray) -> np.ndarray:
+    """States of a returned dense shot at times ts from its start."""
+    t_half = legs[0].t[-1]
+    first = ts <= t_half
+    return np.concatenate([legs[0].sol(ts[first]),
+                           legs[1].sol(ts[~first] - t_half)], axis=1)
+
+
+def _newton(residual, x) -> tuple:
+    """Newton on residual(x) = 0 with a forward-difference Jacobian.
+
+    residual returns the residual and the amplitude of each unknown along
+    the orbit it shot.  Newton stops once every correction is below
+    STEP_TOL of that amplitude and returns the corrected x with the last
+    Jacobian; NEWTON_STEPS steps without that raise RuntimeError with
+    the last residual.
+    """
+    x = np.asarray(x, dtype=float)
+    for _ in range(NEWTON_STEPS):
+        r, amp = residual(x)
+        jac = np.empty((r.size, x.size))
+        for j in range(x.size):
+            dx = np.zeros(x.size)
+            dx[j] = FD_STEP * amp[j]
+            jac[:, j] = (residual(x + dx)[0] - r) / dx[j]
+        step = np.linalg.solve(jac, -r)
+        x = x + step
+        if np.all(np.abs(step) <= STEP_TOL * amp):
+            return x, jac
+    raise RuntimeError(f"shooting Newton did not converge in {NEWTON_STEPS} "
+                       f"steps: last residual {np.max(np.abs(r)):.3e}")
+
+
+def find_periodic_osc(n: float, mu: float, init: OscState) -> PeriodicComponent:
+    """Stable periodic component phi_* of the lambda = -1 branch.
+
+    The section is phi' = 0 at maxima of phi, and the unknowns are the
+    state x = (phi, v) there.  Newton on P(x) - x, with P the section
+    return, starts from the first maximum after init.  Newton finds any
+    cycle, so the Floquet multipliers (the eigenvalues of the
+    finite-difference monodromy dP) must all lie inside the unit circle,
+    else RuntimeError.
     """
     if init.jet().max() == init.jet().min() == 0.0:
         raise ValueError("init must be a generic nonzero state")
     rhs = _flux_rhs_factory(n, mu, -1)
-    sol = solve_ivp(rhs, (0.0, s_budget), _jet_to_flux(init.jet(), n, mu),
-                    method="DOP853", rtol=tol, atol=1e-16, dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"integration stalled near s = {sol.t[-1]:.6g}")
+    lead = _cross(rhs, _jet_to_flux(init.jet(), n, mu), 1, -1, OSC_ATOL)
+    if not lead.t_events[0].size:
+        raise RuntimeError(f"no maximum of phi within s = {LEG_SPAN} of init")
 
-    s_lo = 0.5 * s_budget
-    grid = np.linspace(s_lo, s_budget, 120001)
-    phi = sol.sol(grid)[0]
-    idx = np.nonzero((phi[1:-1] > phi[:-2]) & (phi[1:-1] >= phi[2:]))[0] + 1
-    if idx.size < min_cycles + 1:
-        raise RuntimeError(
-            f"no periodicity detected: only {idx.size} maxima in the "
-            f"post-transient window of s_budget={s_budget}")
-    refined = [_refine_extremum(grid, phi, i) for i in idx[-(min_cycles + 1):]]
-    s_max = np.array([r[0] for r in refined])
-    v_max = np.array([r[1] for r in refined])
-    amp_scale = float(np.max(np.abs(v_max)))
-    drift = float(np.max(np.abs(np.diff(v_max)))) / amp_scale
-    periods = np.diff(s_max)
-    period_drift = float(np.max(np.abs(periods - periods.mean()))) / periods.mean()
-    if drift > drift_tol or period_drift > drift_tol:
-        raise RuntimeError(
-            f"no periodicity detected within s-budget {s_budget}: "
-            f"amplitude drift {drift:.3e}, period drift {period_drift:.3e}")
-    period = float(periods.mean())
+    def residual(x):
+        legs = _section_return(rhs, (x[0], 0.0, x[1]), 1, -1, OSC_ATOL)
+        if not legs[-1].t_events[0].size:
+            raise RuntimeError(f"no section return within s = {LEG_SPAN} "
+                               f"from (phi, v) = {tuple(x)}")
+        y = np.concatenate([leg.y for leg in legs], axis=1)
+        return (legs[-1].y[[0, 2], -1] - x,
+                np.max(np.abs(y[[0, 2]]), axis=1))
 
-    s_start = s_max[-2]
+    x, jac = _newton(residual, lead.y[[0, 2], -1])
+    multipliers = np.linalg.eigvals(jac + np.eye(2))
+    if np.any(np.abs(multipliers) >= 1.0):
+        raise RuntimeError(f"the cycle found is not stable: Floquet "
+                           f"multipliers {multipliers}")
+    legs = _section_return(rhs, (x[0], 0.0, x[1]), 1, -1, OSC_ATOL,
+                           dense=True)
+    period = float(legs[0].t[-1] + legs[1].t[-1])
     samples_s = np.linspace(0.0, period, 2001)
-    samples_phi = sol.sol(s_start + samples_s)[0]
-    amplitude = float(np.max(np.abs(samples_phi)))
+    samples_phi = _sample_shot(legs, samples_s)[0]
     return PeriodicComponent(n=n, mu=mu, period=period,
                              samples_s=samples_s, samples_phi=samples_phi,
-                             amplitude=amplitude)
+                             amplitude=float(np.max(np.abs(samples_phi))),
+                             multipliers=multipliers)
 
 
 def reconstruct_interface(pc: PeriodicComponent, y0: float, s_shift: float,

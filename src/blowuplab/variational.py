@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eig_banded
+from scipy.linalg import eigvals_banded, solve_banded
 from scipy.sparse.linalg import splu
 
 from . import bvp, model
@@ -190,15 +190,19 @@ def first_nonlinear_eigenvalue(n: float, R: float, m: int = 400) -> float:
         W^T (c phi(W x)) - lambda c_int phi(x) = 0,   phi(s) = |s|^n s,
 
     which at n = 0 is the linear pencil W^T C W x = lambda C_int x.  Its
-    lowest eigenvector, from a banded symmetric eigensolver, starts Newton
-    on the system bordered by the normalization <x0, x> = <x0, x0>.  The
+    lowest eigenvector (the banded eigenvalue, then one banded
+    inverse-iteration solve: O(m^2) work, where an eigensolver's
+    eigenvector costs O(m^3)) starts Newton on the system bordered by the
+    normalization <x0, x> = <x0, x0>.  The
     pentadiagonal block is singular at the solution (homogeneity gives
     J x = 0), so each step solves the whole bordered system with one
     sparse LU.  Newton stops once its correction is below sqrt(eps) of
     the iterate; the quotient is stationary at the eigenvector, so the
     returned quotient of the final x is then exact to rounding.  At n = 0
     the start already solves the system and the one step only polishes
-    the eigensolver's rounding.
+    the eigensolver's rounding.  A singular factor, a non-finite step or
+    NEWTON_STEPS steps without convergence raise RuntimeError with the
+    quotient of the last finite iterate.
     """
     if n < 0 or R <= 0:
         raise ValueError("need n >= 0 and R > 0")
@@ -213,34 +217,50 @@ def first_nonlinear_eigenvalue(n: float, R: float, m: int = 400) -> float:
     c_int = c[1:-1]
 
     def quotient(x):
-        return float(np.sum(c * np.abs(W @ x) ** (n + 2.0))
-                     / np.sum(c_int * np.abs(x) ** (n + 2.0)))
+        # a diverging iterate overflows to a non-finite quotient, which
+        # the Newton loop reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.sum(c * np.abs(W @ x) ** (n + 2.0))
+                         / np.sum(c_int * np.abs(x) ** (n + 2.0)))
 
-    # symmetric form C_int^(-1/2) W^T C W C_int^(-1/2) in upper band storage
+    # symmetric form C_int^(-1/2) W^T C W C_int^(-1/2): its lowest
+    # eigenvalue from the upper band, its eigenvector from one solve of
+    # the shifted full band (inverse iteration)
     scale = sparse.diags(1.0 / np.sqrt(c_int))
     S = scale @ (W.T @ sparse.diags(c) @ W) @ scale
-    band = np.zeros((3, m - 1))
+    band = np.zeros((5, m - 1))
     for k in range(3):
-        band[2 - k, k:] = S.diagonal(k)
-    _, v = eig_banded(band, select="i", select_range=(0, 0))
-    x0 = v[:, 0] / np.sqrt(c_int)
+        band[2 - k, k:] = band[2 + k, :m - 1 - k] = S.diagonal(k)
+    sigma = eigvals_banded(band[:3], select="i", select_range=(0, 0))[0]
+    band[2] -= sigma
+    x0 = solve_banded((2, 2), band, np.ones(m - 1)) / np.sqrt(c_int)
     x0 /= x0[np.argmax(np.abs(x0))]
     x, lam = x0, quotient(x0)
+    last = lam   # quotient of the last finite iterate, for the errors
 
-    for _ in range(NEWTON_STEPS):
+    for k in range(NEWTON_STEPS):
         w = W @ x
         cw, cx = c * np.abs(w) ** n, c_int * np.abs(x) ** n
         residual = np.append(W.T @ (cw * w) - lam * cx * x, x0 @ (x - x0))
         block = (n + 1.0) * (W.T @ sparse.diags(cw) @ W - lam * sparse.diags(cx))
         bordered = sparse.bmat([[block, -(cx * x)[:, None]], [x0[None, :], None]],
                                format="csc")
-        step = splu(bordered).solve(-residual)
+        try:
+            step = splu(bordered).solve(-residual)
+        except RuntimeError as exc:
+            raise RuntimeError(f"Newton step {k}: {exc}; "
+                               f"last quotient {last:.6g}") from exc
         x = x + step[:-1]
         lam += step[-1]
+        q = quotient(x)
+        if not (np.all(np.isfinite(step)) and math.isfinite(q)):
+            raise RuntimeError(f"Newton step {k} is not finite; "
+                               f"last quotient {last:.6g}")
+        last = q
         if np.max(np.abs(step[:-1])) <= STEP_TOL * np.max(np.abs(x)):
-            return quotient(x)
+            return q
     raise RuntimeError(f"Newton did not converge in {NEWTON_STEPS} steps: "
-                       f"last quotient {quotient(x):.6g}")
+                       f"last quotient {last:.6g}")
 
 
 def count_eigenvalues_below_one(n: float, R: float, lambda1_unit: float = None,

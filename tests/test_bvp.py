@@ -86,7 +86,7 @@ class TestJacobian:
     @pytest.mark.parametrize("n", [0.0, 0.2, 1.0])
     @pytest.mark.parametrize("p", [1.2, 1.5, 2.6])
     def test_matches_finite_differences(self, n, p):
-        for bc in ("dirichlet-far", "symmetry", "antisymmetry"):
+        for bc in ("dirichlet-far", "q-plateau", "symmetry", "antisymmetry"):
             prof = random_profile(bc, n, p, seed=3)
             assert jacobian_fd_error(prof) <= 1e-5
 
@@ -260,8 +260,8 @@ class TestPeriodicOrbit:
         assert orbit_n02.min_val < 1.0 < orbit_n02.max_val
 
     def test_jet_closure(self, orbit_n02):
-        sol, t_sec = bvp._shoot_once(0.2, 1, orbit_n02.a, orbit_n02.b)
-        jetT = bvp._terminal_jet(0.2, sol.sol(t_sec))
+        legs = bvp._orbit_shot(0.2, orbit_n02.a, orbit_n02.b)
+        jetT = bvp._terminal_jet(0.2, legs[-1].y[:, -1])
         jet0 = (orbit_n02.a, 0.0, orbit_n02.b, 0.0)
         assert max(abs(x - y) for x, y in zip(jet0, jetT)) <= 1e-8
 
@@ -272,7 +272,7 @@ class TestPeriodicOrbit:
 
     def test_equilibrium_start_rejected(self):
         with pytest.raises(ValueError, match="constant orbit"):
-            bvp.shoot_periodic_full(0.2, 1, 1.0, 0.2)
+            bvp.shoot_periodic_full(0.2, 1, 1.0)
 
     def test_wrong_side_rejected(self):
         with pytest.raises(ValueError):

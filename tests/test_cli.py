@@ -177,6 +177,15 @@ class TestOtherCommands:
         rows = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert rows[0] == "s,phi,phi1,phi2"
 
+    def test_oscillate_records_multipliers(self, tmp_path):
+        code = main(["oscillate", "--n", "5.0", "--lambda", "-1",
+                     "--s-budget", "5", "--out", str(tmp_path)])
+        assert code == 0
+        man = json.loads((tmp_path / "manifest.json").read_text())
+        mults = man["solver_stats"]["multipliers"]
+        assert len(mults) == 2
+        assert np.all(np.hypot(*np.array(mults).T) < 1.0)
+
     def test_help_lists_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--help"])

@@ -7,18 +7,9 @@ from blowuplab.oscillation import OscState
 
 class TestRhs:
     def test_origin_is_equilibrium(self):
-        d = osc.osc_rhs(OscState(0.0, 0.0, 0.0, 0.0), 1.0, 5.0, -1)
-        assert np.all(d == 0.0)
-
-    def test_positive_branch_equilibrium_annihilates(self):
-        # the constant that solves (n+1)|P2|^n P3 = +phi kills the rhs,
-        # with the delta-smoothing error vanishing as delta -> 0
-        n, mu = 1.0, 5.0
-        eq = osc.equilibrium_value(n, mu)
-        r9 = osc.osc_rhs(OscState(0.0, eq, 0.0, 0.0), n, mu, +1, delta=1e-9)
-        r12 = osc.osc_rhs(OscState(0.0, eq, 0.0, 0.0), n, mu, +1, delta=1e-12)
-        assert abs(r9[2]) <= 1e-12
-        assert abs(r12[2]) <= abs(r9[2]) + 1e-18
+        tr = osc.integrate_osc(OscState(0.0, 0.0, 0.0, 0.0), 1.0, 5.0, -1,
+                               (0.0, 5.0))
+        assert np.all(tr.phi == 0.0) and np.all(tr.phi2 == 0.0)
 
     def test_equilibrium_value_frozen(self):
         # [(n+1)(mu-2)]^(-1/n) [mu(mu-1)]^(-(n+1)/n) at n=1, mu=5
@@ -26,10 +17,9 @@ class TestRhs:
                                                                 rel=1e-13)
 
     def test_sign_validation(self):
-        with pytest.raises(ValueError):
-            osc.osc_rhs(OscState(0.0, 1.0, 0.0, 0.0), 1.0, 5.0, 2)
-        with pytest.raises(ValueError):
-            osc.osc_rhs(OscState(0.0, 1.0, 0.0, 0.0), 1.0, 5.0, 1, delta=0.0)
+        with pytest.raises(ValueError, match="lambda_sign"):
+            osc.integrate_osc(OscState(0.0, 1e-3, 0.0, 0.0), 1.0, 5.0, 2,
+                              (0.0, 1.0))
 
 
 class TestIntegrate:
@@ -103,8 +93,7 @@ class TestPeriodicComponent:
         n, mu = 1.0, 5.0
         eq = osc.equilibrium_value(n, mu)
         a = osc.find_periodic_osc(n, mu, OscState(0.0, 0.5 * eq, 0.0, 0.0))
-        b = osc.find_periodic_osc(n, mu, OscState(0.0, -1.3 * eq, 1e-4 * eq, 0.0),
-                                  s_budget=700.0)
+        b = osc.find_periodic_osc(n, mu, OscState(0.0, -1.3 * eq, 1e-4 * eq, 0.0))
         assert a.amplitude == pytest.approx(b.amplitude, rel=1e-4)
         assert a.period == pytest.approx(b.period, rel=1e-4)
 
@@ -112,10 +101,17 @@ class TestPeriodicComponent:
         with pytest.raises(ValueError):
             osc.find_periodic_osc(1.0, 5.0, OscState(0.0, 0.0, 0.0, 0.0))
 
-    def test_budget_failure_reports_drift(self):
-        with pytest.raises(RuntimeError, match="no periodicity"):
-            osc.find_periodic_osc(1.0, 5.0, OscState(0.0, 3e-4, 0.0, 0.0),
-                                  s_budget=4.0)
+    def test_multipliers_inside_unit_circle(self, periodic_components):
+        for pc in periodic_components.values():
+            assert pc.multipliers.shape == (2,)
+            assert np.all(np.abs(pc.multipliers) < 1.0)
+
+    def test_newton_failure_reports_residual(self, monkeypatch):
+        # the start is no periodic point, so one Newton step cannot meet
+        # the stopping test
+        monkeypatch.setattr(osc, "NEWTON_STEPS", 1)
+        with pytest.raises(RuntimeError, match=r"last residual \d"):
+            osc.find_periodic_osc(1.0, 5.0, OscState(0.0, 3e-4, 0.0, 0.0))
 
 
 class TestReconstruct:

@@ -178,6 +178,14 @@ class TestNonlinearEigenvalue:
         with pytest.raises(RuntimeError, match=r"last quotient \d"):
             var.first_nonlinear_eigenvalue(1.0, 1.0, 400)
 
+    def test_divergence_raises_with_last_finite_quotient(self):
+        # n = 3 on a fine mesh diverges; the failure must name its Newton
+        # step and the last finite quotient, not escape as a bare solver
+        # error or report nan
+        with pytest.raises(RuntimeError,
+                           match=r"Newton step \d+.*last quotient \d"):
+            var.first_nonlinear_eigenvalue(3.0, 1.0, 2000)
+
     @pytest.mark.parametrize("n", [0.0, 0.2, 1.0, 2.0])
     def test_interval_scaling_law(self, n):
         l1 = var.first_nonlinear_eigenvalue(n, 1.0, 400)
