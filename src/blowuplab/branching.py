@@ -158,7 +158,6 @@ def branch_summary(branch: Branch) -> dict:
             "sup_norm": r.sup_norm,
             "residual_norm": r.residual_norm,
             "converged": r.converged,
-            "equilibrium_ratio": r.sup_norm,
             "raw_sup": f_star * r.sup_norm,
         })
     return {

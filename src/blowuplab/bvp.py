@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import model, oscillation
 from .model import ProblemParams
@@ -65,11 +65,13 @@ ORBIT_ATOL = 1e-13
 
 
 class NewtonError(RuntimeError):
-    """Raised when the Newton iteration hits a singular Jacobian or diverges."""
+    """Raised when the Newton iteration hits a singular Jacobian or diverges.
 
-    def __init__(self, message, iteration=None, best=None):
+    best is the lowest-residual iterate, marked unconverged.
+    """
+
+    def __init__(self, message, best):
         super().__init__(message)
-        self.iteration = iteration
         self.best = best
 
 
@@ -252,7 +254,7 @@ def residual_norm(profile: Profile) -> float:
 
 
 def assemble_jacobian(profile: Profile) -> np.ndarray:
-    """Analytic Jacobian of assemble_residual in solve_banded layout (2, 2).
+    """Analytic Jacobian of assemble_residual in (2, 2) banded storage.
 
     Band storage ab[2 + i - j, j] = dres_i / dF_j.  Ghost dependencies fold
     back into columns 1, 2 (left, with the symmetry sign) and m-1 (right).
@@ -332,8 +334,10 @@ def linear_limit_residual(mesh: Mesh, values: np.ndarray) -> np.ndarray:
 class NewtonOptions:
     tol: float = 1e-6
     max_iters: int = 200
-    max_halvings: int = 30
-    armijo: float = 1e-4
+
+
+# smallest damping factor before Newton gives up (Deuflhard's lambda_min)
+T_MIN = 1e-8
 
 
 def _project_bc(values: np.ndarray, bc: str) -> np.ndarray:
@@ -349,12 +353,18 @@ def _project_bc(values: np.ndarray, bc: str) -> np.ndarray:
 
 def solve_profile(params: ProblemParams, guess: Profile,
                   opts: NewtonOptions = NewtonOptions()) -> Profile:
-    """Damped Newton iteration on the assembled residual.
+    """Newton iteration damped by Deuflhard's natural monotonicity test.
 
-    Converged means the equation-row residual max-norm dropped to
-    opts.tol.  Running out of iterations returns the best iterate with
-    converged = False; a singular Jacobian or ten consecutive damped steps
-    of growing length raise NewtonError.
+    One banded LU of J(x) per iteration serves the step dx = -J^-1 F(x)
+    and the simplified correction dx_bar = -J^-1 F(x + t dx) of each
+    damping factor t tried.  t passes when ||dx_bar|| <= (1 - t/4) ||dx||
+    (RMS norms, entry i scaled by max(|x_i|, opts.tol)); the estimate
+    mu = ||dx|| t^2 / (2 ||dx_bar - (1-t) dx||) gives the next t: min(1, mu)
+    after a pass, min(t/2, mu) after a failure (NLEQ-ERR, Deuflhard 2004).
+
+    Converged means the equation-row residual max-norm dropped to opts.tol.
+    Running out of iterations returns the best iterate unconverged; a
+    singular Jacobian, or t < T_MIN (divergence), raises NewtonError with it.
     """
     if params.eps == 0.0 and params.n > 0.0:
         raise ValueError("eps = 0 with n > 0: degenerate equation, Newton refused")
@@ -362,54 +372,40 @@ def solve_profile(params: ProblemParams, guess: Profile,
     inter = interior_slice(work.bc)
 
     best_vals, best_norm, best_it = work.values.copy(), np.inf, 0
-    growth_streak = 0
-    prev_step = None
+
+    def best() -> Profile:
+        return work.replace(values=best_vals, residual_norm=best_norm,
+                            converged=False, newton_iters=best_it)
+
+    t, res = 1.0, assemble_residual(work)
     for it in range(opts.max_iters):
-        res = assemble_residual(work)
         rnorm = float(np.max(np.abs(res[inter])))
         if rnorm < best_norm:
             best_vals, best_norm, best_it = work.values.copy(), rnorm, it
         if rnorm <= opts.tol:
             return work.replace(residual_norm=rnorm, converged=True, newton_iters=it)
-        ab = assemble_jacobian(work)
-        try:
-            step = solve_banded((2, 2), ab, -res)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonError(f"singular Jacobian at iteration {it}", iteration=it,
-                              best=work.replace(residual_norm=rnorm,
-                                                newton_iters=it)) from exc
-        if not np.all(np.isfinite(step)):
-            raise NewtonError(f"singular Jacobian at iteration {it} (non-finite step)",
-                              iteration=it,
-                              best=work.replace(residual_norm=rnorm, newton_iters=it))
-        t = 1.0
-        accepted = False
-        for _ in range(opts.max_halvings + 1):
-            trial = work.values + t * step
-            trial_res = assemble_residual(work.replace(values=trial))
-            trial_norm = float(np.max(np.abs(trial_res[inter])))
-            if np.isfinite(trial_norm) and trial_norm <= (1.0 - opts.armijo * t) * rnorm:
-                accepted = True
+        # dgbtrf takes the band below 2 spare rows for the LU fill-in
+        lu, piv, info = dgbtrf(np.pad(assemble_jacobian(work), ((2, 0), (0, 0))), 2, 2)
+        dx = -dgbtrs(lu, 2, 2, res, piv)[0]
+        if info > 0 or not np.all(np.isfinite(dx)):
+            raise NewtonError(f"singular Jacobian at iteration {it}", best())
+        scale = np.maximum(np.abs(work.values), opts.tol) * math.sqrt(res.size)
+        dx_norm = np.linalg.norm(dx / scale)
+        while True:
+            trial = work.replace(values=work.values + t * dx)
+            trial_res = assemble_residual(trial)
+            dx_bar = -dgbtrs(lu, 2, 2, trial_res, piv)[0]
+            gap = np.linalg.norm((dx_bar - (1.0 - t) * dx) / scale)
+            mu = 0.5 * dx_norm * t * t / gap if gap > 0.0 else math.inf
+            if np.linalg.norm(dx_bar / scale) <= (1.0 - 0.25 * t) * dx_norm:
                 break
-            t *= 0.5
-        if not accepted:
-            break  # stagnation: report best iterate as unconverged
-        step_norm = float(np.max(np.abs(t * step)))
-        if t < 1.0 and prev_step is not None and step_norm > prev_step:
-            growth_streak += 1
-            if growth_streak >= 10:
-                raise NewtonError(
-                    f"divergence: step norm grew over {growth_streak} damped steps",
-                    iteration=it,
-                    best=work.replace(values=best_vals, residual_norm=best_norm,
-                                      newton_iters=it))
-        else:
-            growth_streak = 0
-        prev_step = step_norm
-        work = work.replace(values=trial)
+            t = min(0.5 * t, mu)
+            if t < T_MIN:
+                raise NewtonError(f"divergence: t = {t:.2g} at iteration {it}", best())
+        work, res = trial, trial_res
+        t = min(1.0, mu)
 
-    return work.replace(values=best_vals, residual_norm=best_norm,
-                        converged=False, newton_iters=best_it)
+    return best()
 
 
 @dataclass
@@ -425,8 +421,9 @@ def eps_continuation(params: ProblemParams, guess: Profile, schedule,
     """Homotopy in eps: chain of solves, each warm-started from the last.
 
     The schedule must decrease strictly, start at eps >= 1e-2 and never go
-    below the 1e-4 resolution floor.  On a stage failure the last converged
-    stage is returned with the failing eps recorded.
+    below the 1e-4 resolution floor.  On a stage failure (unconverged, or
+    NewtonError) the last converged stage is returned with the failing eps
+    recorded; with no converged stage, the failing stage's best iterate.
     """
     schedule = [float(e) for e in schedule]
     if not schedule:
@@ -439,19 +436,18 @@ def eps_continuation(params: ProblemParams, guess: Profile, schedule,
         raise ValueError("eps schedule must stay at or above the 1e-4 floor")
 
     result = EpsContinuationResult(profile=guess, completed=False)
-    current = guess
-    last_converged = None
     for eps in schedule:
-        stage_params = params.with_eps(eps)
-        sol = solve_profile(stage_params, current, opts)
+        try:
+            sol = solve_profile(params.with_eps(eps), result.profile, opts)
+        except NewtonError as exc:
+            sol = exc.best
         result.stages.append((eps, sol.converged, sol.residual_norm))
         if not sol.converged:
             result.failed_eps = eps
-            result.profile = last_converged if last_converged is not None else sol
+            if len(result.stages) == 1:
+                result.profile = sol
             return result
-        current = sol
-        last_converged = sol
-    result.profile = last_converged
+        result.profile = sol
     result.completed = True
     return result
 
@@ -688,12 +684,17 @@ def save_profile(profile: Profile, csv_path) -> Path:
 
 
 def load_profile(csv_path) -> Profile:
-    """Load a profile; the residual norm is recomputed, never trusted."""
+    """Load a profile; the residual norm is recomputed, never trusted.
+
+    The CSV round-trips bit for bit, so the profile stays converged only if
+    its sidecar says so and the recomputed residual is no larger than stored.
+    """
     csv_path = Path(csv_path)
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
     meta = json.loads(csv_path.with_suffix(".json").read_text(encoding="utf-8"))
     params = ProblemParams(n=meta["n"], p=meta["p"], eps=meta["eps"])
-    prof = Profile(Mesh(data[:, 0]), data[:, 1],
-                   params, meta["bc"], converged=meta["converged"],
+    prof = Profile(Mesh(data[:, 0]), data[:, 1], params, meta["bc"],
                    newton_iters=meta["newton_iters"])
-    return prof.replace(residual_norm=residual_norm(prof))
+    rnorm = residual_norm(prof)
+    ok = meta["converged"] and rnorm <= meta["residual_norm"]
+    return prof.replace(residual_norm=rnorm, converged=ok)

@@ -171,7 +171,7 @@ def cmd_solve(args, argv) -> int:
         try:
             sol = _solve_with_warm_start(params, guess, spec, opts)
         except bvp.NewtonError as exc:
-            sol = exc.best if exc.best is not None else guess
+            sol = exc.best
     csv = out / "profile.csv"
     bvp.save_profile(sol, csv)
     man.add_output(csv)

@@ -87,7 +87,7 @@ class TestSummary:
         schedule = np.round(np.arange(1.19, 1.049, -0.01), 10)
         b = br.trace_p_branch(f0_profile, schedule, "F0-down")
         s = br.branch_summary(b)
-        ratios = [row["equilibrium_ratio"] for row in s["rows"]]
+        ratios = [row["sup_norm"] for row in s["rows"]]
         assert all(0.5 <= r <= 3.0 for r in ratios)
         raw = [row["raw_sup"] for row in s["rows"]]
         assert raw[-1] > 1e20  # f_*(1.05) = 0.05^(-20)

@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 import blowuplab.bvp as bvp
+import blowuplab.patterns as pat
 import blowuplab.spectral as spectral
 from blowuplab.model import ProblemParams
 
 N02 = ProblemParams(0.2, 1.2, 1e-2)
+HALF_MESH = bvp.Mesh.uniform(0.0, 50.0, 2000)
+# odd dipole with centers at +-6
+DIPOLE = (1.2 * np.exp(-(((HALF_MESH.nodes - 6.0) / 3.0) ** 2))
+          - 1.2 * np.exp(-(((HALF_MESH.nodes + 6.0) / 3.0) ** 2)))
 
 
 def random_profile(bc, n, p, m=80, seed=0, lo=0.3, hi=1.4):
@@ -151,15 +156,37 @@ class TestSolve:
         assert diff <= 1e-2
 
     def test_divergence_reported(self):
-        # a dipole guess with centers at +-6 sits outside the F_1 basin
-        # and sends the damped iteration off to infinity
-        mesh = bvp.Mesh.uniform(0.0, 50.0, 2000)
-        y = mesh.nodes
-        vals = (1.2 * np.exp(-(((y - 6.0) / 3.0) ** 2))
-                - 1.2 * np.exp(-(((y + 6.0) / 3.0) ** 2)))
-        bad = bvp.Profile(mesh, vals, N02, "antisymmetry")
-        with pytest.raises(bvp.NewtonError, match="divergence"):
+        # the dipole with centers at +-6 lies in the F_1 basin; a hundred
+        # times that amplitude sends the iteration off to infinity
+        guess = bvp.Profile(HALF_MESH, DIPOLE, N02, "antisymmetry")
+        sol = bvp.solve_profile(N02, guess)
+        assert sol.converged and sol.newton_iters <= 8
+        assert sol.sup_norm == pytest.approx(1.3976, abs=1e-4)
+        assert str(pat.classify(sol)) == "{-2,1,+2}"
+        bad = guess.replace(values=100.0 * DIPOLE)
+        with pytest.raises(bvp.NewtonError, match="divergence") as exc:
             bvp.solve_profile(N02, bad)
+        best = exc.value.best
+        assert not best.converged
+        assert best.residual_norm == bvp.residual_norm(best)
+
+    def test_warm_start_converges_quadratically(self, f0_profile, monkeypatch):
+        # one Jacobian and one banded LU per Newton iteration; from the
+        # neighbouring p the iteration keeps its quadratic convergence
+        calls = {"jacobian": 0, "lu": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(bvp, "assemble_jacobian",
+                            counted("jacobian", bvp.assemble_jacobian))
+        monkeypatch.setattr(bvp, "dgbtrf", counted("lu", bvp.dgbtrf))
+        sol = bvp.solve_profile(N02.with_p(1.25), f0_profile)
+        assert sol.converged and sol.newton_iters <= 6
+        assert calls == {"jacobian": sol.newton_iters, "lu": sol.newton_iters}
 
 
 class TestEpsContinuation:
@@ -180,6 +207,17 @@ class TestEpsContinuation:
         dists = [np.max(np.abs(b.values - a.values))
                  for a, b in zip(profiles, profiles[1:])]
         assert all(d2 < d1 for d1, d2 in zip(dists, dists[1:]))
+
+    def test_diverging_stage_recorded(self):
+        # the first stage raises NewtonError: the stage is recorded as the
+        # failure and its best iterate returned, nothing escapes
+        guess = bvp.Profile(HALF_MESH, 100.0 * DIPOLE, N02, "antisymmetry")
+        res = bvp.eps_continuation(N02, guess, [0.02, 0.01])
+        assert not res.completed
+        assert res.failed_eps == 0.02
+        assert res.stages == [(0.02, False, res.profile.residual_norm)]
+        assert not res.profile.converged
+        assert res.profile.params.eps == 0.02
 
     def test_schedule_validation(self, f0_profile):
         with pytest.raises(ValueError):

@@ -158,6 +158,19 @@ class TestOtherCommands:
         assert rep["transversal_zeros"] == 0
         assert len(rep["crossings"]) == 2
 
+    def test_classify_rejects_tampered_profile(self, solve_run, tmp_path):
+        # the sidecar still says converged, but the recomputed residual
+        # of the edited values is far above the stored one
+        for name in ("profile.csv", "profile.json"):
+            (tmp_path / name).write_bytes((solve_run / name).read_bytes())
+        rows = (tmp_path / "profile.csv").read_text().splitlines()
+        y, f = rows[100].split(",")
+        rows[100] = f"{y},{float(f) + 0.1!r}"
+        (tmp_path / "profile.csv").write_text("\n".join(rows) + "\n")
+        code = main(["classify", "--profile", str(tmp_path / "profile.csv"),
+                     "--out", str(tmp_path / "cls")])
+        assert code == 2
+
     def test_eigen_command(self, tmp_path):
         code = main(["eigen", "--n", "0.0", "--R", "1.0", "--m", "200",
                      "--out", str(tmp_path)])
