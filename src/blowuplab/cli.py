@@ -292,11 +292,8 @@ def cmd_kernel(args, argv) -> int:
                    map(float, table.F1), map(float, table.F2)))
     man.add_output(csv)
     if args.pairing_lmax is not None:
-        lmax = args.pairing_lmax
-        rows = []
-        for l in range(lmax + 1):
-            for k in range(lmax + 1):
-                rows.append((l, k, spectral.pairing(table, l, k)))
+        ls = range(args.pairing_lmax + 1)
+        rows = [(l, k, spectral.pairing(table, l, k)) for l in ls for k in ls]
         pcsv = out / "pairing.csv"
         _write_csv(pcsv, "l,k,value", rows)
         man.add_output(pcsv)
@@ -443,7 +440,8 @@ def _build_parser() -> _Parser:
     pk = sub.add_parser("kernel", help="fundamental kernel table")
     pk.add_argument("--L", type=float, default=15.0)
     pk.add_argument("--N", type=int, default=4000)
-    pk.add_argument("--pairing-lmax", type=int)
+    pk.add_argument("--pairing-lmax", type=int,
+                    choices=range(spectral.MAX_PAIRING + 1))
     pk.add_argument("--out")
     pk.set_defaults(func=cmd_kernel)
 

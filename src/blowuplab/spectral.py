@@ -5,24 +5,27 @@ b(x,t) = t^(-1/4) F(x/t^(1/4)), where the radial kernel F solves
 
     B F = -F'''' + (1/4) y F' + (1/4) F = 0,   int_R F dy = 1,
 
-or, after one integration, -F''' + (1/4) y F = 0.  F oscillates with the
-envelope D exp(-d |y|^(4/3)), d = 3 * 2^(-11/3).  The operator B has the
-point spectrum lambda_l = -l/4 with eigenfunctions
-psi_l = (-1)^l F^(l) / sqrt(l!); the adjoint B* = -D^4 - (1/4) y D has
-degree-l polynomial eigenfunctions psi*_l, bi-orthogonal to the psi_l.
-Together they generate the countable family of linear decay patterns
-u_l(x,t) = e^(-t) t^(-(1+l)/4) psi_l(x / t^(1/4)), the n -> 0, p -> 1
-anchor for the nonlinear profile families.
+or, after one integration, -F''' + (1/4) y F = 0.  Its Fourier transform is
+exactly exp(-k^4), so F(y) = (1/pi) int_0^inf exp(-k^4) cos(k y) dk, which
+compute_kernel sums by the trapezoid rule with dk = pi/(2L) until
+max(1, k^2) exp(-k^4) < eps.  F oscillates with the envelope
+D exp(-d |y|^(4/3)), d = 3 * 2^(-11/3).  The operator B has the point
+spectrum lambda_l = -l/4 with eigenfunctions psi_l = (-1)^l F^(l) / sqrt(l!);
+the adjoint B* = -D^4 - (1/4) y D has degree-l polynomial eigenfunctions
+psi*_l, bi-orthogonal to the psi_l.  Together they generate the countable
+family of linear decay patterns u_l(x,t) = e^(-t) t^(-(1+l)/4)
+psi_l(x / t^(1/4)), the n -> 0, p -> 1 anchor for the nonlinear profiles.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import simpson, solve_bvp
+from scipy.integrate import simpson
 from scipy.interpolate import CubicHermiteSpline
 
 __all__ = [
@@ -43,6 +46,10 @@ DECAY_RATE = 3.0 * 2.0 ** (-11.0 / 3.0)
 
 MAX_LADDER = 12
 MAX_RECURSION_DEPTH = 40
+MAX_PAIRING = 8
+#: pairing refinement: agreement of successive Simpson values, doubling cap
+PAIRING_TOL = 1e-9
+MAX_REFINE = 4
 
 
 @dataclass(eq=False)
@@ -92,42 +99,36 @@ class KernelTable:
 
 
 def compute_kernel(L: float = 15.0, N: int = 4000) -> KernelTable:
-    """Solve the kernel BVP on [0, L] and tabulate (F, F', F'') on N+1 nodes.
+    """Tabulate (F, F', F'') on N+1 nodes of [0, L] from the Fourier integral.
 
-    The third-order ODE is closed with F'(0) = 0 and F(L) = 0 (truncation
-    surrogate for decay; F'(L) then vanishes to truncation accuracy on its
-    own) and with the running integral pinned so the even extension
-    integrates to one.  The collocation solution is rescaled once more so
-    the Simpson quadrature of the stored table is exactly normalized.
+    (F, F', F'') = (1/pi) int_0^inf exp(-k^4) (cos, -k sin, -k^2 cos)(k y) dk
+    is summed by the trapezoid rule on k_j = j dk, dk = pi/(2L).  By Poisson
+    summation its only error is the kernel's images 4L away, below roundoff
+    on [0, L] for L >= 15.  The sum stops at the first k_j with
+    max(1, k_j^2) exp(-k_j^4) < eps (k near 2.5, about 1.6 L terms).  The
+    table is then rescaled so its Simpson quadrature is exactly normalized.
     """
     if L < 15.0:
         raise ValueError(f"L must be >= 15, got {L}")
     if N < 2000:
         raise ValueError(f"N must be >= 2000, got {N}")
 
-    def rhs(y, u):
-        # u = (F, F', F'', Q) with Q' = F and F''' = y F / 4
-        return np.vstack([u[1], u[2], 0.25 * y * u[0], u[0]])
-
-    def bc(ua, ub):
-        return np.array([ua[1], ua[3], ub[0], ub[3] - 0.5])
-
-    y0 = np.linspace(0.0, L, max(801, int(50 * L) + 1))
-    guess = np.zeros((4, y0.size))
-    guess[0] = 0.5 * np.exp(-((y0 / 2.5) ** 2))
-    guess[1] = -0.5 * (2.0 * y0 / 2.5**2) * np.exp(-((y0 / 2.5) ** 2))
-    guess[3] = 0.25 * (1.0 - np.exp(-((y0 / 2.5) ** 2)))
-    sol = solve_bvp(rhs, bc, y0, guess, tol=1e-12, max_nodes=400000)
-    if not sol.success:
-        raise RuntimeError(f"kernel BVP failed: {sol.message}")
-
     nodes = np.linspace(0.0, L, N + 1)
-    F, F1, F2, _ = sol.sol(nodes)
-    half = simpson(F, x=nodes)
-    if abs(half) < 1e-12:
-        raise RuntimeError("kernel normalization integral collapsed "
-                           "(spurious trivial solution)")
-    scale = 0.5 / half
+    dk = 0.5 * math.pi / L
+    F, F1, F2 = np.zeros((3, nodes.size))
+    for j in itertools.count():
+        k = j * dk
+        decay = math.exp(-k**4)
+        if max(1.0, k * k) * decay < np.finfo(float).eps:
+            break
+        # one wavenumber at a time keeps memory O(N)
+        w = (0.5 if j == 0 else 1.0) * dk * decay / math.pi
+        c = np.cos(k * nodes)
+        F += w * c
+        F1 -= w * k * np.sin(k * nodes)
+        F2 -= w * k * k * c
+
+    scale = 0.5 / simpson(F, x=nodes)
     F, F1, F2 = scale * F, scale * F1, scale * F2
     table = KernelTable(nodes, F, F1, F2,
                         normalization=2.0 * simpson(F, x=nodes),
@@ -248,16 +249,15 @@ def adjoint_apply(rational) -> tuple:
     return tuple(out)
 
 
-def pairing(table: KernelTable, l: int, k: int,
-            tol: float = 1e-9, max_refine: int = 4) -> float:
+def pairing(table: KernelTable, l: int, k: int) -> float:
     """Duality pairing <psi_l, psi*_k> over [-L, L] by composite Simpson.
 
     Odd l + k vanishes exactly by parity.  Even integrands are folded onto
     [0, L]; the sample count doubles until two successive Simpson values
-    agree to tol, else the refinement is reported as stalled.
+    agree to PAIRING_TOL, else MAX_REFINE doublings report it as stalled.
     """
-    if not (0 <= l <= 8 and 0 <= k <= 8):
-        raise ValueError("pairing indices must lie in [0, 8]")
+    if not (0 <= l <= MAX_PAIRING and 0 <= k <= MAX_PAIRING):
+        raise ValueError(f"pairing indices must lie in [0, {MAX_PAIRING}]")
     if (l + k) % 2 == 1:
         return 0.0
     poly = adjoint_eigenfunction(k)
@@ -269,10 +269,10 @@ def pairing(table: KernelTable, l: int, k: int,
 
     num = max(2048, 2 * ((table.nodes.size - 1) // 2))
     prev = integral(num)
-    for _ in range(max_refine):
+    for _ in range(MAX_REFINE):
         num *= 2
         cur = integral(num)
-        if abs(cur - prev) <= tol:
+        if abs(cur - prev) <= PAIRING_TOL:
             return float(cur)
         prev = cur
     raise RuntimeError(f"pairing quadrature stalled for (l, k) = ({l}, {k})")

@@ -148,6 +148,22 @@ class TestOtherCommands:
         assert rows[0] == "y,F,F1,F2"
         assert len(rows) == 2002
 
+    @pytest.mark.parametrize("lmax", ["9", "-1"])
+    def test_kernel_pairing_lmax_out_of_range(self, tmp_path, lmax):
+        out = tmp_path / "kernel"
+        code = main(["kernel", "--L", "15", "--N", "2000", "--pairing-lmax",
+                     lmax, "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+
+    def test_kernel_pairing_rows(self, tmp_path):
+        code = main(["kernel", "--L", "15", "--N", "2000", "--pairing-lmax",
+                     "2", "--out", str(tmp_path)])
+        assert code == 0
+        rows = (tmp_path / "pairing.csv").read_text().splitlines()
+        assert rows[0] == "l,k,value"
+        assert len(rows) == 10
+
     def test_classify_command(self, solve_run, tmp_path, capsys):
         code = main(["classify", "--profile", str(solve_run / "profile.csv"),
                      "--out", str(tmp_path)])

@@ -38,12 +38,32 @@ class TestKernel:
         assert d == pytest.approx(spectral.DECAY_RATE, rel=0.10)
 
     def test_domain_doubling_stability(self, kernel_table, kernel_table_wide):
-        # [DERIVED by running both]: truncating at L = 15 costs ~1e-5 of
-        # tail mass through the normalization; the profiles agree to that
+        # both tables sum the same Fourier integral; they differ only by
+        # the normalization rescale, which at L = 15 absorbs ~1e-5 of
+        # tail mass (difference 8.6e-6)
         y = np.linspace(0.0, 10.0, 2001)
         diff = np.max(np.abs(kernel_table.jet(y)[0]
                              - kernel_table_wide.jet(y)[0]))
         assert diff <= 5e-5
+
+    def test_closed_form_values_at_origin(self, kernel_table_wide):
+        # F(0) = (1/pi) int exp(-k^4) dk = Gamma(5/4)/pi and
+        # F''(0) = -(1/pi) int k^2 exp(-k^4) dk = -Gamma(3/4)/(4 pi)
+        F, F1, F2 = (kernel_table_wide.F[0], kernel_table_wide.F1[0],
+                     kernel_table_wide.F2[0])
+        assert F == pytest.approx(math.gamma(1.25) / math.pi, rel=1e-13)
+        assert F2 == pytest.approx(-math.gamma(0.75) / (4.0 * math.pi),
+                                   rel=1e-13)
+        assert F1 == 0.0
+
+    def test_truncation_costs_only_normalization(self, kernel_table,
+                                                 kernel_table_wide):
+        # away from the cutoff the L = 15 table is the wide one rescaled
+        y = np.linspace(0.0, 14.0, 2801)
+        s = kernel_table.F[0] / kernel_table_wide.F[0]
+        diff = np.max(np.abs(kernel_table.jet(y)[0]
+                             - s * kernel_table_wide.jet(y)[0]))
+        assert diff <= 1e-12
 
     def test_ode_residual_second_order(self, kernel_table):
         # -F''' + y F / 4 evaluated with independent second-order
@@ -164,6 +184,11 @@ class TestPairing:
     def test_index_guard(self, kernel_table):
         with pytest.raises(ValueError):
             spectral.pairing(kernel_table, 9, 0)
+
+    def test_stalled_refinement_raises(self, kernel_table, monkeypatch):
+        monkeypatch.setattr(spectral, "MAX_REFINE", 0)
+        with pytest.raises(RuntimeError, match="stalled"):
+            spectral.pairing(kernel_table, 0, 0)
 
 
 class TestLinearPatterns:
