@@ -61,12 +61,10 @@ class Branch:
 
 
 def _attempt(prev: Profile, p: float, opts: NewtonOptions) -> Optional[Profile]:
-    params = prev.params.with_p(p)
     try:
-        sol = bvp.solve_profile(params, prev, opts)
+        return bvp.solve_profile(prev.params.with_p(p), prev, opts)
     except bvp.NewtonError:
         return None
-    return sol if sol.converged else None
 
 
 def trace_p_branch(start: Profile, schedule, label: str = "branch",

@@ -11,17 +11,17 @@ The constant states F = -1, 0, +1 are exact solutions at every (n, p).
 
 Discretization is second-order centered differences on a uniform mesh,
 with the fourth derivative built as D2 o (nonlinear flux) o D2 so the
-regularized coefficient sits between the two second differences.  The
-resulting Jacobian is banded with bandwidth 2.  Boundary conditions are
-encoded as reflection ghosts (slope conditions) plus explicit value rows:
+regularized coefficient sits between the two second differences; Newton
+(blowuplab.newton) factors the Jacobian, banded with bandwidth 2.  Boundary
+conditions are encoded as reflection ghosts (slope conditions) plus value rows:
 
     dirichlet-far    F = F' = 0 at both ends of [-R, R]
     q-plateau        F = 1, F' = 0 at -R (plateau), F = F' = 0 at R
     symmetry         even reflection at 0 on [0, R], F = F' = 0 at R
     antisymmetry     odd reflection at 0 on [0, R], F = F' = 0 at R
 
-The same module integrates the autonomous p = n+1 equation as a dynamical
-system and shoots for its periodic orbits oscillating about +-1.
+The same module shoots for the periodic orbits about +-1 of the
+autonomous p = n+1 equation.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from . import model, oscillation
+from . import model, newton, oscillation
 from .model import ProblemParams
+from .newton import NewtonError
 
 __all__ = [
     "Mesh",
@@ -62,17 +63,6 @@ BC_CHOICES = ("symmetry", "antisymmetry", "q-plateau", "dirichlet-far")
 MIN_INTERVALS = 64
 # absolute tolerance of the periodic-orbit shots
 ORBIT_ATOL = 1e-13
-
-
-class NewtonError(RuntimeError):
-    """Raised when the Newton iteration hits a singular Jacobian or diverges.
-
-    best is the lowest-residual iterate, marked unconverged.
-    """
-
-    def __init__(self, message, best):
-        super().__init__(message)
-        self.best = best
 
 
 class ShootingError(RuntimeError):
@@ -336,10 +326,6 @@ class NewtonOptions:
     max_iters: int = 200
 
 
-# smallest damping factor before Newton gives up (Deuflhard's lambda_min)
-T_MIN = 1e-8
-
-
 def _project_bc(values: np.ndarray, bc: str) -> np.ndarray:
     """Pin the bc value rows of a guess exactly."""
     v = np.array(values, dtype=float)
@@ -353,59 +339,35 @@ def _project_bc(values: np.ndarray, bc: str) -> np.ndarray:
 
 def solve_profile(params: ProblemParams, guess: Profile,
                   opts: NewtonOptions = NewtonOptions()) -> Profile:
-    """Newton iteration damped by Deuflhard's natural monotonicity test.
+    """Profile by blowuplab.newton, one banded LU (dgbtrf) per iteration.
 
-    One banded LU of J(x) per iteration serves the step dx = -J^-1 F(x)
-    and the simplified correction dx_bar = -J^-1 F(x + t dx) of each
-    damping factor t tried.  t passes when ||dx_bar|| <= (1 - t/4) ||dx||
-    (RMS norms, entry i scaled by max(|x_i|, opts.tol)); the estimate
-    mu = ||dx|| t^2 / (2 ||dx_bar - (1-t) dx||) gives the next t: min(1, mu)
-    after a pass, min(t/2, mu) after a failure (NLEQ-ERR, Deuflhard 2004).
-
-    Converged means the equation-row residual max-norm dropped to opts.tol.
-    Running out of iterations returns the best iterate unconverged; a
-    singular Jacobian, or t < T_MIN (divergence), raises NewtonError with it.
+    Corrections are scaled by max(|F_i|, opts.tol); newton_iters counts
+    the LUs.  Failure raises NewtonError with the last iterate, unconverged.
     """
     if params.eps == 0.0 and params.n > 0.0:
         raise ValueError("eps = 0 with n > 0: degenerate equation, Newton refused")
     work = Profile(guess.mesh, _project_bc(guess.values, guess.bc), params, guess.bc)
-    inter = interior_slice(work.bc)
 
-    best_vals, best_norm, best_it = work.values.copy(), np.inf, 0
+    def at(values) -> Profile:
+        # pivoting solves the identity bc rows of J only to roundoff
+        return work.replace(values=_project_bc(values, work.bc))
 
-    def best() -> Profile:
-        return work.replace(values=best_vals, residual_norm=best_norm,
-                            converged=False, newton_iters=best_it)
-
-    t, res = 1.0, assemble_residual(work)
-    for it in range(opts.max_iters):
-        rnorm = float(np.max(np.abs(res[inter])))
-        if rnorm < best_norm:
-            best_vals, best_norm, best_it = work.values.copy(), rnorm, it
-        if rnorm <= opts.tol:
-            return work.replace(residual_norm=rnorm, converged=True, newton_iters=it)
+    def factor(values, _res):
         # dgbtrf takes the band below 2 spare rows for the LU fill-in
-        lu, piv, info = dgbtrf(np.pad(assemble_jacobian(work), ((2, 0), (0, 0))), 2, 2)
-        dx = -dgbtrs(lu, 2, 2, res, piv)[0]
-        if info > 0 or not np.all(np.isfinite(dx)):
-            raise NewtonError(f"singular Jacobian at iteration {it}", best())
-        scale = np.maximum(np.abs(work.values), opts.tol) * math.sqrt(res.size)
-        dx_norm = np.linalg.norm(dx / scale)
-        while True:
-            trial = work.replace(values=work.values + t * dx)
-            trial_res = assemble_residual(trial)
-            dx_bar = -dgbtrs(lu, 2, 2, trial_res, piv)[0]
-            gap = np.linalg.norm((dx_bar - (1.0 - t) * dx) / scale)
-            mu = 0.5 * dx_norm * t * t / gap if gap > 0.0 else math.inf
-            if np.linalg.norm(dx_bar / scale) <= (1.0 - 0.25 * t) * dx_norm:
-                break
-            t = min(0.5 * t, mu)
-            if t < T_MIN:
-                raise NewtonError(f"divergence: t = {t:.2g} at iteration {it}", best())
-        work, res = trial, trial_res
-        t = min(1.0, mu)
+        ab = np.pad(assemble_jacobian(at(values)), ((2, 0), (0, 0)))
+        lu, piv, info = dgbtrf(ab, 2, 2)
+        return None if info > 0 else lambda b: dgbtrs(lu, 2, 2, b, piv)[0]
 
-    return best()
+    try:
+        values, iters = newton.solve(lambda v: assemble_residual(at(v)), factor,
+                                     work.values, opts.tol, opts.tol, opts.max_iters)
+    except NewtonError as exc:
+        last = at(exc.best)
+        last = last.replace(residual_norm=residual_norm(last))
+        raise NewtonError(str(exc), last) from None
+    sol = at(values)
+    return sol.replace(residual_norm=residual_norm(sol), converged=True,
+                       newton_iters=iters)
 
 
 @dataclass
@@ -421,9 +383,9 @@ def eps_continuation(params: ProblemParams, guess: Profile, schedule,
     """Homotopy in eps: chain of solves, each warm-started from the last.
 
     The schedule must decrease strictly, start at eps >= 1e-2 and never go
-    below the 1e-4 resolution floor.  On a stage failure (unconverged, or
-    NewtonError) the last converged stage is returned with the failing eps
-    recorded; with no converged stage, the failing stage's best iterate.
+    below the 1e-4 resolution floor.  On a stage failure (NewtonError) the
+    last converged stage is returned with the failing eps recorded; with no
+    converged stage, the failing stage's last iterate.
     """
     schedule = [float(e) for e in schedule]
     if not schedule:
@@ -438,16 +400,14 @@ def eps_continuation(params: ProblemParams, guess: Profile, schedule,
     result = EpsContinuationResult(profile=guess, completed=False)
     for eps in schedule:
         try:
-            sol = solve_profile(params.with_eps(eps), result.profile, opts)
+            result.profile = solve_profile(params.with_eps(eps), result.profile, opts)
         except NewtonError as exc:
-            sol = exc.best
-        result.stages.append((eps, sol.converged, sol.residual_norm))
-        if not sol.converged:
+            result.stages.append((eps, False, exc.best.residual_norm))
             result.failed_eps = eps
             if len(result.stages) == 1:
-                result.profile = sol
+                result.profile = exc.best
             return result
-        result.profile = sol
+        result.stages.append((eps, True, result.profile.residual_norm))
     result.completed = True
     return result
 
@@ -589,10 +549,9 @@ def shoot_periodic_full(n: float, about: int, a_init: float) -> PeriodicOrbit:
     F''(0) is a closed form of F(0) = a.  The equation is reversible, so
     a shot from the symmetric jet (a, 0, b, 0) that reaches another
     symmetric jet (F' = F''' = 0) at its half return closes into a
-    periodic orbit by reflection.  Newton on the section return (the
-    shooter of blowuplab.oscillation) solves F'''(T/2) = 0 for a, from
-    a_init once the walk below has given that a half return.  The full
-    jet must then return to 1e-8 over one period.
+    periodic orbit by reflection.  The shooter of blowuplab.oscillation
+    solves F'''(T/2) = 0 for a, from a_init once the walk below has given
+    that a half return.  The full jet must then return to 1e-8.
     """
     if about not in (1, -1):
         raise ValueError("about must be +1 or -1")
@@ -611,7 +570,7 @@ def shoot_periodic_full(n: float, about: int, a_init: float) -> PeriodicOrbit:
     # escape toward zero means too little (raise a)
     for attempt in range(60):
         try:
-            _half_return(n, a0)
+            leg = _half_return(n, a0)
             break
         except ShootingError as exc:
             if exc.kind == "no-closure" or attempt == 59:
@@ -621,11 +580,10 @@ def shoot_periodic_full(n: float, about: int, a_init: float) -> PeriodicOrbit:
                 raise
 
     def residual(x):
-        leg = _half_return(n, x[0])
-        return (np.array([_terminal_jet(n, leg.y[:, -1])[3]]),
-                np.array([np.max(np.abs(leg.y[0]))]))
+        return np.array([_terminal_jet(n, _half_return(n, x[0]).y[:, -1])[3]])
 
-    a = float(oscillation._newton(residual, [a0])[0][0])
+    # corrections are measured against the amplitude of the walk's leg
+    a = float(oscillation._newton(residual, [a0], [np.max(np.abs(leg.y[0]))])[0][0])
     b = _zero_energy_b(a, n)
     legs = _orbit_shot(n, a, b, dense=True)
     jetT = _terminal_jet(n, _returned(legs[-1]).y[:, -1])

@@ -130,8 +130,6 @@ def _solve_with_warm_start(params, guess, spec, opts):
     if spec.kind == "q_type" or abs(params.p - p_var) <= 0.05:
         return bvp.solve_profile(params, guess, opts)
     anchor = bvp.solve_profile(params.with_p(p_var), guess, opts)
-    if not anchor.converged:
-        return anchor
     steps = max(2, int(math.ceil(abs(params.p - p_var) / 0.05)))
     schedule = np.linspace(p_var, params.p, steps + 1)[1:]
     branch = branching.trace_p_branch(anchor, schedule, label="warm-start",

@@ -17,8 +17,8 @@ The exponent mu is always passed explicitly: (2n+3)/n for travelling
 waves, 2(n+2)/n in the regional regime, and whatever a once-integrated
 reduction calls for.
 
-phi_* is found by Newton on the return map of a Poincare section
-(Seydel, Practical Bifurcation and Stability Analysis, 2010, ch. 7).
+phi_* is found by Newton (blowuplab.newton) on the return map of a Poincare
+section (Seydel, Practical Bifurcation and Stability Analysis, 2010, ch. 7).
 The same shooter finds the regional orbit about +-1 in blowuplab.bvp.
 """
 
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from . import newton
 from .model import pk_coefficients
 
 __all__ = [
@@ -42,13 +43,10 @@ __all__ = [
     "reconstruct_interface",
 ]
 
-# the periodic-orbit shooter: DOP853 tolerance of every shot, Newton
-# budget, Newton stop (each correction below STEP_TOL of its coordinate's
-# amplitude along the orbit), forward-difference step relative to that
-# amplitude, and the span within which each leg must meet the section
+# the periodic-orbit shooter: DOP853 tolerance of every shot, relative
+# forward-difference step of its Newton, and the span within which each
+# leg must meet the section
 RTOL = 1e-11
-NEWTON_STEPS = 30
-STEP_TOL = 100.0 * RTOL
 FD_STEP = math.sqrt(RTOL)
 LEG_SPAN = 100.0
 # absolute tolerance of every integration of the component equation
@@ -225,29 +223,30 @@ def _sample_shot(legs: list, ts: np.ndarray) -> np.ndarray:
                            legs[1].sol(ts[~first] - t_half)], axis=1)
 
 
-def _newton(residual, x) -> tuple:
-    """Newton on residual(x) = 0 with a forward-difference Jacobian.
+def _newton(residual, x, scale) -> tuple:
+    """Root of residual(x) = 0 by blowuplab.newton, with its last Jacobian.
 
-    residual returns the residual and the amplitude of each unknown along
-    the orbit it shot.  Newton stops once every correction is below
-    STEP_TOL of that amplitude and returns the corrected x with the last
-    Jacobian; NEWTON_STEPS steps without that raise RuntimeError with
-    the last residual.
+    Column j of the forward-difference Jacobian steps x_j by FD_STEP
+    max(|x_j|, scale_j).  A failure raises RuntimeError with the last residual.
     """
-    x = np.asarray(x, dtype=float)
-    for _ in range(NEWTON_STEPS):
-        r, amp = residual(x)
-        jac = np.empty((r.size, x.size))
-        for j in range(x.size):
-            dx = np.zeros(x.size)
-            dx[j] = FD_STEP * amp[j]
-            jac[:, j] = (residual(x + dx)[0] - r) / dx[j]
-        step = np.linalg.solve(jac, -r)
-        x = x + step
-        if np.all(np.abs(step) <= STEP_TOL * amp):
-            return x, jac
-    raise RuntimeError(f"shooting Newton did not converge in {NEWTON_STEPS} "
-                       f"steps: last residual {np.max(np.abs(r)):.3e}")
+    jac = None
+
+    def factor(x, r):
+        nonlocal jac
+        steps = FD_STEP * np.maximum(np.abs(x), scale)
+        jac = np.column_stack([(residual(x + s * e) - r) / s
+                               for s, e in zip(steps, np.eye(x.size))])
+        try:
+            return np.linalg.inv(jac).dot
+        except np.linalg.LinAlgError:
+            return None
+
+    try:   # corrections below 100 RTOL are integration noise
+        x, _ = newton.solve(residual, factor, x, scale, 100.0 * RTOL, newton.MAX_ITERS)
+    except newton.NewtonError as exc:
+        raise RuntimeError(f"shooting Newton: {exc}; last residual "
+                           f"{np.max(np.abs(residual(exc.best))):.3e}") from None
+    return x, jac
 
 
 def find_periodic_osc(n: float, mu: float, init: OscState) -> PeriodicComponent:
@@ -272,11 +271,11 @@ def find_periodic_osc(n: float, mu: float, init: OscState) -> PeriodicComponent:
         if not legs[-1].t_events[0].size:
             raise RuntimeError(f"no section return within s = {LEG_SPAN} "
                                f"from (phi, v) = {tuple(x)}")
-        y = np.concatenate([leg.y for leg in legs], axis=1)
-        return (legs[-1].y[[0, 2], -1] - x,
-                np.max(np.abs(y[[0, 2]]), axis=1))
+        return legs[-1].y[[0, 2], -1] - x
 
-    x, jac = _newton(residual, lead.y[[0, 2], -1])
+    # corrections are measured against the amplitudes along the lead
+    x, jac = _newton(residual, lead.y[[0, 2], -1],
+                     np.max(np.abs(lead.y[[0, 2]]), axis=1))
     multipliers = np.linalg.eigvals(jac + np.eye(2))
     if np.any(np.abs(multipliers) >= 1.0):
         raise RuntimeError(f"the cycle found is not stable: Floquet "

@@ -174,7 +174,9 @@ def transversal_zeros(profile: Profile, tol: float = 1e-2,
     for i in range(F.size - 1):
         if not lo < y[i] < hi:
             continue
-        if F[i] * F[i + 1] < 0.0 and abs(F[i + 1] - F[i]) / h > tol:
+        # a zero on a node (the origin of an odd profile) spans two intervals
+        j = i + 2 if F[i + 1] == 0.0 and i + 2 < F.size else i + 1
+        if F[i] * F[j] < 0.0 and abs(F[j] - F[i]) / ((j - i) * h) > tol:
             count += 1
     return count
 

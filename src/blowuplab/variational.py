@@ -17,9 +17,8 @@ The count of critical points on an interval (-R, R) is governed by the
 nonlinear eigenvalues of -(|psi''|^n psi'')'' + lambda |psi|^n psi = 0
 under clamped conditions; the first one is the minimum of the Rayleigh
 quotient int |psi''|^(n+2) / int |psi|^(n+2) and obeys the interval
-scaling lambda_k(R) = R^(-4-2n) lambda_k(1).  It is computed by Newton on
-the discrete Euler-Lagrange system, started from the eigenvector of the
-linear (n = 0) clamped problem.
+scaling lambda_k(R) = R^(-4-2n) lambda_k(1).  It is computed by
+blowuplab.newton on the discrete Euler-Lagrange system, continued in n.
 """
 
 from __future__ import annotations
@@ -29,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigvals_banded, solve_banded
 from scipy.sparse.linalg import splu
 
-from . import bvp, model
+from . import bvp, model, newton
 from .bvp import Profile
 
 __all__ = [
@@ -46,10 +44,10 @@ __all__ = [
     "count_eigenvalues_below_one",
 ]
 
-# Newton budget of first_nonlinear_eigenvalue; n <= 1 converges in under 20
-NEWTON_STEPS = 100
-# the quotient error is quadratic in the eigenvector error
-STEP_TOL = math.sqrt(np.finfo(float).eps)
+# first_nonlinear_eigenvalue: step in n between Newton stages, and the
+# Newton tolerance (the quotient's error is quadratic in the eigenvector's)
+N_STAGE = 0.5
+TOL = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -189,20 +187,15 @@ def first_nonlinear_eigenvalue(n: float, R: float, m: int = 400) -> float:
 
         W^T (c phi(W x)) - lambda c_int phi(x) = 0,   phi(s) = |s|^n s,
 
-    which at n = 0 is the linear pencil W^T C W x = lambda C_int x.  Its
-    lowest eigenvector (the banded eigenvalue, then one banded
-    inverse-iteration solve: O(m^2) work, where an eigensolver's
-    eigenvector costs O(m^3)) starts Newton on the system bordered by the
-    normalization <x0, x> = <x0, x0>.  The
-    pentadiagonal block is singular at the solution (homogeneity gives
-    J x = 0), so each step solves the whole bordered system with one
-    sparse LU.  Newton stops once its correction is below sqrt(eps) of
-    the iterate; the quotient is stationary at the eigenvector, so the
-    returned quotient of the final x is then exact to rounding.  At n = 0
-    the start already solves the system and the one step only polishes
-    the eigensolver's rounding.  A singular factor, a non-finite step or
-    NEWTON_STEPS steps without convergence raise RuntimeError with the
-    quotient of the last finite iterate.
+    bordered by <x0, x> = <x0, x0>, with x0 the clamped bump.  Each
+    blowuplab.newton step factors the bordered system by sparse LU (the
+    block alone is singular: J x = 0 by homogeneity).  The linear
+    eigenvector lies outside the basin for n >= 2.5 on fine meshes, so
+    Newton runs in stages n_k = 0, N_STAGE, 2 N_STAGE, ..., n, each from
+    the last; the first is the linear pencil W^T C W x = lambda C_int x.
+    The quotient of the final x is stationary there, so exact to rounding.
+    A Newton failure raises RuntimeError with the quotient of the last
+    iterate.
     """
     if n < 0 or R <= 0:
         raise ValueError("need n >= 0 and R > 0")
@@ -212,55 +205,42 @@ def first_nonlinear_eigenvalue(n: float, R: float, m: int = 400) -> float:
     W = _curvature_matrix(m, h)
     # trapezoid weights on the full node set
     c = np.full(m + 1, h)
-    c[0] *= 0.5
-    c[-1] *= 0.5
+    c[[0, -1]] *= 0.5
     c_int = c[1:-1]
 
-    def quotient(x):
-        # a diverging iterate overflows to a non-finite quotient, which
-        # the Newton loop reports
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.sum(c * np.abs(W @ x) ** (n + 2.0))
-                         / np.sum(c_int * np.abs(x) ** (n + 2.0)))
+    def quotient(x, nk):
+        return float(np.sum(c * np.abs(W @ x) ** (nk + 2.0))
+                     / np.sum(c_int * np.abs(x) ** (nk + 2.0)))
 
-    # symmetric form C_int^(-1/2) W^T C W C_int^(-1/2): its lowest
-    # eigenvalue from the upper band, its eigenvector from one solve of
-    # the shifted full band (inverse iteration)
-    scale = sparse.diags(1.0 / np.sqrt(c_int))
-    S = scale @ (W.T @ sparse.diags(c) @ W) @ scale
-    band = np.zeros((5, m - 1))
-    for k in range(3):
-        band[2 - k, k:] = band[2 + k, :m - 1 - k] = S.diagonal(k)
-    sigma = eigvals_banded(band[:3], select="i", select_range=(0, 0))[0]
-    band[2] -= sigma
-    x0 = solve_banded((2, 2), band, np.ones(m - 1)) / np.sqrt(c_int)
-    x0 /= x0[np.argmax(np.abs(x0))]
-    x, lam = x0, quotient(x0)
-    last = lam   # quotient of the last finite iterate, for the errors
+    # unknowns (x, lambda), from the clamped bump (1 - (y/R)^2)^2 of order one
+    x0 = (1.0 - np.linspace(-1.0, 1.0, m + 1)[1:-1] ** 2) ** 2
+    z = np.append(x0, quotient(x0, 0.0))
+    z_scale = np.append(np.ones(m - 1), z[-1])
 
-    for k in range(NEWTON_STEPS):
-        w = W @ x
-        cw, cx = c * np.abs(w) ** n, c_int * np.abs(x) ** n
-        residual = np.append(W.T @ (cw * w) - lam * cx * x, x0 @ (x - x0))
-        block = (n + 1.0) * (W.T @ sparse.diags(cw) @ W - lam * sparse.diags(cx))
-        bordered = sparse.bmat([[block, -(cx * x)[:, None]], [x0[None, :], None]],
-                               format="csc")
+    for nk in [N_STAGE * k for k in range(math.ceil(n / N_STAGE))] + [n]:
+        def residual(z):
+            x, lam = z[:-1], z[-1]
+            w = W @ x
+            return np.append(W.T @ (c * np.abs(w) ** nk * w)
+                             - lam * c_int * np.abs(x) ** nk * x, x0 @ (x - x0))
+
+        def factor(z, _r):
+            x, lam = z[:-1], z[-1]
+            cw, cx = c * np.abs(W @ x) ** nk, c_int * np.abs(x) ** nk
+            block = (nk + 1.0) * (W.T @ sparse.diags(cw) @ W - lam * sparse.diags(cx))
+            bordered = sparse.bmat([[block, -(cx * x)[:, None]], [x0[None, :], None]],
+                                   format="csc")
+            try:
+                return splu(bordered).solve
+            except RuntimeError:   # exactly singular
+                return None
+
         try:
-            step = splu(bordered).solve(-residual)
-        except RuntimeError as exc:
-            raise RuntimeError(f"Newton step {k}: {exc}; "
-                               f"last quotient {last:.6g}") from exc
-        x = x + step[:-1]
-        lam += step[-1]
-        q = quotient(x)
-        if not (np.all(np.isfinite(step)) and math.isfinite(q)):
-            raise RuntimeError(f"Newton step {k} is not finite; "
-                               f"last quotient {last:.6g}")
-        last = q
-        if np.max(np.abs(step[:-1])) <= STEP_TOL * np.max(np.abs(x)):
-            return q
-    raise RuntimeError(f"Newton did not converge in {NEWTON_STEPS} steps: "
-                       f"last quotient {last:.6g}")
+            z, _ = newton.solve(residual, factor, z, z_scale, TOL, newton.MAX_ITERS)
+        except newton.NewtonError as exc:
+            raise RuntimeError(f"{exc} (stage n = {nk:g}); last quotient "
+                               f"{quotient(exc.best[:-1], nk):.6g}") from None
+    return quotient(z[:-1], n)
 
 
 def count_eigenvalues_below_one(n: float, R: float, lambda1_unit: float = None,

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blowuplab.bvp as bvp
 import blowuplab.patterns as pat
@@ -15,12 +17,12 @@ DIPOLE = (1.2 * np.exp(-(((HALF_MESH.nodes - 6.0) / 3.0) ** 2))
           - 1.2 * np.exp(-(((HALF_MESH.nodes + 6.0) / 3.0) ** 2)))
 
 
-def random_profile(bc, n, p, m=80, seed=0, lo=0.3, hi=1.4):
+def random_profile(bc, n, p, m=80, seed=0, lo=0.3, hi=1.4, eps=1e-2):
     rng = np.random.default_rng(seed)
     mesh = (bvp.Mesh.uniform(0.0, 5.0, m) if bc in ("symmetry", "antisymmetry")
             else bvp.Mesh.uniform(-5.0, 5.0, m))
     vals = bvp._project_bc(lo + (hi - lo) * rng.random(m + 1), bc)
-    return bvp.Profile(mesh, vals, ProblemParams(n, p, 1e-2), bc)
+    return bvp.Profile(mesh, vals, ProblemParams(n, p, eps), bc)
 
 
 def banded_to_dense(ab):
@@ -110,6 +112,37 @@ class TestJacobian:
         res = bvp.assemble_residual(full)
         assert np.max(np.abs(res[1:-1])) <= 2.0 * max(
             f0_profile.residual_norm, 1e-8)
+
+
+# hypothesis draws the same examples on every run, with no time limit
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+BCS = st.sampled_from(bvp.BC_CHOICES)
+
+
+class TestProperties:
+    @PROPERTY
+    @given(bc=BCS, n=st.floats(0.0, 3.0), p=st.floats(1.05, 6.0),
+           eps=st.floats(1e-4, 1.0), seed=st.integers(0, 2**16))
+    def test_jacobian_matches_finite_differences(self, bc, n, p, eps, seed):
+        prof = random_profile(bc, n, p, seed=seed, eps=eps)
+        assert jacobian_fd_error(prof) <= 1e-5
+
+    @PROPERTY
+    @given(bc=BCS, n=st.floats(0.0, 1.0), p=st.floats(1.05, 3.0),
+           amp=st.floats(0.0, 1.5), seed=st.integers(0, 2**16))
+    def test_solve_keeps_bc_value_rows_exact(self, bc, n, p, amp, seed):
+        # a converged solve and a failed one's last iterate alike
+        guess = random_profile(bc, n, p, seed=seed, lo=-amp, hi=amp)
+        try:
+            out = bvp.solve_profile(guess.params, guess)
+        except bvp.NewtonError as exc:
+            out = exc.best
+        F = out.values
+        assert F[-1] == 0.0
+        if bc in ("dirichlet-far", "antisymmetry"):
+            assert F[0] == 0.0
+        elif bc == "q-plateau":
+            assert F[0] == 1.0
 
 
 class TestLinearLimit:

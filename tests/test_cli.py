@@ -196,6 +196,15 @@ class TestOtherCommands:
         lam = float(rows[1].split(",")[2])
         assert lam == pytest.approx(31.285, rel=5e-3)
 
+    def test_eigen_fine_mesh_n3(self, tmp_path):
+        # the linear start lies outside Newton's basin at n = 3 on this
+        # mesh; the stages in n must still reach it
+        code = main(["eigen", "--n", "3", "--R", "1", "--m", "2000",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        rows = (tmp_path / "eigenvalues.csv").read_text().splitlines()
+        assert float(rows[1].split(",")[2]) == pytest.approx(3192.365, abs=1e-3)
+
     def test_oscillate_command(self, tmp_path):
         code = main(["oscillate", "--n", "5.0", "--lambda", "-1",
                      "--s-budget", "200", "--out", str(tmp_path)])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import blowuplab.newton as newton
 import blowuplab.oscillation as osc
 from blowuplab.oscillation import OscState
 
@@ -109,7 +110,7 @@ class TestPeriodicComponent:
     def test_newton_failure_reports_residual(self, monkeypatch):
         # the start is no periodic point, so one Newton step cannot meet
         # the stopping test
-        monkeypatch.setattr(osc, "NEWTON_STEPS", 1)
+        monkeypatch.setattr(newton, "MAX_ITERS", 1)
         with pytest.raises(RuntimeError, match=r"last residual \d"):
             osc.find_periodic_osc(1.0, 5.0, OscState(0.0, 3e-4, 0.0, 0.0))
 

@@ -6,6 +6,7 @@ import scipy.linalg
 from scipy.optimize import brentq
 
 import blowuplab.bvp as bvp
+import blowuplab.newton as newton
 import blowuplab.variational as var
 from blowuplab.model import ProblemParams
 
@@ -172,19 +173,25 @@ class TestNonlinearEigenvalue:
         assert lam == pytest.approx(ref, rel=1e-10)
 
     def test_non_convergence_raises_with_last_quotient(self, monkeypatch):
-        # n = 1 needs about ten Newton steps; a two-step budget must fail
-        # loudly instead of returning the unconverged quotient
-        monkeypatch.setattr(var, "NEWTON_STEPS", 2)
+        # the stages past the linear one take about five Newton steps; a
+        # two-step budget must fail loudly, not return the quotient
+        monkeypatch.setattr(newton, "MAX_ITERS", 2)
         with pytest.raises(RuntimeError, match=r"last quotient \d"):
             var.first_nonlinear_eigenvalue(1.0, 1.0, 400)
 
-    def test_divergence_raises_with_last_finite_quotient(self):
-        # n = 3 on a fine mesh diverges; the failure must name its Newton
-        # step and the last finite quotient, not escape as a bare solver
-        # error or report nan
+    def test_divergence_raises_with_last_finite_quotient(self, monkeypatch):
+        # without the stages in n, Newton from the linear start diverges at
+        # n = 3 on a fine mesh; the failure must name its Newton step and
+        # the last finite quotient, not escape as a bare solver error
+        monkeypatch.setattr(var, "N_STAGE", 10.0)
         with pytest.raises(RuntimeError,
-                           match=r"Newton step \d+.*last quotient \d"):
+                           match=r"divergence at Newton step \d+.*last quotient \d"):
             var.first_nonlinear_eigenvalue(3.0, 1.0, 2000)
+
+    @pytest.mark.parametrize("n, lam", [(3.0, 3192.36536), (5.0, 59797.5118)])
+    def test_stages_in_n_converge_on_fine_mesh(self, n, lam):
+        assert var.first_nonlinear_eigenvalue(n, 1.0, 2000) == pytest.approx(
+            lam, rel=1e-8)
 
     @pytest.mark.parametrize("n", [0.0, 0.2, 1.0, 2.0])
     def test_interval_scaling_law(self, n):
@@ -196,9 +203,8 @@ class TestNonlinearEigenvalue:
         assert var.first_nonlinear_eigenvalue(0.5, 1.5, 200) > 0.0
 
     def test_invariant_under_start_scaling(self):
-        # the start is the linear eigenvector scaled to unit maximum, so
-        # no scalar of the eigensolver's output survives and two runs
-        # agree to the last bit
+        # the start is a fixed clamped bump, so no eigensolver output
+        # enters and two runs agree to the last bit
         a = var.first_nonlinear_eigenvalue(0.2, 1.0, 200)
         b = var.first_nonlinear_eigenvalue(0.2, 1.0, 200)
         assert a == b
