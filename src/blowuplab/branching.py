@@ -41,7 +41,6 @@ class BranchRecord:
     p: float
     sup_norm: float
     residual_norm: float
-    converged: bool
     profile: Profile
 
 
@@ -53,11 +52,6 @@ class Branch:
     records: list = field(default_factory=list)
     stop_reason: str = "completed"   # completed | newton-failure
     stop_halvings: int = 0
-    last_p_attempted: Optional[float] = None
-
-    @property
-    def converged_records(self):
-        return [r for r in self.records if r.converged]
 
 
 def _attempt(prev: Profile, p: float, opts: NewtonOptions) -> Optional[Profile]:
@@ -96,7 +90,7 @@ def trace_p_branch(start: Profile, schedule, label: str = "branch",
 
     branch = Branch(label=label, n=start.params.n, direction=direction)
     branch.records.append(BranchRecord(p0, start.sup_norm, start.residual_norm,
-                                       True, start))
+                                       start))
     prev = start
     rate_history = []  # max-norm distance per unit dp, one entry per step
 
@@ -111,7 +105,6 @@ def trace_p_branch(start: Profile, schedule, label: str = "branch",
             if abs(p_try - prev.params.p) < dp_floor:
                 branch.stop_reason = "newton-failure"
                 branch.stop_halvings = halvings
-                branch.last_p_attempted = p_try
                 return branch
             sol = _attempt(prev, p_try, opts)
             if sol is not None:
@@ -125,7 +118,7 @@ def trace_p_branch(start: Profile, schedule, label: str = "branch",
                 if dp > 0:
                     rate_history.append(dist / dp)
                 branch.records.append(BranchRecord(
-                    p_try, sol.sup_norm, sol.residual_norm, True, sol))
+                    p_try, sol.sup_norm, sol.residual_norm, sol))
                 prev = sol
                 halvings = 0
                 continue
@@ -133,7 +126,6 @@ def trace_p_branch(start: Profile, schedule, label: str = "branch",
             if halvings > MAX_HALVINGS:
                 branch.stop_reason = "newton-failure"
                 branch.stop_halvings = halvings - 1
-                branch.last_p_attempted = p_try
                 return branch
     return branch
 
@@ -155,7 +147,6 @@ def branch_summary(branch: Branch) -> dict:
             "p": r.p,
             "sup_norm": r.sup_norm,
             "residual_norm": r.residual_norm,
-            "converged": r.converged,
             "raw_sup": f_star * r.sup_norm,
         })
     return {
@@ -179,7 +170,7 @@ def detect_branch_end(branch: Branch) -> str:
     # sample the tail of the branch at p values far enough apart that the
     # sup-norm slope is resolved (halving leaves micro-steps behind)
     pts = []
-    for r in reversed(branch.converged_records):
+    for r in reversed(branch.records):
         if not pts or abs(pts[-1][0] - r.p) >= 1e-4:
             pts.append((r.p, r.sup_norm))
         if len(pts) == 3:

