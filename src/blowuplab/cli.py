@@ -7,7 +7,7 @@ parameters, input hashes, output list, wall time and solver statistics.
 a scratch directory and verifies the outputs byte for byte.
 
 Exit codes: 0 success, 1 usage error, 2 computation finished without
-convergence (best iterate still written).
+convergence or outside its accuracy bound (best iterate still written).
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ from .model import ProblemParams
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_CONVERGENCE = 2
+
+# the bi-orthogonality bound of acceptance criterion 03
+PAIRING_TOL = 1e-5
 
 
 class _UsageError(Exception):
@@ -197,17 +200,12 @@ def cmd_branch(args, argv) -> int:
         raise _UsageError(f"start profile not found: {src}")
     man.add_input(src)
     start = bvp.load_profile(src)
-    if args.p_start is not None and abs(start.params.p - args.p_start) > 1e-12:
-        start = start.replace(params=start.params.with_p(args.p_start))
-        start = start.replace(residual_norm=bvp.residual_norm(start))
     if args.dp <= 0:
         raise _UsageError("--dp must be positive")
     p0 = start.params.p
     if args.p_end == p0:
         raise _UsageError("empty schedule: --p-end equals the start exponent")
     sign = 1.0 if args.p_end > p0 else -1.0
-    if args.direction and args.direction != ("increasing" if sign > 0 else "decreasing"):
-        raise _UsageError("--direction contradicts the p-end/p-start order")
     schedule = list(np.round(np.arange(p0 + sign * args.dp, args.p_end + sign * 1e-12,
                                        sign * args.dp), 12))
     if not schedule:
@@ -289,17 +287,23 @@ def cmd_kernel(args, argv) -> int:
                zip(map(float, table.nodes), map(float, table.F),
                    map(float, table.F1), map(float, table.F2)))
     man.add_output(csv)
+    stats = {"normalization": table.normalization,
+             "decay_D": table.decay_fit[0],
+             "decay_d": table.decay_fit[1]}
     if args.pairing_lmax is not None:
         ls = range(args.pairing_lmax + 1)
         rows = [(l, k, spectral.pairing(table, l, k)) for l in ls for k in ls]
         pcsv = out / "pairing.csv"
         _write_csv(pcsv, "l,k,value", rows)
         man.add_output(pcsv)
+        stats["pairing_defect"] = max(abs(v - float(l == k)) for l, k, v in rows)
     man.data["parameters"] = {"L": args.L, "N": args.N}
-    man.data["solver_stats"] = {"normalization": table.normalization,
-                                "decay_D": table.decay_fit[0],
-                                "decay_d": table.decay_fit[1]}
+    man.data["solver_stats"] = stats
     man.write()
+    if stats.get("pairing_defect", 0.0) > PAIRING_TOL:
+        print(f"pairing defect {stats['pairing_defect']:.3g} exceeds "
+              f"{PAIRING_TOL:g}: widen --L", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
 
@@ -414,12 +418,9 @@ def _build_parser() -> _Parser:
     ps.set_defaults(func=cmd_solve)
 
     pb = sub.add_parser("branch", help="trace a p-branch from a stored profile")
-    pb.add_argument("--n", type=float)
     pb.add_argument("--from-profile", required=True)
-    pb.add_argument("--p-start", type=float)
     pb.add_argument("--p-end", type=float, required=True)
     pb.add_argument("--dp", type=float, default=1e-2)
-    pb.add_argument("--direction", choices=["increasing", "decreasing"])
     pb.add_argument("--label", default="branch")
     pb.add_argument("--tol", type=float, default=1e-6)
     pb.add_argument("--max-iters", type=int, default=200)

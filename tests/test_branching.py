@@ -98,20 +98,31 @@ class TestSummary:
 
 
 class TestDetectEnd:
-    def test_newton_failure_after_halvings(self, f0_profile):
-        # force an impossible target far outside any basin by walking the
-        # dipole branch beyond its end with a coarse schedule
+    def test_reports_stop_reason(self, f0_profile):
+        # the sup-norm slope of the last records does not change the reading
         b = br.Branch("stub", 0.2, "increasing")
-        b.stop_reason = "newton-failure"
-        b.stop_halvings = 4
         for p, s in ((1.2, 1.0), (1.21, 1.1), (1.215, 1.3)):
             b.records.append(br.BranchRecord(p, s, 1e-8, f0_profile))
-        assert br.detect_branch_end(b) == "turning-suspected"
+        for reason in ("completed", "newton-failure"):
+            b.stop_reason = reason
+            assert br.detect_branch_end(b) == reason
 
-    def test_growing_slope_required(self, f0_profile):
-        b = br.Branch("stub", 0.2, "increasing")
-        b.stop_reason = "newton-failure"
-        b.stop_halvings = 4
-        for p, s in ((1.2, 1.0), (1.21, 1.3), (1.215, 1.31)):
-            b.records.append(br.BranchRecord(p, s, 1e-8, f0_profile))
-        assert br.detect_branch_end(b) == "newton-failure"
+
+class TestStepRule:
+    def test_every_converged_solve_is_a_record(self, basic_family, monkeypatch):
+        # criterion 07's F1 hunt halves its steps into the fold; no solve
+        # that converges there is thrown away
+        converged = []
+        solve = bvp.solve_profile
+
+        def counting(*args, **kw):
+            sol = solve(*args, **kw)
+            converged.append(sol.params.p)
+            return sol
+
+        monkeypatch.setattr(bvp, "solve_profile", counting)
+        hunt = br.trace_p_branch(basic_family[1],
+                                 np.round(np.arange(1.201, 1.2601, 0.001), 10),
+                                 "F1-up")
+        assert hunt.stop_reason == "newton-failure"
+        assert converged == [r.p for r in hunt.records[1:]]

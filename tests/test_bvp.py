@@ -144,6 +144,27 @@ class TestProperties:
         elif bc == "q-plateau":
             assert F[0] == 1.0
 
+    @pytest.mark.parametrize("bc", ["symmetry", "antisymmetry"])
+    @PROPERTY
+    @given(n=st.floats(0.0, 3.0), p=st.floats(1.05, 6.0),
+           eps=st.floats(1e-4, 1.0), m=st.integers(64, 300),
+           R=st.floats(5.0, 50.0), seed=st.integers(0, 2**16))
+    def test_half_domain_residual_is_full_residual(self, bc, n, p, eps, m, R,
+                                                   seed):
+        # the ghost reflections at y = 0 carry the parity: the half-domain
+        # rows are the full-domain rows on y >= 0, and the full residual
+        # is even or odd with the profile
+        rng = np.random.default_rng(seed)
+        vals = bvp._project_bc(0.3 + 1.1 * rng.random(m + 1), bc)
+        half = bvp.Profile(bvp.Mesh.uniform(0.0, R, m), vals,
+                           ProblemParams(n, p, eps), bc)
+        full = bvp.assemble_residual(half.full_extension())
+        scale = float(np.max(np.abs(full)))
+        assert np.max(np.abs(bvp.assemble_residual(half) - full[m:])) \
+            <= 1e-11 * scale
+        sign = 1.0 if bc == "symmetry" else -1.0
+        assert np.max(np.abs(full - sign * full[::-1])) <= 1e-14 * scale
+
 
 class TestLinearLimit:
     def test_adjoint_quartic_in_discrete_kernel(self):

@@ -135,6 +135,16 @@ class TestBranchCommand:
                      "--p-end", "1.3", "--out", str(tmp_path)])
         assert code == 1
 
+    # n comes from the stored profile, the direction from --p-end, and the
+    # start p from the profile's own solve; none of them can be overridden
+    @pytest.mark.parametrize("flag", [["--n", "7"],
+                                      ["--direction", "increasing"],
+                                      ["--p-start", "1.3"]])
+    def test_removed_flags_rejected(self, solve_run, tmp_path, flag):
+        code = main(["branch", "--from-profile", str(solve_run / "profile.csv"),
+                     "--p-end", "1.25", *flag, "--out", str(tmp_path)])
+        assert code == 1
+
 
 class TestOtherCommands:
     def test_kernel_dump(self, tmp_path):
@@ -157,12 +167,23 @@ class TestOtherCommands:
         assert not out.exists()
 
     def test_kernel_pairing_rows(self, tmp_path):
+        # L = 15 cannot hold y^2 against the kernel tail: the rows are
+        # written, and the exit code says they miss criterion 03's bound
         code = main(["kernel", "--L", "15", "--N", "2000", "--pairing-lmax",
                      "2", "--out", str(tmp_path)])
-        assert code == 0
+        assert code == 2
         rows = (tmp_path / "pairing.csv").read_text().splitlines()
         assert rows[0] == "l,k,value"
         assert len(rows) == 10
+        man = json.loads((tmp_path / "manifest.json").read_text())
+        assert man["solver_stats"]["pairing_defect"] > 1e-5
+
+    def test_kernel_pairing_wide_table(self, tmp_path):
+        code = main(["kernel", "--L", "44", "--N", "20000", "--pairing-lmax",
+                     "8", "--out", str(tmp_path)])
+        assert code == 0
+        man = json.loads((tmp_path / "manifest.json").read_text())
+        assert man["solver_stats"]["pairing_defect"] <= 1e-5
 
     def test_classify_command(self, solve_run, tmp_path, capsys):
         code = main(["classify", "--profile", str(solve_run / "profile.csv"),
