@@ -21,7 +21,9 @@ conditions are encoded as reflection ghosts (slope conditions) plus value rows:
     antisymmetry     odd reflection at 0 on [0, R], F = F' = 0 at R
 
 The same module shoots for the periodic orbits about +-1 of the
-autonomous p = n+1 equation.
+autonomous p = n+1 equation, and owns the format of every output file:
+`write_csv` (17 significant digits) and `write_json` (sorted keys, indent
+2), UTF-8 with LF endings.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -47,7 +48,6 @@ __all__ = [
     "NewtonError",
     "ShootingError",
     "PeriodicOrbit",
-    "EpsContinuationResult",
     "assemble_residual",
     "assemble_jacobian",
     "linear_limit_residual",
@@ -57,6 +57,8 @@ __all__ = [
     "tail_frequency_estimate",
     "save_profile",
     "load_profile",
+    "write_csv",
+    "write_json",
 ]
 
 BC_CHOICES = ("symmetry", "antisymmetry", "q-plateau", "dirichlet-far")
@@ -370,22 +372,13 @@ def solve_profile(params: ProblemParams, guess: Profile,
                        newton_iters=iters)
 
 
-@dataclass
-class EpsContinuationResult:
-    profile: Profile
-    completed: bool
-    failed_eps: Optional[float] = None
-    stages: list = field(default_factory=list)
-
-
 def eps_continuation(params: ProblemParams, guess: Profile, schedule,
-                     opts: NewtonOptions = NewtonOptions()) -> EpsContinuationResult:
+                     opts: NewtonOptions = NewtonOptions()) -> Profile:
     """Homotopy in eps: chain of solves, each warm-started from the last.
 
     The schedule must decrease strictly, start at eps >= 1e-2 and never go
-    below the 1e-4 resolution floor.  On a stage failure (NewtonError) the
-    last converged stage is returned with the failing eps recorded; with no
-    converged stage, the failing stage's last iterate.
+    below the 1e-4 resolution floor.  Returns the profile at the last eps;
+    a failing stage's NewtonError propagates, its best iterate at that eps.
     """
     schedule = [float(e) for e in schedule]
     if not schedule:
@@ -396,20 +389,10 @@ def eps_continuation(params: ProblemParams, guess: Profile, schedule,
         raise ValueError("eps schedule must start at or above 1e-2")
     if schedule[-1] < 1e-4:
         raise ValueError("eps schedule must stay at or above the 1e-4 floor")
-
-    result = EpsContinuationResult(profile=guess, completed=False)
+    profile = guess
     for eps in schedule:
-        try:
-            result.profile = solve_profile(params.with_eps(eps), result.profile, opts)
-        except NewtonError as exc:
-            result.stages.append((eps, False, exc.best.residual_norm))
-            result.failed_eps = eps
-            if len(result.stages) == 1:
-                result.profile = exc.best
-            return result
-        result.stages.append((eps, True, result.profile.residual_norm))
-    result.completed = True
-    return result
+        profile = solve_profile(params.with_eps(eps), profile, opts)
+    return profile
 
 
 # -- tail diagnostics --------------------------------------------------------
@@ -614,14 +597,27 @@ def orbit_samples(orbit: PeriodicOrbit, n: float, num: int = 2001) -> tuple[np.n
 # -- serialization ------------------------------------------------------------
 
 
+def write_csv(path, header: str, columns) -> None:
+    """Write columns under a header line: 17 significant digits, LF endings."""
+    fmt = ",".join(["{:.17g}"] * len(columns)).format
+    # Python floats format faster than numpy scalars
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    lines = [header, *(fmt(*row) for row in rows)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def write_json(path, obj) -> None:
+    """Write obj as sorted JSON, indented by 2, with a trailing LF."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8", newline="\n")
+
+
 def save_profile(profile: Profile, csv_path) -> Path:
-    """Write `y,F` CSV at 17 significant digits plus a JSON sidecar."""
+    """Write the `y,F` CSV plus a JSON sidecar; return the sidecar's path."""
     csv_path = Path(csv_path)
-    lines = ["y,F"]
-    for yv, fv in zip(profile.mesh.nodes, profile.values):
-        lines.append(f"{yv:.17g},{fv:.17g}")
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    meta = {
+    write_csv(csv_path, "y,F", (profile.mesh.nodes, profile.values))
+    sidecar = csv_path.with_suffix(".json")
+    write_json(sidecar, {
         "n": profile.params.n,
         "p": profile.params.p,
         "eps": profile.params.eps,
@@ -634,10 +630,7 @@ def save_profile(profile: Profile, csv_path) -> Path:
             "b": profile.mesh.nodes[-1],
             "intervals": profile.mesh.m,
         },
-    }
-    sidecar = csv_path.with_suffix(".json")
-    sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
-                       encoding="utf-8", newline="\n")
+    })
     return sidecar
 
 

@@ -1,7 +1,8 @@
 """Command-line front end: reproducible experiments, plot-ready dumps.
 
-Every command writes its numeric outputs (CSV, 17 significant digits,
-LF endings) plus a manifest.json recording the argument vector, resolved
+Every command writes its outputs through its Manifest, which registers
+each file it writes (in the format of `bvp.write_csv` / `bvp.write_json`)
+and ends with a manifest.json recording the argument vector, resolved
 parameters, input hashes, output list, wall time and solver statistics.
 `blowuplab replay manifest.json` re-executes the recorded invocation into
 a scratch directory and verifies the outputs byte for byte.
@@ -45,57 +46,51 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("BLOWUPLAB_OUT") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 class Manifest:
-    """Run record; replaying it must reproduce the outputs byte-exactly."""
+    """Run record and the one writer of a command's files.
 
-    def __init__(self, argv, out_dir: Path):
+    Each output method writes its file into the output directory (--out,
+    else $BLOWUPLAB_OUT, else the working directory) and lists it, so
+    replay compares exactly the files the command wrote.
+    """
+
+    def __init__(self, args, argv):
+        self.out_dir = Path(args.out or os.environ.get("BLOWUPLAB_OUT") or ".")
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.data = {
             "version": __version__,
             "argv": list(argv),
-            "parameters": {},
             "inputs": {},
             "outputs": [],
-            "solver_stats": {},
         }
-        self.out_dir = out_dir
         self._t0 = time.perf_counter()
 
     def add_input(self, path):
         p = Path(path)
         self.data["inputs"][p.name] = _sha256(p)
 
-    def add_output(self, path):
-        self.data["outputs"].append(Path(path).name)
+    def _output(self, name: str) -> Path:
+        self.data["outputs"].append(name)
+        return self.out_dir / name
 
-    def write(self) -> Path:
-        self.data["wall_time_s"] = time.perf_counter() - self._t0
-        path = self.out_dir / "manifest.json"
-        path.write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8", newline="\n")
-        return path
+    def csv(self, name: str, header: str, *columns) -> None:
+        bvp.write_csv(self._output(name), header, columns)
+
+    def json(self, name: str, obj) -> None:
+        bvp.write_json(self._output(name), obj)
+
+    def profile(self, name: str, prof: Profile) -> None:
+        sidecar = bvp.save_profile(prof, self._output(name))
+        self._output(sidecar.name)
+
+    def write(self, parameters: dict, solver_stats: dict) -> None:
+        self.data.update(parameters=parameters, solver_stats=solver_stats,
+                         wall_time_s=time.perf_counter() - self._t0)
+        bvp.write_json(self.out_dir / "manifest.json", self.data)
 
 
 # -- solve --------------------------------------------------------------------
@@ -144,8 +139,7 @@ def _solve_with_warm_start(params, guess, spec, opts):
 
 
 def cmd_solve(args, argv) -> int:
-    out = _out_dir(args)
-    man = Manifest(argv, out)
+    man = Manifest(args, argv)
     params = ProblemParams(n=args.n, p=args.p, eps=args.eps)
     spec = _parse_family(args.family)
     spec = patterns.FamilySpec(spec.kind, spec.index, separation=args.separation,
@@ -159,33 +153,24 @@ def cmd_solve(args, argv) -> int:
             Mesh.uniform(0.0, args.R, args.N), params)
         template = bvp.solve_profile(params, t_guess)
     guess = patterns.guess_factory(spec, mesh, params, template=template)
-    if args.bc:
-        bc = {"sym": "symmetry", "antisym": "antisymmetry", "q": "q-plateau",
-              "dirichlet": "dirichlet-far"}[args.bc]
-        guess = Profile(guess.mesh, guess.values, params, bc)
     opts = NewtonOptions(tol=args.tol, max_iters=args.max_iters)
-    if args.eps_schedule:
-        schedule = [float(s) for s in args.eps_schedule.split(",")]
-        result = bvp.eps_continuation(params, guess, schedule, opts)
-        sol = result.profile
-    else:
-        try:
+    schedule = ([float(s) for s in args.eps_schedule.split(",")]
+                if args.eps_schedule else None)
+    try:
+        if schedule:
+            sol = bvp.eps_continuation(params, guess, schedule, opts)
+        else:
             sol = _solve_with_warm_start(params, guess, spec, opts)
-        except bvp.NewtonError as exc:
-            sol = exc.best
-    csv = out / "profile.csv"
-    bvp.save_profile(sol, csv)
-    man.add_output(csv)
-    man.add_output(csv.with_suffix(".json"))
-    man.data["parameters"] = {"n": args.n, "p": args.p, "eps": args.eps,
-                              "family": args.family, "R": args.R, "N": args.N,
-                              "tol": args.tol, "bc": sol.bc}
-    man.data["solver_stats"] = {"converged": sol.converged,
-                                "p": sol.params.p,
-                                "residual_norm": sol.residual_norm,
-                                "newton_iters": sol.newton_iters,
-                                "sup_norm": sol.sup_norm}
-    man.write()
+    except bvp.NewtonError as exc:
+        sol = exc.best
+    man.profile("profile.csv", sol)
+    man.write({"n": args.n, "p": args.p,
+               "eps": schedule[-1] if schedule else args.eps,
+               "family": args.family, "R": args.R, "N": args.N,
+               "tol": args.tol, "bc": sol.bc},
+              {"converged": sol.converged, "p": sol.params.p,
+               "eps": sol.params.eps, "residual_norm": sol.residual_norm,
+               "newton_iters": sol.newton_iters, "sup_norm": sol.sup_norm})
     return EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
 
 
@@ -193,8 +178,7 @@ def cmd_solve(args, argv) -> int:
 
 
 def cmd_branch(args, argv) -> int:
-    out = _out_dir(args)
-    man = Manifest(argv, out)
+    man = Manifest(args, argv)
     src = Path(args.from_profile)
     if not src.exists():
         raise _UsageError(f"start profile not found: {src}")
@@ -212,36 +196,25 @@ def cmd_branch(args, argv) -> int:
         raise _UsageError("empty schedule")
     opts = NewtonOptions(tol=args.tol, max_iters=args.max_iters)
     branch = branching.trace_p_branch(start, schedule, label=args.label, opts=opts)
-    refs = []
-    for i, rec in enumerate(branch.records):
-        ref = out / f"record_{i:04d}.csv"
-        bvp.save_profile(rec.profile, ref)
-        refs.append(ref.name)
-        man.add_output(ref)
-        man.add_output(ref.with_suffix(".json"))
-    curve = out / "curve.csv"
+    recs = branch.records
+    refs = [f"record_{i:04d}.csv" for i in range(len(recs))]
+    for ref, rec in zip(refs, recs):
+        man.profile(ref, rec.profile)
     # every record is a converged solve; the constant column keeps the format
-    _write_csv(curve, "p,sup_norm,residual,converged",
-               [(r.p, r.sup_norm, r.residual_norm, 1) for r in branch.records])
-    man.add_output(curve)
-    bman = {
+    man.csv("curve.csv", "p,sup_norm,residual,converged",
+            [r.p for r in recs], [r.sup_norm for r in recs],
+            [r.residual_norm for r in recs], [1] * len(recs))
+    man.json("branch.json", {
         "label": branch.label,
         "n": branch.n,
         "direction": branch.direction,
         "schedule": [float(p) for p in schedule],
         "stop_reason": branch.stop_reason,
-        "status": branching.detect_branch_end(branch),
         "records": refs,
-    }
-    bpath = out / "branch.json"
-    bpath.write_text(json.dumps(bman, indent=2, sort_keys=True) + "\n",
-                     encoding="utf-8", newline="\n")
-    man.add_output(bpath)
-    man.data["parameters"] = {"n": branch.n, "p_start": p0, "p_end": args.p_end,
-                              "dp": args.dp, "label": args.label}
-    man.data["solver_stats"] = {"records": len(branch.records),
-                                "stop_reason": branch.stop_reason}
-    man.write()
+    })
+    man.write({"n": branch.n, "p_start": p0, "p_end": args.p_end,
+               "dp": args.dp, "label": args.label},
+              {"records": len(recs), "stop_reason": branch.stop_reason})
     return EXIT_OK
 
 
@@ -249,8 +222,7 @@ def cmd_branch(args, argv) -> int:
 
 
 def cmd_oscillate(args, argv) -> int:
-    out = _out_dir(args)
-    man = Manifest(argv, out)
+    man = Manifest(args, argv)
     mu = args.mu if args.mu is not None else (2.0 * args.n + 3.0) / args.n
     scale = oscillation.equilibrium_value(args.n, mu)
     init = oscillation.OscState(0.0, 0.5 * scale, 0.0, 0.0)
@@ -267,39 +239,27 @@ def cmd_oscillate(args, argv) -> int:
         traj = oscillation.integrate_osc(init, args.n, mu, +1,
                                          (0.0, args.s_budget))
         stats.update(final_phi=float(traj.phi[-1]))
-    csv = out / "trajectory.csv"
-    _write_csv(csv, "s,phi,phi1,phi2",
-               zip(map(float, traj.s), map(float, traj.phi),
-                   map(float, traj.phi1), map(float, traj.phi2)))
-    man.add_output(csv)
-    man.data["parameters"] = {"n": args.n, "mu": mu, "lambda": args.lam}
-    man.data["solver_stats"] = stats
-    man.write()
+    man.csv("trajectory.csv", "s,phi,phi1,phi2",
+            traj.s, traj.phi, traj.phi1, traj.phi2)
+    man.write({"n": args.n, "mu": mu, "lambda": args.lam}, stats)
     return EXIT_OK
 
 
 def cmd_kernel(args, argv) -> int:
-    out = _out_dir(args)
-    man = Manifest(argv, out)
+    man = Manifest(args, argv)
     table = spectral.compute_kernel(args.L, args.N)
-    csv = out / "kernel.csv"
-    _write_csv(csv, "y,F,F1,F2",
-               zip(map(float, table.nodes), map(float, table.F),
-                   map(float, table.F1), map(float, table.F2)))
-    man.add_output(csv)
+    man.csv("kernel.csv", "y,F,F1,F2", table.nodes, table.F, table.F1, table.F2)
     stats = {"normalization": table.normalization,
              "decay_D": table.decay_fit[0],
              "decay_d": table.decay_fit[1]}
     if args.pairing_lmax is not None:
         ls = range(args.pairing_lmax + 1)
-        rows = [(l, k, spectral.pairing(table, l, k)) for l in ls for k in ls]
-        pcsv = out / "pairing.csv"
-        _write_csv(pcsv, "l,k,value", rows)
-        man.add_output(pcsv)
-        stats["pairing_defect"] = max(abs(v - float(l == k)) for l, k, v in rows)
-    man.data["parameters"] = {"L": args.L, "N": args.N}
-    man.data["solver_stats"] = stats
-    man.write()
+        pairs = [(l, k) for l in ls for k in ls]
+        values = [spectral.pairing(table, l, k) for l, k in pairs]
+        man.csv("pairing.csv", "l,k,value", *zip(*pairs), values)
+        stats["pairing_defect"] = max(abs(v - float(l == k))
+                                      for (l, k), v in zip(pairs, values))
+    man.write({"L": args.L, "N": args.N}, stats)
     if stats.get("pairing_defect", 0.0) > PAIRING_TOL:
         print(f"pairing defect {stats['pairing_defect']:.3g} exceeds "
               f"{PAIRING_TOL:g}: widen --L", file=sys.stderr)
@@ -308,27 +268,18 @@ def cmd_kernel(args, argv) -> int:
 
 
 def cmd_eigen(args, argv) -> int:
-    out = _out_dir(args)
-    man = Manifest(argv, out)
+    man = Manifest(args, argv)
     ns = [float(v) for v in args.n.split(",")]
     Rs = [float(v) for v in args.R.split(",")]
-    rows = []
-    for n in ns:
-        for R in Rs:
-            lam = variational.first_nonlinear_eigenvalue(n, R, args.m)
-            rows.append((n, R, lam))
-    csv = out / "eigenvalues.csv"
-    _write_csv(csv, "n,R,lambda1", rows)
-    man.add_output(csv)
-    man.data["parameters"] = {"n": ns, "R": Rs, "m": args.m}
-    man.data["solver_stats"] = {"count": len(rows)}
-    man.write()
+    grid = [(n, R) for n in ns for R in Rs]
+    lams = [variational.first_nonlinear_eigenvalue(n, R, args.m) for n, R in grid]
+    man.csv("eigenvalues.csv", "n,R,lambda1", *zip(*grid), lams)
+    man.write({"n": ns, "R": Rs, "m": args.m}, {"count": len(grid)})
     return EXIT_OK
 
 
 def cmd_classify(args, argv) -> int:
-    out = _out_dir(args)
-    man = Manifest(argv, out)
+    man = Manifest(args, argv)
     src = Path(args.profile)
     if not src.exists():
         raise _UsageError(f"profile not found: {src}")
@@ -339,20 +290,15 @@ def cmd_classify(args, argv) -> int:
         return EXIT_NO_CONVERGENCE
     index = patterns.classify(prof, args.tol_zero, args.tol_eq)
     events = patterns.crossing_locations(prof, args.tol_zero, args.tol_eq)
-    report = {
+    man.json("classification.json", {
         "index": str(index),
         "tokens": [{"level": lv, "count": ct} for lv, ct in index.tokens],
         "crossings": [{"y": pos, "level": lv} for pos, lv in events],
         "transversal_zeros": patterns.transversal_zeros(
             prof, tol_zero=args.tol_zero, tol_eq=args.tol_eq),
-    }
-    jpath = out / "classification.json"
-    jpath.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                     encoding="utf-8", newline="\n")
-    man.add_output(jpath)
-    man.data["parameters"] = {"tol_zero": args.tol_zero, "tol_eq": args.tol_eq}
-    man.data["solver_stats"] = {"index": str(index)}
-    man.write()
+    })
+    man.write({"tol_zero": args.tol_zero, "tol_eq": args.tol_eq},
+              {"index": str(index)})
     print(str(index))
     return EXIT_OK
 
@@ -405,7 +351,6 @@ def _build_parser() -> _Parser:
     ps.add_argument("--n", type=float, required=True)
     ps.add_argument("--p", type=float, required=True)
     ps.add_argument("--eps", type=float, default=1e-2)
-    ps.add_argument("--bc", choices=["sym", "antisym", "q", "dirichlet"])
     ps.add_argument("--family", default="basic:0",
                     help="basic:L, glue_pp:K, glue_mp:K, osc_plus:2K, q")
     ps.add_argument("--separation", type=float, default=7.5)
@@ -440,7 +385,9 @@ def _build_parser() -> _Parser:
     pk.add_argument("--L", type=float, default=15.0)
     pk.add_argument("--N", type=int, default=4000)
     pk.add_argument("--pairing-lmax", type=int,
-                    choices=range(spectral.MAX_PAIRING + 1))
+                    choices=range(spectral.MAX_PAIRING + 1),
+                    help="write the pairing matrix up to this l; lmax >= 1 "
+                         "needs --L 44 --N 20000 to meet its 1e-5 bound")
     pk.add_argument("--out")
     pk.set_defaults(func=cmd_kernel)
 

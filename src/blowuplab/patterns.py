@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import bvp
 from .bvp import Mesh, PeriodicOrbit, Profile
@@ -186,8 +185,8 @@ def transversal_zeros(profile: Profile, tol: float = 1e-2,
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Which family to seed: basic(l), glue_pp(k), glue_mp(k), osc_plus(2k),
-    q_type, or custom(MultiIndex).
+    """Which family to seed: basic(l), glue_pp(k), glue_mp(k), osc_plus(2k)
+    or q_type.
 
     separation is the center-to-center spacing for basic(l), the per-copy
     offset y0 (copies at -y0 and +y0) for the glue kinds, and the plateau
@@ -198,10 +197,9 @@ class FamilySpec:
     index: int = 0
     separation: float = 7.5
     n: float = 0.2
-    custom: Optional[MultiIndex] = None
 
     def __post_init__(self):
-        kinds = ("basic", "glue_pp", "glue_mp", "osc_plus", "q_type", "custom")
+        kinds = ("basic", "glue_pp", "glue_mp", "osc_plus", "q_type")
         if self.kind not in kinds:
             raise ValueError(f"kind must be one of {kinds}")
         if self.kind == "basic" and self.index < 0:
@@ -212,8 +210,6 @@ class FamilySpec:
             raise ValueError("glue_mp needs an odd zero count k >= 1")
         if self.kind == "osc_plus" and (self.index < 2 or self.index % 2):
             raise ValueError("osc_plus counts crossings of +1: even, >= 2")
-        if self.kind == "custom" and self.custom is None:
-            raise ValueError("custom kind needs a MultiIndex")
 
 
 def default_bump(amplitude: float = 1.2, width: float = 3.0):
@@ -242,8 +238,8 @@ def guess_factory(spec: FamilySpec, mesh: Mesh,
     basic(l) superposes l+1 alternating-sign template copies (rightmost
     positive); gluing kinds need a stored converged first pattern as the
     template; osc_plus rides the periodic orbit about +1 (computed on
-    demand when not supplied); q_type pins the plateau; custom synthesizes
-    waypoints from the multiindex.  The bc value rows are pinned exactly.
+    demand when not supplied); q_type pins the plateau.  The bc value rows
+    are pinned exactly.
     """
     if params is None:
         params = ProblemParams(n=spec.n, p=spec.n + 1.0)
@@ -319,38 +315,6 @@ def guess_factory(spec: FamilySpec, mesh: Mesh,
             flank = np.exp(-(((y - y0) / 3.0) ** 2))
         vals = np.where(y <= y0, 1.0, flank)
         bc = "q-plateau"
-    else:  # custom
-        vals = _custom_waypoints(spec.custom, y)
-        bc = "dirichlet-far"
 
     vals = bvp._project_bc(vals, bc)
     return Profile(mesh, vals, params, bc)
-
-
-def _custom_waypoints(index: MultiIndex, y: np.ndarray) -> np.ndarray:
-    """Heuristic waypoint curve realizing a requested multiindex."""
-    pts_y = [0.0]
-    pts_v = [0.0]
-    cursor = 2.5
-    spacing = 2.2
-    for lv, ct in index.tokens:
-        if lv == 0:
-            # ct zero crossings: alternate small bumps of the needed sign
-            start = -np.sign(pts_v[-1]) or 1.0
-            for j in range(ct):
-                pts_y.append(cursor)
-                pts_v.append(0.55 * start * (-1.0) ** j)
-                cursor += spacing
-        else:
-            # ct crossings of lv: extrema alternating outside/inside the level
-            for j in range(ct):
-                outside = j % 2 == 0
-                pts_y.append(cursor)
-                pts_v.append(lv * (1.35 if outside else 0.5))
-                cursor += spacing
-    pts_y.append(cursor)
-    pts_v.append(0.0)
-    pts_y = np.asarray(pts_y) - 0.5 * cursor  # center on the mesh
-    interp = PchipInterpolator(pts_y, np.asarray(pts_v), extrapolate=False)
-    vals = interp(y)
-    return np.where(np.isfinite(vals), vals, 0.0)

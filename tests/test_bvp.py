@@ -247,8 +247,8 @@ class TestEpsContinuation:
     def test_single_entry_equals_plain_solve(self, f0_profile):
         res = bvp.eps_continuation(N02, f0_profile, [1e-2])
         direct = bvp.solve_profile(N02.with_eps(1e-2), f0_profile)
-        assert res.completed
-        assert np.array_equal(res.profile.values, direct.values)
+        assert res.converged
+        assert np.array_equal(res.values, direct.values)
 
     def test_cauchy_sequence(self, f0_profile):
         schedule = [1e-2, 5e-3, 2e-3, 1e-3]
@@ -263,15 +263,13 @@ class TestEpsContinuation:
         assert all(d2 < d1 for d1, d2 in zip(dists, dists[1:]))
 
     def test_diverging_stage_recorded(self):
-        # the first stage raises NewtonError: the stage is recorded as the
-        # failure and its best iterate returned, nothing escapes
+        # the first stage fails: its NewtonError propagates, carrying the
+        # best iterate at the failing eps
         guess = bvp.Profile(HALF_MESH, 100.0 * DIPOLE, N02, "antisymmetry")
-        res = bvp.eps_continuation(N02, guess, [0.02, 0.01])
-        assert not res.completed
-        assert res.failed_eps == 0.02
-        assert res.stages == [(0.02, False, res.profile.residual_norm)]
-        assert not res.profile.converged
-        assert res.profile.params.eps == 0.02
+        with pytest.raises(bvp.NewtonError) as exc:
+            bvp.eps_continuation(N02, guess, [0.02, 0.01])
+        assert not exc.value.best.converged
+        assert exc.value.best.params.eps == 0.02
 
     def test_schedule_validation(self, f0_profile):
         with pytest.raises(ValueError):

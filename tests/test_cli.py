@@ -73,6 +73,26 @@ class TestSolveCommand:
                      "--max-iters", "1", "--out", str(out)])
         assert code == 2
 
+    def test_eps_schedule_failing_stage_exits_2(self, tmp_path):
+        # eps = 1.0 converges, 1e-4 does not within 15 iterations: the run
+        # must not report the eps = 1.0 profile as the answer
+        out = tmp_path / "eps_fail"
+        code = main(["solve", "--n", "1", "--p", "2", "--family", "basic:0",
+                     "--R", "20", "--N", "400", "--eps-schedule", "1.0,0.0001",
+                     "--max-iters", "15", "--out", str(out)])
+        assert code == 2
+        man = json.loads((out / "manifest.json").read_text())
+        prof = bvp.load_profile(out / "profile.csv")
+        assert not prof.converged
+        assert man["solver_stats"]["converged"] is False
+        assert man["parameters"]["eps"] == man["solver_stats"]["eps"] == 1e-4
+        assert prof.params.eps == 1e-4
+
+    def test_bc_flag_removed(self, tmp_path):
+        code = main(["solve", "--n", "0.2", "--p", "1.2", "--bc", "antisym",
+                     "--out", str(tmp_path)])
+        assert code == 1
+
     def test_far_p_warm_started(self, tmp_path):
         # guesses live at p = n+1; the command continues across p itself
         out = tmp_path / "far"
@@ -121,6 +141,8 @@ class TestBranchCommand:
         assert curve[0] == "p,sup_norm,residual,converged"
         assert len(curve) > 4
         bman = json.loads((out / "branch.json").read_text())
+        assert set(bman) == {"label", "n", "direction", "schedule",
+                             "stop_reason", "records"}
         assert bman["stop_reason"] == "completed"
         assert bman["label"] == "F0-down"
         assert all((out / r).exists() for r in bman["records"])
@@ -250,6 +272,25 @@ class TestOtherCommands:
             main(["solve", "--help"])
         assert exc.value.code == 0
         text = capsys.readouterr().out
-        for flag in ("--n", "--p", "--eps", "--bc", "--family", "--R", "--N",
+        for flag in ("--n", "--p", "--eps", "--family", "--R", "--N",
                      "--tol", "--out"):
             assert flag in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n", "0.2", "--p", "1.2", "--R", "20", "--N", "200"],
+    ["branch", "--p-end", "1.22", "--dp", "0.01"],
+    ["kernel", "--L", "15", "--N", "2000", "--pairing-lmax", "1"],
+    ["eigen", "--n", "0.0", "--R", "1.0", "--m", "100"],
+    ["classify"],
+    ["oscillate", "--n", "5.0", "--s-budget", "5"],
+], ids=lambda argv: argv[0])
+def test_manifest_lists_every_written_file(solve_run, tmp_path, argv):
+    src = str(solve_run / "profile.csv")
+    extra = {"branch": ["--from-profile", src], "classify": ["--profile", src]}
+    out = tmp_path / "run"
+    code = main([*argv, *extra.get(argv[0], []), "--out", str(out)])
+    assert code in (0, 2)
+    man = json.loads((out / "manifest.json").read_text())
+    written = {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert sorted(man["outputs"]) == sorted(written)

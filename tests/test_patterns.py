@@ -173,11 +173,3 @@ class TestGuessFactory:
         assert np.max(np.abs(sol.values[left] - 1.0)) <= 0.11
         right = sol.mesh.nodes > y0 + 10.0
         assert np.max(np.abs(sol.values[right])) <= 1e-2
-
-    def test_custom_guess_has_requested_crossing_seeds(self, full_mesh):
-        mi = MultiIndex(((1, 2), (0, 2), (1, 2)))
-        g = pat.guess_factory(FamilySpec("custom", custom=mi, n=0.2),
-                              full_mesh, N02)
-        assert g.sup_norm > 1.0
-        assert np.count_nonzero(np.diff(np.sign(
-            g.values[np.abs(g.values) > 1e-12]))) >= 2
