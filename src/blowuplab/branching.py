@@ -1,10 +1,12 @@
 """Continuation of profile families in the source exponent p.
 
 Branches start from a converged profile at the variational exponent
-p = n+1 and walk a monotone schedule of p values, warm-starting every
-solve from the previous converged profile.  Everything stays in
-unit-equilibrium variables, where the equilibria are pinned at +-1 for
-every p and the warm start is the identity transfer.
+p = n+1 and walk a monotone schedule of p values.  Every solve starts
+from the secant predictor through the last two records (Allgower &
+Georg, Numerical Continuation Methods, 1990, ch. 2); the first step,
+with one record only, starts from the start profile itself.  Everything
+stays in unit-equilibrium variables, where the equilibria are pinned at
++-1 for every p, so profiles at different p share one mesh and one scale.
 
 A step that Newton cannot solve is halved, walking through midpoints;
 every converged solve becomes a record.  After MAX_HALVINGS + 1 failures
@@ -57,8 +59,9 @@ def trace_p_branch(start: Profile, schedule, label: str = "branch",
     The start profile must be converged and the schedule must open with a
     step of at most 5e-2 from it.  Each target is approached with up to
     MAX_HALVINGS step halvings (midpoint insertions) when Newton fails;
-    every converged solve becomes a record.  The branch never
-    extrapolates past a failure.
+    every converged solve becomes a record.  Each solve starts from the
+    secant through the last two records, evaluated at the trial p.  The
+    branch never extrapolates past a failure.
     """
     if not start.converged:
         raise ValueError("branch tracing needs a converged start profile")
@@ -85,8 +88,13 @@ def trace_p_branch(start: Profile, schedule, label: str = "branch",
         halvings = 0
         while abs(prev.params.p - target) > 1e-14:
             p_try = prev.params.p + (target - prev.params.p) * 0.5 ** halvings
+            guess = prev
+            if len(branch.records) >= 2:
+                a, b = branch.records[-2:]
+                slope = (b.profile.values - a.profile.values) / (b.p - a.p)
+                guess = prev.replace(values=prev.values + (p_try - b.p) * slope)
             try:
-                sol = bvp.solve_profile(prev.params.with_p(p_try), prev, opts)
+                sol = bvp.solve_profile(prev.params.with_p(p_try), guess, opts)
             except bvp.NewtonError:
                 halvings += 1
                 if halvings > MAX_HALVINGS:

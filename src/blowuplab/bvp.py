@@ -23,7 +23,9 @@ conditions are encoded as reflection ghosts (slope conditions) plus value rows:
 The same module shoots for the periodic orbits about +-1 of the
 autonomous p = n+1 equation, and owns the format of every output file:
 `write_csv` (17 significant digits) and `write_json` (sorted keys, indent
-2), UTF-8 with LF endings.
+2), UTF-8 with LF endings.  A stored profile is an `F`-only CSV plus a
+JSON sidecar whose `mesh` block (a, b, intervals) rebuilds the uniform
+nodes bit for bit.
 """
 
 from __future__ import annotations
@@ -599,11 +601,11 @@ def orbit_samples(orbit: PeriodicOrbit, n: float, num: int = 2001) -> tuple[np.n
 
 def write_csv(path, header: str, columns) -> None:
     """Write columns under a header line: 17 significant digits, LF endings."""
-    fmt = ",".join(["{:.17g}"] * len(columns)).format
-    # Python floats format faster than numpy scalars
-    rows = zip(*(np.asarray(c).tolist() for c in columns))
-    lines = [header, *(fmt(*row) for row in rows)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    # one %-format over all rows; Python floats format faster than numpy scalars
+    body = (",".join(["%.17g"] * table.shape[1]) + "\n") * table.shape[0]
+    text = header + "\n" + body % tuple(table.ravel().tolist())
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def write_json(path, obj) -> None:
@@ -613,9 +615,19 @@ def write_json(path, obj) -> None:
 
 
 def save_profile(profile: Profile, csv_path) -> Path:
-    """Write the `y,F` CSV plus a JSON sidecar; return the sidecar's path."""
+    """Write the `F` CSV plus a JSON sidecar; return the sidecar's path.
+
+    The sidecar's mesh block replaces a `y` column, so the nodes must be
+    exactly `Mesh.uniform(a, b, intervals)`; any other mesh (a
+    `full_extension()` one, say) raises ValueError.
+    """
+    nodes = profile.mesh.nodes
+    a, b, m = float(nodes[0]), float(nodes[-1]), profile.mesh.m
+    if not np.array_equal(Mesh.uniform(a, b, m).nodes, nodes):
+        raise ValueError("profile mesh is not Mesh.uniform(a, b, intervals) "
+                         "bit for bit; its nodes cannot be stored as a, b, m")
     csv_path = Path(csv_path)
-    write_csv(csv_path, "y,F", (profile.mesh.nodes, profile.values))
+    write_csv(csv_path, "F", (profile.values,))
     sidecar = csv_path.with_suffix(".json")
     write_json(sidecar, {
         "n": profile.params.n,
@@ -625,11 +637,7 @@ def save_profile(profile: Profile, csv_path) -> Path:
         "residual_norm": profile.residual_norm,
         "converged": profile.converged,
         "newton_iters": profile.newton_iters,
-        "mesh": {
-            "a": profile.mesh.nodes[0],
-            "b": profile.mesh.nodes[-1],
-            "intervals": profile.mesh.m,
-        },
+        "mesh": {"a": a, "b": b, "intervals": m},
     })
     return sidecar
 
@@ -637,15 +645,22 @@ def save_profile(profile: Profile, csv_path) -> Path:
 def load_profile(csv_path) -> Profile:
     """Load a profile; the residual norm is recomputed, never trusted.
 
-    The CSV round-trips bit for bit, so the profile stays converged only if
-    its sidecar says so and the recomputed residual is no larger than stored.
+    The nodes are rebuilt from the sidecar's mesh block and the CSV must
+    hold one `F` row per node.  Both round-trip bit for bit, so the
+    profile stays converged only if its sidecar says so and the
+    recomputed residual is no larger than stored.
     """
     csv_path = Path(csv_path)
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+    values = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=1)
     meta = json.loads(csv_path.with_suffix(".json").read_text(encoding="utf-8"))
+    grid = meta["mesh"]
+    if values.ndim != 1 or values.size != grid["intervals"] + 1:
+        raise ValueError(f"{csv_path} holds {values.shape[0]} rows of F, the "
+                         f"sidecar's mesh needs intervals + 1 = "
+                         f"{grid['intervals'] + 1}")
     params = ProblemParams(n=meta["n"], p=meta["p"], eps=meta["eps"])
-    prof = Profile(Mesh(data[:, 0]), data[:, 1], params, meta["bc"],
-                   newton_iters=meta["newton_iters"])
+    prof = Profile(Mesh.uniform(grid["a"], grid["b"], grid["intervals"]),
+                   values, params, meta["bc"], newton_iters=meta["newton_iters"])
     rnorm = residual_norm(prof)
     ok = meta["converged"] and rnorm <= meta["residual_norm"]
     return prof.replace(residual_norm=rnorm, converged=ok)

@@ -212,9 +212,11 @@ def cmd_branch(args, argv) -> int:
         "stop_reason": branch.stop_reason,
         "records": refs,
     })
+    # the LUs of this run's converged solves; the start record came solved
     man.write({"n": branch.n, "p_start": p0, "p_end": args.p_end,
                "dp": args.dp, "label": args.label},
-              {"records": len(recs), "stop_reason": branch.stop_reason})
+              {"records": len(recs), "stop_reason": branch.stop_reason,
+               "newton_iters": sum(r.profile.newton_iters for r in recs[1:])})
     return EXIT_OK
 
 
@@ -285,7 +287,10 @@ def cmd_classify(args, argv) -> int:
         raise _UsageError(f"profile not found: {src}")
     man.add_input(src)
     prof = bvp.load_profile(src)
+    parameters = {"tol_zero": args.tol_zero, "tol_eq": args.tol_eq}
     if not prof.converged:
+        man.write(parameters, {"converged": False,
+                               "residual_norm": prof.residual_norm})
         print("profile not converged", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     index = patterns.classify(prof, args.tol_zero, args.tol_eq)
@@ -297,8 +302,7 @@ def cmd_classify(args, argv) -> int:
         "transversal_zeros": patterns.transversal_zeros(
             prof, tol_zero=args.tol_zero, tol_eq=args.tol_eq),
     })
-    man.write({"tol_zero": args.tol_zero, "tol_eq": args.tol_eq},
-              {"index": str(index)})
+    man.write(parameters, {"index": str(index)})
     print(str(index))
     return EXIT_OK
 

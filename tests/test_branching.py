@@ -126,3 +126,39 @@ class TestStepRule:
                                  "F1-up")
         assert hunt.stop_reason == "newton-failure"
         assert converged == [r.p for r in hunt.records[1:]]
+
+
+class TestPredictor:
+    def test_f0_up_newton_budget(self, f0_profile):
+        # criterion 07's up branch: the secant predictor needs 134 LUs
+        # where the last profile as the guess needed 198
+        up = br.trace_p_branch(f0_profile,
+                               np.round(np.arange(1.25, 6.001, 0.05), 10),
+                               "F0-up", bvp.NewtonOptions(max_iters=500))
+        assert up.stop_reason == "completed"
+        assert up.records[-1].p == 6.0
+        assert sum(r.profile.newton_iters for r in up.records[1:]) <= 145
+
+    def test_f1_hunt_end_unchanged(self, basic_family):
+        # criterion 07's F1 hunt ends where it ended with the warm start
+        hunt = br.trace_p_branch(basic_family[1],
+                                 np.round(np.arange(1.201, 1.2601, 0.001), 10),
+                                 "F1-up")
+        assert hunt.stop_reason == "newton-failure"
+        assert hunt.records[-1].p == pytest.approx(1.21934375, abs=1e-12)
+
+    def test_second_step_starts_from_secant(self, f0_profile, monkeypatch):
+        guesses = []
+        solve = bvp.solve_profile
+
+        def recording(params, guess, opts=bvp.NewtonOptions()):
+            guesses.append(guess.values)
+            return solve(params, guess, opts)
+
+        monkeypatch.setattr(bvp, "solve_profile", recording)
+        b = br.trace_p_branch(f0_profile, [1.21, 1.22, 1.24])
+        v = [r.profile.values for r in b.records]
+        assert guesses[0] is f0_profile.values
+        assert np.allclose(guesses[1], 2.0 * v[1] - v[0], rtol=0, atol=1e-12)
+        assert np.allclose(guesses[2], v[2] + 2.0 * (v[2] - v[1]),
+                           rtol=0, atol=1e-12)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blowuplab.bvp as bvp
+import blowuplab.cli as cli
 import blowuplab.patterns as pat
 import blowuplab.spectral as spectral
 from blowuplab.model import ProblemParams
@@ -339,6 +340,67 @@ class TestSerialization:
         back = bvp.load_profile(path)
         assert back.residual_norm == pytest.approx(
             bvp.residual_norm(f0_profile), rel=1e-12)
+
+
+    # the half domain, the glue domain [-R, R] with 2N intervals and the
+    # q-type domain [s - 6, R] at two separations
+    @pytest.mark.parametrize("kind, separation, bc", [
+        ("basic", 7.5, "symmetry"),
+        ("glue_pp", 7.5, "dirichlet-far"),
+        ("q_type", 7.5, "q-plateau"),
+        ("q_type", 4.0, "q-plateau"),
+    ])
+    def test_round_trip_every_cli_mesh(self, tmp_path, kind, separation, bc):
+        mesh = cli._family_mesh(pat.FamilySpec(kind, 2, separation=separation),
+                                50.0, 2000)
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(mesh.nodes.size) * np.exp(
+            rng.uniform(-40.0, 40.0, mesh.nodes.size))
+        values[:3] = (-0.0, 1e-300, 0.1)
+        prof = bvp.Profile(mesh, values, ProblemParams(0.2, 1.5, 1e-2), bc)
+        path = tmp_path / "prof.csv"
+        bvp.save_profile(prof, path)
+        assert path.read_text().splitlines()[0] == "F"
+        back = bvp.load_profile(path)
+        assert np.array_equal(back.values, prof.values)
+        assert np.signbit(back.values[0])
+        assert np.array_equal(back.mesh.nodes, mesh.nodes)
+        assert back.bc == bc
+
+    def test_full_extension_mesh_refused(self, f0_profile, tmp_path):
+        # the mirrored nodes miss np.linspace(-R, R, 2m + 1) by ~1e-14
+        path = tmp_path / "full.csv"
+        with pytest.raises(ValueError, match="Mesh.uniform"):
+            bvp.save_profile(f0_profile.full_extension(), path)
+        assert not path.exists()
+
+    def test_missing_row_rejected(self, f0_profile, tmp_path):
+        path = tmp_path / "f0.csv"
+        bvp.save_profile(f0_profile, path)
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join(rows[:50] + rows[51:]) + "\n")
+        with pytest.raises(ValueError, match="intervals"):
+            bvp.load_profile(path)
+
+    def test_write_csv_matches_row_formatter(self, tmp_path):
+        def reference(header, columns):
+            # the per-row str.format writer that the one-call format replaced
+            fmt = ",".join(["{:.17g}"] * len(columns)).format
+            rows = zip(*(np.asarray(c).tolist() for c in columns))
+            return "\n".join([header, *(fmt(*row) for row in rows)]) + "\n"
+
+        columns = [
+            [0, 1, -7, 2 ** 53, 12345678901234567],
+            [True, False, True, False, True],
+            [-0.0, math.nan, math.inf, -math.inf, 1e-300],
+            [0.1, 1 / 3, -2.0 / 7.0, 1.2345678901234567e-5, 5e-324],
+            np.array([math.pi, -math.e, 1e300, 123456789.12345678, 0.5]),
+        ]
+        path = tmp_path / "t.csv"
+        bvp.write_csv(path, "a,b,c,d,e", columns)
+        assert path.read_bytes() == reference("a,b,c,d,e", columns).encode()
+        bvp.write_csv(path, "x", [[]])
+        assert path.read_bytes() == reference("x", [[]]).encode()
 
 
 class TestPeriodicOrbit:

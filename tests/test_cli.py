@@ -123,7 +123,7 @@ class TestReplay:
             (tampered / f.name).write_bytes(f.read_bytes())
         csv = tampered / "profile.csv"
         text = csv.read_text().splitlines()
-        text[1] = text[1].replace(text[1].split(",")[1], "0.5")
+        text[1] = "0.5"
         csv.write_text("\n".join(text) + "\n")
         code = main(["replay", str(tampered / "manifest.json"),
                      "--scratch", str(tmp_path / "rep2")])
@@ -166,6 +166,19 @@ class TestBranchCommand:
         code = main(["branch", "--from-profile", str(solve_run / "profile.csv"),
                      "--p-end", "1.25", *flag, "--out", str(tmp_path)])
         assert code == 1
+
+
+    def test_manifest_counts_newton_iters(self, solve_run, tmp_path):
+        out = tmp_path / "branch"
+        code = main(["branch", "--from-profile", str(solve_run / "profile.csv"),
+                     "--p-end", "1.25", "--dp", "0.01", "--out", str(out)])
+        assert code == 0
+        stats = json.loads((out / "manifest.json").read_text())["solver_stats"]
+        refs = json.loads((out / "branch.json").read_text())["records"]
+        iters = [json.loads((out / r).with_suffix(".json").read_text())
+                 ["newton_iters"] for r in refs]
+        # the start record was solved before the branch ran
+        assert stats["newton_iters"] == sum(iters[1:]) > 0
 
 
 class TestOtherCommands:
@@ -223,12 +236,34 @@ class TestOtherCommands:
         for name in ("profile.csv", "profile.json"):
             (tmp_path / name).write_bytes((solve_run / name).read_bytes())
         rows = (tmp_path / "profile.csv").read_text().splitlines()
-        y, f = rows[100].split(",")
-        rows[100] = f"{y},{float(f) + 0.1!r}"
+        rows[100] = f"{float(rows[100]) + 0.1!r}"
         (tmp_path / "profile.csv").write_text("\n".join(rows) + "\n")
         code = main(["classify", "--profile", str(tmp_path / "profile.csv"),
                      "--out", str(tmp_path / "cls")])
         assert code == 2
+
+    def test_classify_unconverged_leaves_manifest(self, solve_run, tmp_path):
+        for name in ("profile.csv", "profile.json"):
+            (tmp_path / name).write_bytes((solve_run / name).read_bytes())
+        rows = (tmp_path / "profile.csv").read_text().splitlines()
+        rows[100] = f"{float(rows[100]) + 0.1!r}"
+        (tmp_path / "profile.csv").write_text("\n".join(rows) + "\n")
+        code = main(["classify", "--profile", str(tmp_path / "profile.csv"),
+                     "--out", str(tmp_path / "cls")])
+        assert code == 2
+        man = json.loads((tmp_path / "cls" / "manifest.json").read_text())
+        assert man["solver_stats"]["converged"] is False
+        assert man["solver_stats"]["residual_norm"] > 1.0
+        assert man["outputs"] == []
+
+    def test_classify_short_profile_is_usage_error(self, solve_run, tmp_path):
+        for name in ("profile.csv", "profile.json"):
+            (tmp_path / name).write_bytes((solve_run / name).read_bytes())
+        rows = (tmp_path / "profile.csv").read_text().splitlines()
+        (tmp_path / "profile.csv").write_text("\n".join(rows[:-1]) + "\n")
+        code = main(["classify", "--profile", str(tmp_path / "profile.csv"),
+                     "--out", str(tmp_path / "cls")])
+        assert code == 1
 
     def test_eigen_command(self, tmp_path):
         code = main(["eigen", "--n", "0.0", "--R", "1.0", "--m", "200",
