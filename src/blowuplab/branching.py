@@ -50,6 +50,7 @@ class Branch:
     direction: str               # "increasing" | "decreasing"
     records: list = field(default_factory=list)
     stop_reason: str = "completed"   # completed | newton-failure
+    newton_iters: int = 0            # LUs of every solve tried, failed ones too
 
 
 def trace_p_branch(start: Profile, schedule, label: str = "branch",
@@ -95,12 +96,14 @@ def trace_p_branch(start: Profile, schedule, label: str = "branch",
                 guess = prev.replace(values=prev.values + (p_try - b.p) * slope)
             try:
                 sol = bvp.solve_profile(prev.params.with_p(p_try), guess, opts)
-            except bvp.NewtonError:
+            except bvp.NewtonError as exc:
+                branch.newton_iters += exc.newton_iters
                 halvings += 1
                 if halvings > MAX_HALVINGS:
                     branch.stop_reason = "newton-failure"
                     return branch
                 continue
+            branch.newton_iters += sol.newton_iters
             branch.records.append(BranchRecord(
                 p_try, sol.sup_norm, sol.residual_norm, sol))
             prev = sol

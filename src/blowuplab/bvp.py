@@ -346,7 +346,8 @@ def solve_profile(params: ProblemParams, guess: Profile,
     """Profile by blowuplab.newton, one banded LU (dgbtrf) per iteration.
 
     Corrections are scaled by max(|F_i|, opts.tol); newton_iters counts
-    the LUs.  Failure raises NewtonError with the last iterate, unconverged.
+    the LUs.  Failure raises NewtonError with the last iterate, unconverged,
+    and the LUs it made.
     """
     if params.eps == 0.0 and params.n > 0.0:
         raise ValueError("eps = 0 with n > 0: degenerate equation, Newton refused")
@@ -368,7 +369,7 @@ def solve_profile(params: ProblemParams, guess: Profile,
     except NewtonError as exc:
         last = at(exc.best)
         last = last.replace(residual_norm=residual_norm(last))
-        raise NewtonError(str(exc), last) from None
+        raise NewtonError(str(exc), last, exc.newton_iters) from None
     sol = at(values)
     return sol.replace(residual_norm=residual_norm(sol), converged=True,
                        newton_iters=iters)

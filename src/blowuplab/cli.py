@@ -212,11 +212,11 @@ def cmd_branch(args, argv) -> int:
         "stop_reason": branch.stop_reason,
         "records": refs,
     })
-    # the LUs of this run's converged solves; the start record came solved
+    # the LUs of every solve this run tried; the start record came solved
     man.write({"n": branch.n, "p_start": p0, "p_end": args.p_end,
                "dp": args.dp, "label": args.label},
               {"records": len(recs), "stop_reason": branch.stop_reason,
-               "newton_iters": sum(r.profile.newton_iters for r in recs[1:])})
+               "newton_iters": branch.newton_iters})
     return EXIT_OK
 
 

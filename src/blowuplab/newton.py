@@ -15,11 +15,13 @@ MAX_ITERS = 100
 
 
 class NewtonError(RuntimeError):
-    """Newton failed; best is the last iterate (a Profile from bvp)."""
+    """Newton failed; best is the last iterate (a Profile from bvp) and
+    newton_iters the number of factorizations made."""
 
-    def __init__(self, message, best):
+    def __init__(self, message, best, newton_iters):
         super().__init__(message)
         self.best = best
+        self.newton_iters = newton_iters
 
 
 def solve(residual, factor, x, scale, tol: float, max_iters: int):
@@ -33,7 +35,8 @@ def solve(residual, factor, x, scale, tol: float, max_iters: int):
     pass, min(t/2, mu) after a failure.  Converged is a correction (dx, or
     dx_bar after a full step) of at most tol; the root is that iterate
     plus that correction.  A singular factor, t < T_MIN or max_iters
-    factorizations raise NewtonError with the last iterate.
+    factorizations raise NewtonError with the last iterate and the
+    factorization count.
     """
     x = np.array(x, dtype=float)
     t, r = 1.0, residual(x)
@@ -41,7 +44,7 @@ def solve(residual, factor, x, scale, tol: float, max_iters: int):
         lin = factor(x, r)
         dx = None if lin is None else -lin(r)
         if dx is None or not np.all(np.isfinite(dx)):
-            raise NewtonError(f"singular factor at Newton step {it}", x)
+            raise NewtonError(f"singular factor at Newton step {it}", x, it + 1)
         w = np.maximum(np.abs(x), scale) * math.sqrt(x.size)
         dx_norm = np.linalg.norm(dx / w)
         if dx_norm <= tol:
@@ -57,9 +60,10 @@ def solve(residual, factor, x, scale, tol: float, max_iters: int):
                 break
             t = min(0.5 * t, mu)
             if t < T_MIN:
-                raise NewtonError(f"divergence at Newton step {it}: t = {t:.2g}", x)
+                raise NewtonError(f"divergence at Newton step {it}: t = {t:.2g}",
+                                  x, it + 1)
         x, r = trial, trial_r
         if t == 1.0 and bar_norm <= tol:
             return x + dx_bar, it + 1
         t = min(1.0, mu)
-    raise NewtonError(f"no convergence in {max_iters} Newton steps", x)
+    raise NewtonError(f"no convergence in {max_iters} Newton steps", x, max_iters)

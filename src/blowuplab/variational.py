@@ -18,7 +18,8 @@ nonlinear eigenvalues of -(|psi''|^n psi'')'' + lambda |psi|^n psi = 0
 under clamped conditions; the first one is the minimum of the Rayleigh
 quotient int |psi''|^(n+2) / int |psi|^(n+2) and obeys the interval
 scaling lambda_k(R) = R^(-4-2n) lambda_k(1).  It is computed by
-blowuplab.newton on the discrete Euler-Lagrange system, continued in n.
+blowuplab.newton on the discrete Euler-Lagrange system, continued in n,
+its pentadiagonal block on a banded LU and its border by block elimination.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg.blas import dgbmv
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import bvp, model, newton
 from .bvp import Profile
@@ -160,24 +161,55 @@ def fiber_h(r: float, v: Profile) -> float:
 # -- first nonlinear eigenvalue ---------------------------------------------
 
 
-def _curvature_matrix(m: int, h: float) -> sparse.csr_matrix:
-    """Map interior values (psi_1..psi_{m-1}) to F'' at all m+1 nodes.
+def _curvature(x: np.ndarray, h: float) -> np.ndarray:
+    """W x: psi'' at all m+1 nodes from psi_1..psi_{m-1}, the clamped ends
+    entering as zero end nodes and ghost reflections (w_0 = 2 psi_1 / h^2)."""
+    ext = np.concatenate(([x[0], 0.0], x, [0.0, x[-1]]))
+    return (ext[:-2] - 2.0 * ext[1:-1] + ext[2:]) / (h * h)
 
-    Clamped conditions psi = psi' = 0 at both ends enter through the
-    boundary rows w_0 = 2 psi_1 / h^2 and w_m = 2 psi_{m-1} / h^2.
-    """
-    rows, cols, vals = [], [], []
-    inv_h2 = 1.0 / (h * h)
-    for i in range(1, m):
-        for j, c in ((i - 1, 1.0), (i, -2.0), (i + 1, 1.0)):
-            if 1 <= j <= m - 1:
-                rows.append(i)
-                cols.append(j - 1)
-                vals.append(c * inv_h2)
-    rows += [0, m]
-    cols += [0, m - 2]
-    vals += [2.0 * inv_h2, 2.0 * inv_h2]
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(m + 1, m - 1))
+
+def _curvature_adjoint(y: np.ndarray, h: float) -> np.ndarray:
+    """W^T y: the second difference of y e, e = (2, 1, ..., 1, 2), inside."""
+    ye = np.concatenate(([2.0 * y[0]], y[1:-1], [2.0 * y[-1]]))
+    return (ye[:-2] - 2.0 * ye[1:-1] + ye[2:]) / (h * h)
+
+
+def _block_band(d, cx, lam: float, nk: float, h: float) -> np.ndarray:
+    """(nk+1)(W^T diag(d) W - lam diag(cx)) in dgbtrf's layout (kl = ku = 2):
+    row 4 + i - j holds entry (i, j), rows 0-1 are the LU's fill-in.  Row j
+    of W^T diag(d) W is (d_{j-1}, -2(d_{j-1} + d_j), d~_{j-1} + 4 d_j +
+    d~_{j+1}, -2(d_j + d_{j+1}), d_{j+1}) / h^4, with d~ = d e^2."""
+    s = (nk + 1.0) / h**4
+    dt = np.concatenate(([4.0 * d[0]], d[1:-1], [4.0 * d[-1]]))
+    ab = np.zeros((7, cx.size))
+    ab[4] = s * (dt[:-2] + 4.0 * d[1:-1] + dt[2:]) - (nk + 1.0) * lam * cx
+    ab[3, 1:] = ab[5, :-1] = -2.0 * s * (d[1:-2] + d[2:-1])
+    ab[2, 2:] = ab[6, :-2] = s * d[2:-2]
+    return ab
+
+
+def _bordered_solver(ab: np.ndarray, col: np.ndarray, row: np.ndarray):
+    """b -> z solving [[A, col], [row^T, 0]] z = b (None if dgbtrf finds A
+    singular) by block elimination on the banded LU of A, laid out as by
+    _block_band, plus one step of iterative refinement on the bordered
+    residual: accurate whenever the bordered matrix is well conditioned,
+    even with A singular to roundoff (Govaerts & Pryce, BIT 30, 1990)."""
+    lu, piv, info = dgbtrf(ab, 2, 2)
+    if info > 0:
+        return None
+    v = dgbtrs(lu, 2, 2, col, piv)[0]
+
+    def eliminate(b):
+        u = dgbtrs(lu, 2, 2, b[:-1], piv)[0]
+        mu = (row @ u - b[-1]) / (row @ v)
+        return np.append(u - mu * v, mu)
+
+    def solve(b):
+        z = eliminate(b)
+        az = dgbmv(col.size, col.size, 2, 2, 1.0, ab[2:], z[:-1]) + z[-1] * col
+        return z + eliminate(b - np.append(az, row @ z[:-1]))
+
+    return solve
 
 
 def first_nonlinear_eigenvalue(n: float, R: float, m: int = 400) -> float:
@@ -188,8 +220,8 @@ def first_nonlinear_eigenvalue(n: float, R: float, m: int = 400) -> float:
         W^T (c phi(W x)) - lambda c_int phi(x) = 0,   phi(s) = |s|^n s,
 
     bordered by <x0, x> = <x0, x0>, with x0 the clamped bump.  Each
-    blowuplab.newton step factors the bordered system by sparse LU (the
-    block alone is singular: J x = 0 by homogeneity).  The linear
+    blowuplab.newton step solves the bordered system by _bordered_solver
+    (the block alone is singular: J x = 0 by homogeneity).  The linear
     eigenvector lies outside the basin for n >= 2.5 on fine meshes, so
     Newton runs in stages n_k = 0, N_STAGE, 2 N_STAGE, ..., n, each from
     the last; the first is the linear pencil W^T C W x = lambda C_int x.
@@ -202,14 +234,13 @@ def first_nonlinear_eigenvalue(n: float, R: float, m: int = 400) -> float:
     if m < 64:
         raise ValueError("mesh too coarse")
     h = 2.0 * R / m
-    W = _curvature_matrix(m, h)
     # trapezoid weights on the full node set
     c = np.full(m + 1, h)
     c[[0, -1]] *= 0.5
     c_int = c[1:-1]
 
     def quotient(x, nk):
-        return float(np.sum(c * np.abs(W @ x) ** (nk + 2.0))
+        return float(np.sum(c * np.abs(_curvature(x, h)) ** (nk + 2.0))
                      / np.sum(c_int * np.abs(x) ** (nk + 2.0)))
 
     # unknowns (x, lambda), from the clamped bump (1 - (y/R)^2)^2 of order one
@@ -220,20 +251,15 @@ def first_nonlinear_eigenvalue(n: float, R: float, m: int = 400) -> float:
     for nk in [N_STAGE * k for k in range(math.ceil(n / N_STAGE))] + [n]:
         def residual(z):
             x, lam = z[:-1], z[-1]
-            w = W @ x
-            return np.append(W.T @ (c * np.abs(w) ** nk * w)
+            w = _curvature(x, h)
+            return np.append(_curvature_adjoint(c * np.abs(w) ** nk * w, h)
                              - lam * c_int * np.abs(x) ** nk * x, x0 @ (x - x0))
 
         def factor(z, _r):
             x, lam = z[:-1], z[-1]
-            cw, cx = c * np.abs(W @ x) ** nk, c_int * np.abs(x) ** nk
-            block = (nk + 1.0) * (W.T @ sparse.diags(cw) @ W - lam * sparse.diags(cx))
-            bordered = sparse.bmat([[block, -(cx * x)[:, None]], [x0[None, :], None]],
-                                   format="csc")
-            try:
-                return splu(bordered).solve
-            except RuntimeError:   # exactly singular
-                return None
+            cx = c_int * np.abs(x) ** nk
+            ab = _block_band(c * np.abs(_curvature(x, h)) ** nk, cx, lam, nk, h)
+            return _bordered_solver(ab, -(cx * x), x0)
 
         try:
             z, _ = newton.solve(residual, factor, z, z_scale, TOL, newton.MAX_ITERS)

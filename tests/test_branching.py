@@ -128,6 +128,24 @@ class TestStepRule:
         assert converged == [r.p for r in hunt.records[1:]]
 
 
+    def test_newton_iters_counts_failed_solves(self, basic_family, monkeypatch):
+        # the F1 hunt ends in failed solves; their LUs count too
+        calls = []
+        dgbtrf = bvp.dgbtrf
+
+        def counting(*args):
+            calls.append(1)
+            return dgbtrf(*args)
+
+        monkeypatch.setattr(bvp, "dgbtrf", counting)
+        hunt = br.trace_p_branch(basic_family[1],
+                                 np.round(np.arange(1.201, 1.2601, 0.001), 10),
+                                 "F1-up")
+        assert hunt.stop_reason == "newton-failure"
+        assert hunt.newton_iters == len(calls) == 110
+        assert sum(r.profile.newton_iters for r in hunt.records[1:]) < len(calls)
+
+
 class TestPredictor:
     def test_f0_up_newton_budget(self, f0_profile):
         # criterion 07's up branch: the secant predictor needs 134 LUs

@@ -153,6 +153,72 @@ def clamped_pencil(R: float, m: int):
     return W, c, c[1:-1]
 
 
+def band_to_dense(ab):
+    """Dense matrix of a dgbtrf band (kl = ku = 2): entry (i, j) in row 4 + i - j."""
+    N = ab.shape[1]
+    A = np.zeros((N, N))
+    for k in range(-2, 3):
+        A += np.diag(ab[4 + k, max(0, -k):N - max(0, k)], -k)
+    return A
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestBandedEulerLagrange:
+    @pytest.mark.parametrize("m", [64, 400])
+    @pytest.mark.parametrize("n", [0.0, 1.0])
+    def test_stencils_and_band_match_clamped_pencil(self, n, m):
+        rng = np.random.default_rng(12)
+        R, lam = 1.0, 30.0
+        h = 2.0 * R / m
+        W, c, c_int = clamped_pencil(R, m)
+        x, y = rng.standard_normal(m - 1), rng.standard_normal(m + 1)
+        assert rel_err(var._curvature(x, h), W @ x) <= 1e-12
+        assert rel_err(var._curvature_adjoint(y, h), W.T @ y) <= 1e-12
+        d, cx = c * np.abs(W @ x) ** n, c_int * np.abs(x) ** n
+        dense = (n + 1.0) * (W.T @ (d[:, None] * W) - lam * np.diag(cx))
+        ab = var._block_band(d, cx, lam, n, h)
+        assert not ab[:2].any()   # the LU's fill-in rows start empty
+        assert rel_err(band_to_dense(ab), dense) <= 1e-12
+
+    def test_bordered_solve_at_singular_block(self):
+        # at the linear eigenpair the block is singular to roundoff; the
+        # bordered system is not, and its solve must be backward stable
+        m, R = 400, 1.0
+        h = 2.0 * R / m
+        W, c, c_int = clamped_pencil(R, m)
+        _, vecs = scipy.linalg.eigh(W.T @ (c[:, None] * W), np.diag(c_int))
+        x = vecs[:, 0]
+        lam = np.sum(c * (W @ x) ** 2) / np.sum(c_int * x * x)
+        ab = var._block_band(c, c_int, lam, 0.0, h)
+        col = -(c_int * x)
+        row = (1.0 - np.linspace(-1.0, 1.0, m + 1)[1:-1] ** 2) ** 2
+        b = np.random.default_rng(3).standard_normal(m)
+        z = var._bordered_solver(ab, col, row)(b)
+        M = np.block([[band_to_dense(ab), col[:, None]], [row[None, :], np.zeros((1, 1))]])
+        eta = (np.linalg.norm(M @ z - b, np.inf)
+               / (np.linalg.norm(M, np.inf) * np.linalg.norm(z, np.inf)
+                  + np.linalg.norm(b, np.inf)))
+        assert eta <= 1e-15
+
+    @pytest.mark.parametrize("n, budget", [(3.0, 98), (5.0, 186)])
+    def test_factorization_budget_on_fine_mesh(self, n, budget, monkeypatch):
+        # pinned LU counts; the damped walk of stage n = 2.5 moves them by
+        # a few LUs with the rounding of the linear solve
+        calls = []
+        dgbtrf = var.dgbtrf
+
+        def counting(*args):
+            calls.append(1)
+            return dgbtrf(*args)
+
+        monkeypatch.setattr(var, "dgbtrf", counting)
+        var.first_nonlinear_eigenvalue(n, 1.0, 2000)
+        assert len(calls) <= budget
+
+
 class TestNonlinearEigenvalue:
     def test_linear_case_against_beam_oracle(self):
         lam = var.first_nonlinear_eigenvalue(0.0, 1.0, 400)
