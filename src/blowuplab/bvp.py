@@ -368,7 +368,8 @@ def solve_profile(params: ProblemParams, guess: Profile,
                                      work.values, opts.tol, opts.tol, opts.max_iters)
     except NewtonError as exc:
         last = at(exc.best)
-        last = last.replace(residual_norm=residual_norm(last))
+        last = last.replace(residual_norm=residual_norm(last),
+                            newton_iters=exc.newton_iters)
         raise NewtonError(str(exc), last, exc.newton_iters) from None
     sol = at(values)
     return sol.replace(residual_norm=residual_norm(sol), converged=True,
@@ -451,37 +452,23 @@ def _orbit_rhs(n: float):
     inv = 1.0 / (n + 1.0)
 
     def rhs(t, u):
-        F, F1, w, w1 = u
-        return (F1, _spow(w, inv), w1, -F + abs(F) ** n * F)
+        F, F1, w, w1 = u.tolist()
+        return [F1, _spow(w, inv), w1, -F + abs(F) ** n * F]
 
     return rhs
 
 
-def _orbit_events():
-    def escaped(t, u):       # left the oscillation strip toward F = 0
-        return u[0] - 0.02
-    escaped.terminal = True
-
-    def diverged(t, u):
-        return abs(u[0]) - 8.0
-    diverged.terminal = True
-
-    return (escaped, diverged)
+def _orbit_shooter(n: float):
+    """Legs of the regional orbit to the section F' = 0, stopped when F
+    leaves the oscillation strip toward F = 0 or diverges."""
+    return oscillation._Shooter(
+        _orbit_rhs(n), 1, ORBIT_ATOL,
+        events=(lambda u: u[0] - 0.02, lambda u: abs(u[0]) - 8.0),
+        error=lambda message: ShootingError(message, "diverged"))
 
 
 def _orbit_start(n: float, a: float, b: float) -> tuple:
     return (a, 0.0, _spow(b, n + 1.0), 0.0)
-
-
-def _orbit_shot(n: float, a: float, b: float, dense: bool = False) -> list:
-    """Legs of the shot from the minimum (a, 0, b, 0) to its section return.
-
-    The section is F' = 0, crossed upward at minima of F; the shot runs
-    in the mirrored convention about = +1.
-    """
-    return oscillation._section_return(_orbit_rhs(n), _orbit_start(n, a, b),
-                                       1, 1, ORBIT_ATOL, _orbit_events(),
-                                       dense)
 
 
 def _terminal_jet(n: float, u) -> tuple:
@@ -509,22 +496,20 @@ def _zero_energy_b(a: float, n: float) -> float:
 
 def _returned(leg):
     """The leg if it reached the section, else its ShootingError."""
-    if leg.t_events[0].size:
+    if leg.stop == 0:
         return leg
-    if leg.t_events[1].size:
+    if leg.stop == 1:
         raise ShootingError("trajectory escaped to the basin of F = 0",
                             "escape-zero")
-    if leg.t_events[2].size:
+    if leg.stop == 2:
         raise ShootingError("trajectory diverged", "diverged")
     raise ShootingError("no section return within the integration budget",
                         "no-closure")
 
 
-def _half_return(n: float, a: float):
+def _half_return(shooter, n: float, a: float):
     """Leg of the zero-energy shot from a to the first maximum of F."""
-    return _returned(oscillation._cross(
-        _orbit_rhs(n), _orbit_start(n, a, _zero_energy_b(a, n)), 1, -1,
-        ORBIT_ATOL, _orbit_events()))
+    return _returned(shooter.cross(_orbit_start(n, a, _zero_energy_b(a, n)), -1))
 
 
 def shoot_periodic_full(n: float, about: int, a_init: float) -> PeriodicOrbit:
@@ -550,13 +535,14 @@ def shoot_periodic_full(n: float, about: int, a_init: float) -> PeriodicOrbit:
         raise ValueError("n must be positive")
 
     a0 = a_init * about  # mirrored problem oscillates about +1
+    shooter = _orbit_shooter(n)
 
     # walk a0 into the window where the zero-energy shot reaches the
     # opposite extremum: divergence means too much curvature (lower a),
     # escape toward zero means too little (raise a)
     for attempt in range(60):
         try:
-            leg = _half_return(n, a0)
+            leg = _half_return(shooter, n, a0)
             break
         except ShootingError as exc:
             if exc.kind == "no-closure" or attempt == 59:
@@ -566,21 +552,23 @@ def shoot_periodic_full(n: float, about: int, a_init: float) -> PeriodicOrbit:
                 raise
 
     def residual(x):
-        return np.array([_terminal_jet(n, _half_return(n, x[0]).y[:, -1])[3]])
+        return np.array([_terminal_jet(n, _half_return(shooter, n, x[0]).y)[3]])
 
     # corrections are measured against the amplitude of the walk's leg
-    a = float(oscillation._newton(residual, [a0], [np.max(np.abs(leg.y[0]))])[0][0])
+    a = float(oscillation._newton(residual, [a0], [leg.umax[0]])[0][0])
     b = _zero_energy_b(a, n)
-    legs = _orbit_shot(n, a, b, dense=True)
-    jetT = _terminal_jet(n, _returned(legs[-1]).y[:, -1])
+    # the shot from the minimum returns to the next minimum, where F' = 0
+    # is crossed upward
+    legs = shooter.section_return(_orbit_start(n, a, b), 1)
+    jetT = _terminal_jet(n, _returned(legs[-1]).y)
     closure = max(abs(p - q) for p, q in zip((a, 0.0, b, 0.0), jetT))
     if closure > 1e-8:
         raise ShootingError(
             f"no closure within iteration budget (jet mismatch {closure:.3e})",
             "no-closure")
 
-    period = float(legs[0].t[-1] + legs[1].t[-1])
-    Fs = oscillation._sample_shot(legs, np.linspace(0.0, period, 4001))[0]
+    period = float(legs[0].t + legs[1].t)
+    Fs = _orbit_samples(n, a, b, np.linspace(0.0, period, 4001))
     lo_v, hi_v = float(np.min(Fs)), float(np.max(Fs))
     if about == -1:
         return PeriodicOrbit(a=-a, b=-b, period=period,
@@ -589,12 +577,17 @@ def shoot_periodic_full(n: float, about: int, a_init: float) -> PeriodicOrbit:
                          min_val=lo_v, max_val=hi_v, about=about)
 
 
+def _orbit_samples(n: float, a: float, b: float, ts: np.ndarray) -> np.ndarray:
+    """F at the times ts of the orbit from the minimum (a, 0, b, 0)."""
+    return oscillation._sample(_orbit_rhs(n), _orbit_start(n, a, b), ts,
+                               ORBIT_ATOL)[0]
+
+
 def orbit_samples(orbit: PeriodicOrbit, n: float, num: int = 2001) -> tuple[np.ndarray, np.ndarray]:
-    """Re-run the shot of a converged orbit and sample one period of (y, F)."""
-    legs = _orbit_shot(n, orbit.a * orbit.about, orbit.b * orbit.about,
-                       dense=True)
+    """Re-run a converged orbit over one period and sample (y, F)."""
     ts = np.linspace(0.0, orbit.period, num)
-    return ts, orbit.about * oscillation._sample_shot(legs, ts)[0]
+    return ts, orbit.about * _orbit_samples(n, orbit.a * orbit.about,
+                                            orbit.b * orbit.about, ts)
 
 
 # -- serialization ------------------------------------------------------------

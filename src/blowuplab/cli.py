@@ -122,7 +122,8 @@ def _solve_with_warm_start(params, guess, spec, opts):
     Guesses are built from the p = n+1 geometry; far from it the cold
     solve is hopeless, so the profile is continued across p instead.  A
     walk that stops short of params.p returns its last profile marked
-    unconverged.
+    unconverged.  A walk's profile counts the LUs of the anchor and of
+    every solve the walk tried.
     """
     p_var = params.n + 1.0
     if spec.kind == "q_type" or abs(params.p - p_var) <= 0.05:
@@ -132,10 +133,9 @@ def _solve_with_warm_start(params, guess, spec, opts):
     schedule = np.linspace(p_var, params.p, steps + 1)[1:]
     branch = branching.trace_p_branch(anchor, schedule, label="warm-start",
                                       opts=opts)
-    reached = branch.records[-1].profile
-    if branch.stop_reason != "completed":
-        return reached.replace(converged=False)
-    return reached
+    return branch.records[-1].profile.replace(
+        converged=branch.stop_reason == "completed",
+        newton_iters=anchor.newton_iters + branch.newton_iters)
 
 
 def cmd_solve(args, argv) -> int:
@@ -236,7 +236,8 @@ def cmd_oscillate(args, argv) -> int:
                                          (0.0, args.s_budget))
         stats.update(period=pc.period, amplitude=pc.amplitude,
                      multipliers=[[float(z.real), float(z.imag)]
-                                  for z in pc.multipliers])
+                                  for z in pc.multipliers],
+                     shooting=pc.counts)
     else:
         traj = oscillation.integrate_osc(init, args.n, mu, +1,
                                          (0.0, args.s_budget))

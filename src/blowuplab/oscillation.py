@@ -19,16 +19,20 @@ reduction calls for.
 
 phi_* is found by Newton (blowuplab.newton) on the return map of a Poincare
 section (Seydel, Practical Bifurcation and Stability Analysis, 2010, ch. 7).
-The same shooter finds the regional orbit about +-1 in blowuplab.bvp.
+Every leg of a shot runs on scipy's compiled DOP853 and lands exactly on
+the section by Henon's step (Physica D 5, 1982); the weak Floquet
+multiplier follows from Liouville's formula.  The same shooter finds the
+regional orbit about +-1 in blowuplab.bvp.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode, solve_ivp
 
 from . import newton
 from .model import pk_coefficients
@@ -44,11 +48,15 @@ __all__ = [
 ]
 
 # the periodic-orbit shooter: DOP853 tolerance of every shot, relative
-# forward-difference step of its Newton, and the span within which each
-# leg must meet the section
+# forward-difference step of its Newton, the span within which each leg
+# must meet the section, and dop853's step budgets for that span and for
+# Henon's step (which spans one step of the flow; a grazing crossing,
+# f_k near 0, fails on this budget instead of crawling)
 RTOL = 1e-11
 FD_STEP = math.sqrt(RTOL)
 LEG_SPAN = 100.0
+MAX_STEPS = 10 ** 6
+HENON_STEPS = 100
 # absolute tolerance of every integration of the component equation
 OSC_ATOL = 1e-16
 
@@ -85,6 +93,7 @@ class PeriodicComponent:
     samples_phi: np.ndarray
     amplitude: float
     multipliers: np.ndarray   # Floquet multipliers, all of modulus < 1
+    counts: dict              # shooting work: legs, nfev, steps, accepted, rejected
 
     def phi_star(self, s):
         """Periodic interpolation of phi_* at arbitrary s."""
@@ -124,17 +133,16 @@ def _spow(x, a):
 
 
 def _flux_rhs_factory(n: float, mu: float, lambda_sign: int):
-    c2 = pk_coefficients(2, mu)
+    c20, c21, _ = pk_coefficients(2, mu)
     lam = float(lambda_sign)
     k_damp = (n + 1.0) * (mu - 2.0)
     inv = 1.0 / (n + 1.0)
 
     def rhs(s, u):
-        phi, phi1, v = u
-        p2 = _spow(v, inv)
-        return (phi1,
-                p2 - c2[1] * phi1 - c2[0] * phi,
-                lam * phi - k_damp * v)
+        phi, phi1, v = u.tolist()
+        return [phi1,
+                math.copysign(abs(v) ** inv, v) - c21 * phi1 - c20 * phi,
+                lam * phi - k_damp * v]
 
     return rhs
 
@@ -184,43 +192,124 @@ def integrate_osc(init: OscState, n: float, mu: float, lambda_sign: int,
 # -- periodic orbits: Newton on the section return -----------------------------
 
 
-def _cross(rhs, u0, k: int, direction: int, atol: float, events=(),
-           dense: bool = False):
-    """Integrate from u0 to the first crossing of {u_k = 0} in direction.
+class Leg(NamedTuple):
+    """End of one section leg, and what the shooters read along it.
 
-    The crossing is the terminal event 0, ahead of the caller's terminal
-    events; the leg reached it iff sol.t_events[0].size.
+    stop is 0 at the section, i >= 1 at the caller's event i, and None
+    when the span ran out; umax is the componentwise max |u| along the leg.
     """
-    def section(s, u):
-        return u[k]
-    section.terminal = True
-    section.direction = direction
-    return solve_ivp(rhs, (0.0, LEG_SPAN), u0, method="DOP853", rtol=RTOL,
-                     atol=atol, events=[section, *events], dense_output=dense)
+
+    t: float
+    y: np.ndarray
+    stop: int | None
+    umax: np.ndarray
 
 
-def _section_return(rhs, u0, k: int, direction: int, atol: float, events=(),
-                    dense: bool = False) -> list:
-    """Shot from u0 on {u_k = 0} to its return, as the list of legs run.
+def _crossed(g0: float, g1: float, direction: int) -> bool:
+    """Whether one step took g across 0 in direction (0: either way).
 
-    Crossings of one section alternate in direction, so from any start on
-    it the first leg stops at the half return (the first crossing against
-    direction) and the second at the return.  The shot returned iff the
-    last leg reached the section, after legs[0].t[-1] + legs[-1].t[-1].
+    g0 = 0 never counts, so a leg never stops at its own start.
     """
-    legs = [_cross(rhs, u0, k, -direction, atol, events, dense)]
-    if legs[0].t_events[0].size:
-        legs.append(_cross(rhs, legs[0].y[:, -1], k, direction, atol,
-                           events, dense))
-    return legs
+    return (direction >= 0 and g0 < 0.0 <= g1) or (direction <= 0 and g0 > 0.0 >= g1)
 
 
-def _sample_shot(legs: list, ts: np.ndarray) -> np.ndarray:
-    """States of a returned dense shot at times ts from its start."""
-    t_half = legs[0].t[-1]
-    first = ts <= t_half
-    return np.concatenate([legs[0].sol(ts[first]),
-                           legs[1].sol(ts[~first] - t_half)], axis=1)
+class _Shooter:
+    """Section legs of one shooter call, on scipy's compiled DOP853.
+
+    A leg runs from u0 to the first accepted step that crosses the
+    section {u_k = 0} in a given direction or one of the caller's events
+    g(u) = 0, within LEG_SPAN.  Henon's step then lands exactly on the
+    section (M. Henon, Physica D 5, 1982): the flow integrated with u_k as
+    the independent variable, d(t, u)/du_k = (1, f)/f_k, from the state
+    past the section to u_k = 0.  An event crossed before the section
+    stops the leg instead.  A run that fails raises error(message).
+
+    scipy's dop853 never frees an ode instance, so both integrators are
+    built once here and restarted for every leg.  counts sums legs and
+    dop853's own nfev, steps, accepted and rejected (IWORK(17..20)).
+    """
+
+    def __init__(self, rhs, k: int, atol: float, events=(), error=RuntimeError):
+        self.k, self.events, self.error = k, events, error
+        self.counts = dict.fromkeys(("legs", "nfev", "steps", "accepted",
+                                     "rejected"), 0)
+
+        def henon(x, w):
+            du = rhs(w[0], w[1:])
+            return [1.0 / du[k], *(d / du[k] for d in du)]
+
+        # beta = 0.04 is Hairer's stabilized (PI) step-size control; on
+        # the Hoelder-continuous flux field it halves the rejected steps
+        def dop853(f, nsteps):
+            return ode(f).set_integrator("dop853", rtol=RTOL, atol=atol,
+                                         nsteps=nsteps, beta=0.04)
+
+        self.flow = dop853(rhs, MAX_STEPS)
+        self.henon = dop853(henon, HENON_STEPS)
+        self.flow.set_solout(self._accepted)
+
+    def _accepted(self, t, y):
+        """dop853's solout: -1 stops the run at the first crossing."""
+        g = [y[self.k], *(e(y) for e in self.events)]
+        if self._g is not None:
+            for i, (g0, g1) in enumerate(zip(self._g, g)):
+                if _crossed(g0, g1, self._direction if i == 0 else 0):
+                    self._stop = i
+                    return -1
+        self._g = g
+        np.maximum(self._umax, np.abs(y), out=self._umax)
+        return 0
+
+    def _run(self, integrator, y0, x0: float, x1: float) -> np.ndarray:
+        integrator.set_initial_value(y0, x0)
+        y = integrator.integrate(x1).copy()
+        code = integrator.get_return_code()
+        if code < 0:
+            raise self.error(f"DOP853 failed with code {code} near s = "
+                             f"{integrator.t:.6g}")
+        for key, c in zip(("nfev", "steps", "accepted", "rejected"),
+                          integrator._integrator.iwork[16:20].tolist()):
+            self.counts[key] += c
+        return y
+
+    def cross(self, u0, direction: int) -> Leg:
+        """Leg from u0 to its first crossing of the section in direction."""
+        self._direction, self._g, self._stop = direction, None, None
+        self._umax = np.zeros(len(u0))
+        y = self._run(self.flow, u0, 0.0, LEG_SPAN)
+        t, stop = self.flow.t, self._stop
+        self.counts["legs"] += 1
+        if stop == 0 and y[self.k] != 0.0:
+            w = self._run(self.henon, np.concatenate(([t], y)), y[self.k], 0.0)
+            t, y = w[0], w[1:]
+            y[self.k] = 0.0
+            stop = next((i for i, (g0, e) in enumerate(zip(self._g[1:], self.events), 1)
+                         if _crossed(g0, e(y), 0)), 0)
+        return Leg(t, y, stop, np.maximum(self._umax, np.abs(y)))
+
+    def section_return(self, u0, direction: int) -> list:
+        """Shot from u0 on the section to its return, as the legs run.
+
+        Crossings of one section alternate in direction, so from any start
+        on it the first leg stops at the half return (the first crossing
+        against direction) and the second at the return.  The shot
+        returned iff the last leg stopped at the section, after
+        legs[0].t + legs[-1].t.
+        """
+        legs = [self.cross(u0, -direction)]
+        if legs[0].stop == 0:
+            legs.append(self.cross(legs[0].y, direction))
+        return legs
+
+
+def _sample(rhs, u0, ts: np.ndarray, atol: float) -> np.ndarray:
+    """States at the times ts (from 0, increasing) of the flow from u0."""
+    sol = solve_ivp(rhs, (0.0, ts[-1]), u0, method="DOP853", rtol=RTOL,
+                    atol=atol, dense_output=True)
+    if not sol.success:
+        raise RuntimeError(f"sampling stalled near s = {sol.t[-1]:.6g}: "
+                           f"{sol.message}")
+    return sol.sol(ts)
 
 
 def _newton(residual, x, scale) -> tuple:
@@ -254,41 +343,49 @@ def find_periodic_osc(n: float, mu: float, init: OscState) -> PeriodicComponent:
 
     The section is phi' = 0 at maxima of phi, and the unknowns are the
     state x = (phi, v) there.  Newton on P(x) - x, with P the section
-    return, starts from the first maximum after init.  Newton finds any
-    cycle, so the Floquet multipliers (the eigenvalues of the
-    finite-difference monodromy dP) must all lie inside the unit circle,
-    else RuntimeError.
+    return, starts from the first maximum after init.  The dominant
+    Floquet multiplier m1 is an eigenvalue of the finite-difference
+    monodromy dP; the other follows from Liouville's formula, since the
+    flux field has the constant divergence -(2mu-1 + (n+1)(mu-2)):
+
+        m1 m2 = exp(-(2mu-1 + (n+1)(mu-2)) T).
+
+    Newton finds any cycle, so both must lie inside the unit circle, else
+    RuntimeError.
     """
     if init.jet().max() == init.jet().min() == 0.0:
         raise ValueError("init must be a generic nonzero state")
     rhs = _flux_rhs_factory(n, mu, -1)
-    lead = _cross(rhs, _jet_to_flux(init.jet(), n, mu), 1, -1, OSC_ATOL)
-    if not lead.t_events[0].size:
+    shooter = _Shooter(rhs, 1, OSC_ATOL)
+    lead = shooter.cross(_jet_to_flux(init.jet(), n, mu), -1)
+    if lead.stop != 0:
         raise RuntimeError(f"no maximum of phi within s = {LEG_SPAN} of init")
 
     def residual(x):
-        legs = _section_return(rhs, (x[0], 0.0, x[1]), 1, -1, OSC_ATOL)
-        if not legs[-1].t_events[0].size:
+        legs = shooter.section_return((x[0], 0.0, x[1]), -1)
+        if legs[-1].stop != 0:
             raise RuntimeError(f"no section return within s = {LEG_SPAN} "
                                f"from (phi, v) = {tuple(x)}")
-        return legs[-1].y[[0, 2], -1] - x
+        return legs[-1].y[[0, 2]] - x
 
     # corrections are measured against the amplitudes along the lead
-    x, jac = _newton(residual, lead.y[[0, 2], -1],
-                     np.max(np.abs(lead.y[[0, 2]]), axis=1))
-    multipliers = np.linalg.eigvals(jac + np.eye(2))
+    x, jac = _newton(residual, lead.y[[0, 2]], lead.umax[[0, 2]])
+    start = (x[0], 0.0, x[1])
+    legs = shooter.section_return(start, -1)
+    period = float(legs[0].t + legs[1].t)
+    eigs = np.linalg.eigvals(jac + np.eye(2))
+    m1 = eigs[np.argmax(np.abs(eigs))]
+    divergence = -(pk_coefficients(2, mu)[1] + (n + 1.0) * (mu - 2.0))
+    multipliers = np.array([m1, math.exp(divergence * period) / m1])
     if np.any(np.abs(multipliers) >= 1.0):
         raise RuntimeError(f"the cycle found is not stable: Floquet "
                            f"multipliers {multipliers}")
-    legs = _section_return(rhs, (x[0], 0.0, x[1]), 1, -1, OSC_ATOL,
-                           dense=True)
-    period = float(legs[0].t[-1] + legs[1].t[-1])
     samples_s = np.linspace(0.0, period, 2001)
-    samples_phi = _sample_shot(legs, samples_s)[0]
+    samples_phi = _sample(rhs, start, samples_s, OSC_ATOL)[0]
     return PeriodicComponent(n=n, mu=mu, period=period,
                              samples_s=samples_s, samples_phi=samples_phi,
                              amplitude=float(np.max(np.abs(samples_phi))),
-                             multipliers=multipliers)
+                             multipliers=multipliers, counts=shooter.counts)
 
 
 def reconstruct_interface(pc: PeriodicComponent, y0: float, s_shift: float,

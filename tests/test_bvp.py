@@ -412,8 +412,9 @@ class TestPeriodicOrbit:
         assert orbit_n02.min_val < 1.0 < orbit_n02.max_val
 
     def test_jet_closure(self, orbit_n02):
-        legs = bvp._orbit_shot(0.2, orbit_n02.a, orbit_n02.b)
-        jetT = bvp._terminal_jet(0.2, legs[-1].y[:, -1])
+        legs = bvp._orbit_shooter(0.2).section_return(
+            bvp._orbit_start(0.2, orbit_n02.a, orbit_n02.b), 1)
+        jetT = bvp._terminal_jet(0.2, legs[-1].y)
         jet0 = (orbit_n02.a, 0.0, orbit_n02.b, 0.0)
         assert max(abs(x - y) for x, y in zip(jet0, jetT)) <= 1e-8
 
@@ -425,6 +426,13 @@ class TestPeriodicOrbit:
     def test_equilibrium_start_rejected(self):
         with pytest.raises(ValueError, match="constant orbit"):
             bvp.shoot_periodic_full(0.2, 1, 1.0)
+
+    def test_failed_integration_is_shooting_error(self, monkeypatch):
+        # a run that dop853 abandons (code -3) is no missing crossing
+        monkeypatch.setattr(bvp, "_orbit_rhs", lambda n: lambda t, u: [math.nan] * 4)
+        with pytest.raises(bvp.ShootingError, match="DOP853 failed"), \
+                pytest.warns(UserWarning, match="dop853"):
+            bvp.shoot_periodic_full(0.2, 1, 0.45)
 
     def test_wrong_side_rejected(self):
         with pytest.raises(ValueError):

@@ -66,6 +66,38 @@ class TestSolveCommand:
         assert not prof.converged
         assert man["solver_stats"]["p"] == prof.params.p < 1.3
 
+    def test_failed_solve_counts_its_lus(self, tmp_path):
+        out = tmp_path / "one"
+        code = main(["solve", "--n", "0.2", "--p", "1.2", "--eps", "1e-2",
+                     "--family", "basic:1", "--R", "30", "--N", "300",
+                     "--max-iters", "1", "--out", str(out)])
+        assert code == 2
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["solver_stats"]["newton_iters"] == 1
+
+    def test_warm_start_counts_every_lu(self, tmp_path, monkeypatch):
+        # the anchor's LUs plus those of every solve of the walk, failed
+        # ones too; the first solve builds the template and is not counted
+        lus = []
+        solve = bvp.solve_profile
+
+        def counted(*args):
+            try:
+                sol = solve(*args)
+            except bvp.NewtonError as exc:
+                lus.append(exc.newton_iters)
+                raise
+            lus.append(sol.newton_iters)
+            return sol
+
+        monkeypatch.setattr(bvp, "solve_profile", counted)
+        out = tmp_path / "fold"
+        code = main(["solve", "--n", "0.2", "--p", "1.3", "--family", "basic:1",
+                     "--R", "30", "--N", "300", "--out", str(out)])
+        assert code == 2
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["solver_stats"]["newton_iters"] == sum(lus[1:]) > lus[-1]
+
     def test_eps_schedule_honours_max_iters(self, tmp_path):
         out = tmp_path / "eps"
         code = main(["solve", "--n", "0.2", "--p", "1.2", "--family", "basic:0",
@@ -298,9 +330,18 @@ class TestOtherCommands:
                      "--s-budget", "5", "--out", str(tmp_path)])
         assert code == 0
         man = json.loads((tmp_path / "manifest.json").read_text())
-        mults = man["solver_stats"]["multipliers"]
+        stats = man["solver_stats"]
+        mults = stats["multipliers"]
         assert len(mults) == 2
         assert np.all(np.hypot(*np.array(mults).T) < 1.0)
+        # Liouville: m1 m2 = exp(-(2mu-1 + (n+1)(mu-2)) T)
+        mu = stats["mu"]
+        div = -(2.0 * mu - 1.0 + 6.0 * (mu - 2.0))
+        assert mults[0][0] * mults[1][0] == pytest.approx(
+            np.exp(div * stats["period"]), rel=1e-12)
+        counts = stats["shooting"]
+        assert sorted(counts) == ["accepted", "legs", "nfev", "rejected", "steps"]
+        assert counts["nfev"] > counts["steps"] >= counts["accepted"] > counts["legs"] > 0
 
     def test_help_lists_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -113,6 +116,95 @@ class TestPeriodicComponent:
         monkeypatch.setattr(newton, "MAX_ITERS", 1)
         with pytest.raises(RuntimeError, match=r"last residual \d"):
             osc.find_periodic_osc(1.0, 5.0, OscState(0.0, 3e-4, 0.0, 0.0))
+
+
+class TestFloquet:
+    def test_liouville_product(self, periodic_components):
+        # the flux field has the constant divergence -(2mu-1 + (n+1)(mu-2))
+        for n, pc in periodic_components.items():
+            div = -(2.0 * pc.mu - 1.0 + (n + 1.0) * (pc.mu - 2.0))
+            assert np.prod(pc.multipliers) == pytest.approx(
+                math.exp(div * pc.period), rel=1e-12)
+            assert abs(pc.multipliers[0]) > abs(pc.multipliers[1])
+
+    def test_liouville_matches_monodromy_at_n34(self, monkeypatch):
+        # at n = 3/4 the finite-difference monodromy resolves the weak
+        # multiplier, and Liouville's formula must agree with it
+        jacs = []
+
+        def spy(*args):
+            x, jac = newton_(*args)
+            jacs.append(jac)
+            return x, jac
+
+        newton_ = osc._newton
+        monkeypatch.setattr(osc, "_newton", spy)
+        n, mu = 0.75, 6.0
+        pc = osc.find_periodic_osc(n, mu, OscState(
+            0.0, 0.5 * osc.equilibrium_value(n, mu), 0.0, 0.0))
+        fd = np.linalg.eigvals(jacs[-1] + np.eye(2))
+        weak = fd[np.argmin(np.abs(fd))]
+        assert pc.multipliers[1] == pytest.approx(weak, rel=0.02)
+
+
+def _flux_shooter(n, mu):
+    return osc._Shooter(osc._flux_rhs_factory(n, mu, -1), 1, osc.OSC_ATOL)
+
+
+class TestShooter:
+    @pytest.mark.parametrize("n", [0.75, 5.0])
+    def test_lead_ends_past_its_start(self, n):
+        # the start phi' = phi'' = 0 sits on the section; the lead must run
+        # on to the first maximum after it
+        mu = (2.0 * n + 3.0) / n
+        init = OscState(0.0, 0.5 * osc.equilibrium_value(n, mu), 0.0, 0.0)
+        lead = _flux_shooter(n, mu).cross(osc._jet_to_flux(init.jet(), n, mu), -1)
+        assert lead.stop == 0 and lead.t > 0.0
+        assert lead.y[1] == 0.0
+        assert osc._flux_to_phi2(*lead.y, n, mu) < 0.0
+
+    def test_counts_are_rhs_calls(self):
+        calls = 0
+        rhs = osc._flux_rhs_factory(1.0, 5.0, -1)
+
+        def counted(s, u):
+            nonlocal calls
+            calls += 1
+            return rhs(s, u)
+
+        shooter = osc._Shooter(counted, 1, osc.OSC_ATOL)
+        eq = osc.equilibrium_value(1.0, 5.0)
+        legs = shooter.section_return((0.5 * eq, 0.0, 0.0), -1)
+        assert [leg.stop for leg in legs] == [0, 0]
+        c = shooter.counts
+        assert c["nfev"] == calls > 0
+        assert c["legs"] == 2
+        assert c["steps"] >= c["accepted"] + c["rejected"] > 0
+
+    def test_failed_run_raises(self):
+        shooter = osc._Shooter(lambda s, u: [math.nan] * 3, 1, osc.OSC_ATOL)
+        with pytest.raises(RuntimeError, match="DOP853 failed with code -3"), \
+                pytest.warns(UserWarning, match="dop853"):
+            shooter.cross((1.0, 0.0, 1.0), -1)
+
+    def test_memory_stays_bounded(self):
+        # scipy's dop853 keeps every ode instance alive; legs must reuse
+        # the shooter's two integrators
+        shooter = osc._Shooter(lambda s, u: [u[1], -u[0]], 1, 1e-3)
+        u = (1.0, 0.0)
+        for _ in range(10):
+            u = shooter.cross(u, 1).y
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(1000):
+                leg = shooter.cross(u, 1)
+                assert leg.stop == 0
+                u = leg.y
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 256 * 1024
 
 
 class TestReconstruct:
