@@ -16,7 +16,6 @@ branch is data, not an error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +27,6 @@ __all__ = [
     "BranchRecord",
     "Branch",
     "trace_p_branch",
-    "branch_summary",
     "detect_branch_end",
 ]
 
@@ -109,34 +107,6 @@ def trace_p_branch(start: Profile, schedule, label: str = "branch",
             prev = sol
             halvings = 0
     return branch
-
-
-def branch_summary(branch: Branch) -> dict:
-    """Plot-ready (p, sup_norm) data plus the blow-up trend diagnostics.
-
-    Profiles are stored in unit-equilibrium scaling, so sup_norm is
-    already the ratio of the raw profile amplitude to the equilibrium
-    f_*(p); raw_sup restores f_*(p) * sup_norm, which diverges like
-    f_*(p) as p -> 1 when the ratio stays bounded.
-    """
-    if not branch.records:
-        raise ValueError("empty branch")
-    rows = []
-    for r in branch.records:
-        f_star = (r.p - 1.0) ** (-1.0 / (r.p - 1.0)) if r.p > 1.0 else math.inf
-        rows.append({
-            "p": r.p,
-            "sup_norm": r.sup_norm,
-            "residual_norm": r.residual_norm,
-            "raw_sup": f_star * r.sup_norm,
-        })
-    return {
-        "label": branch.label,
-        "n": branch.n,
-        "direction": branch.direction,
-        "stop_reason": branch.stop_reason,
-        "rows": rows,
-    }
 
 
 def detect_branch_end(branch: Branch) -> str:

@@ -56,7 +56,6 @@ __all__ = [
     "solve_profile",
     "eps_continuation",
     "shoot_periodic_full",
-    "tail_frequency_estimate",
     "save_profile",
     "load_profile",
     "write_csv",
@@ -158,10 +157,14 @@ class Profile:
 
 
 def _beta_tilde(params: ProblemParams) -> float:
-    # exact zero in the regional regime so the drift term drops identically
+    """Drift coefficient bt = (p-1) beta = (p-(n+1)) / (2(n+2)).
+
+    Exactly zero in the regional regime, so the drift term drops
+    identically.
+    """
     if params.regime == model.REGIONAL:
         return 0.0
-    return model.derive_params(params).beta_tilde
+    return (params.p - (params.n + 1.0)) / (2.0 * (params.n + 2.0))
 
 
 def _extended(values: np.ndarray, bc: str) -> np.ndarray:
@@ -397,36 +400,6 @@ def eps_continuation(params: ProblemParams, guess: Profile, schedule,
     for eps in schedule:
         profile = solve_profile(params.with_eps(eps), profile, opts)
     return profile
-
-
-# -- tail diagnostics --------------------------------------------------------
-
-
-def tail_frequency_estimate(profile: Profile) -> tuple[float, float]:
-    """Measured vs predicted oscillation frequency in the far tail.
-
-    The measured value is pi over the mean gap between consecutive zeros in
-    the last 20% of the mesh; the prediction (sqrt(2)/2) eps^(-n/4) is the
-    frequency of the regularization-induced linear oscillation.  Comparing
-    the two tells linear tail wiggles apart from genuine interface
-    oscillation.
-    """
-    F = profile.values
-    y = profile.mesh.nodes
-    k0 = int(math.floor(0.8 * F.size))
-    w, yy = F[k0:], y[k0:]
-    floor = 1e-12 * max(np.max(np.abs(F)), 1e-300)
-    zeros = []
-    for i in range(w.size - 1):
-        if w[i] * w[i + 1] < 0.0 and max(abs(w[i]), abs(w[i + 1])) > floor:
-            zeros.append(yy[i] + (yy[i + 1] - yy[i]) * w[i] / (w[i] - w[i + 1]))
-    if len(zeros) < 3:
-        raise ValueError(f"too few tail zeros: found {len(zeros)}, need >= 3")
-    gaps = np.diff(zeros)
-    measured = math.pi / float(np.mean(gaps))
-    n, eps = profile.params.n, profile.params.eps
-    predicted = (math.sqrt(2.0) / 2.0) * eps ** (-n / 4.0)
-    return measured, predicted
 
 
 # -- periodic orbits of the autonomous regional equation ---------------------

@@ -224,6 +224,8 @@ def cmd_branch(args, argv) -> int:
 
 
 def cmd_oscillate(args, argv) -> int:
+    if args.n <= 0.0:
+        raise _UsageError("--n must be positive")
     man = Manifest(args, argv)
     mu = args.mu if args.mu is not None else (2.0 * args.n + 3.0) / args.n
     scale = oscillation.equilibrium_value(args.n, mu)

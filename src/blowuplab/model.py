@@ -1,4 +1,4 @@
-"""Closed-form quantities shared by every solver in the package.
+"""Exponent pair, blow-up regime and closed forms shared by the solvers.
 
 The underlying PDE is the fourth-order quasilinear diffusion equation with
 source
@@ -10,12 +10,10 @@ whose finite-time blow-up is described by separable profiles
     u(x,t) = (T-t)^(-1/(p-1)) f(y),   y = x / (T-t)^beta,
     beta = (p-(n+1)) / (2(n+2)(p-1)).
 
-This module holds the exponent algebra derived from that ansatz: the
-similarity exponents, the constant equilibrium amplitude, the interface
-exponents, the algebraic/stretched-exponential tail exponents for
-p > n+1, the P_k operator coefficients used near interfaces, and the
-normalizing rescaling between the raw profile f and the unit-equilibrium
-profile F.
+This module holds the exponent pair (n, p) with its regularization eps,
+the regime that the sign of p-(n+1) selects, the exponents of the
+algebraic/stretched-exponential tail for p > n+1, and the P_k operator
+coefficients used near interfaces.
 
 Sign convention: ``beta`` carries a plus sign on p-(n+1), so beta > 0
 for p > n+1 (single-point blow-up), beta = 0 at p = n+1 (regional) and
@@ -29,21 +27,12 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
-
-import numpy as np
 
 __all__ = [
     "ProblemParams",
-    "DerivedParams",
-    "PkJet",
     "regime",
-    "derive_params",
     "tail_exponents",
     "pk_coefficients",
-    "pk_apply",
-    "rescale_profile",
-    "final_time_profile",
 ]
 
 REGIONAL = "regional"
@@ -97,63 +86,6 @@ class ProblemParams:
         return dataclasses.replace(self, p=p)
 
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Exponents and amplitudes derived from (n, p).
-
-    Tail fields (gamma, nu, b0) exist only for p > n+1 and are None
-    otherwise.  Interface exponents (mu_tw, mu_reg) are undefined at n = 0
-    and are None there.  b0 is reported for C0 = 1; use tail_exponents()
-    for other tail amplitudes.
-    """
-
-    beta: float
-    beta_tilde: Optional[float] = None
-    f_star: Optional[float] = None
-    gamma: Optional[float] = None
-    nu: Optional[float] = None
-    b0: Optional[float] = None
-    mu_tw: Optional[float] = None
-    mu_reg: Optional[float] = None
-
-
-def derive_params(params: ProblemParams) -> DerivedParams:
-    """Evaluate every closed-form exponent available for (n, p).
-
-    p = 1 is accepted only together with n = 0, where the similarity
-    exponent has the p-independent limit beta = 1/4 and nothing else is
-    defined.  p = 1 with n > 0 is rejected (the equilibrium amplitude
-    (p-1)^(-1/(p-1)) degenerates).
-    """
-    n, p = params.n, params.p
-    if p == 1.0:
-        if n != 0.0:
-            raise ValueError("p = 1 with n > 0: equilibrium amplitude undefined")
-        return DerivedParams(beta=0.25)
-    if n == 0.0:
-        # numerator and denominator share the factor p-1
-        beta = 0.25
-    else:
-        beta = (p - (n + 1.0)) / (2.0 * (n + 2.0) * (p - 1.0))
-    beta_tilde = (p - 1.0) * beta
-    f_star = (p - 1.0) ** (-1.0 / (p - 1.0))
-    mu_tw = (2.0 * n + 3.0) / n if n > 0 else None
-    mu_reg = 2.0 * (n + 2.0) / n if n > 0 else None
-    gamma = nu = b0 = None
-    if p > n + 1.0:
-        gamma, nu, b0 = tail_exponents(params, 1.0)
-    return DerivedParams(
-        beta=beta,
-        beta_tilde=beta_tilde,
-        f_star=f_star,
-        gamma=gamma,
-        nu=nu,
-        b0=b0,
-        mu_tw=mu_tw,
-        mu_reg=mu_reg,
-    )
-
-
 def tail_exponents(params: ProblemParams, C0: float) -> tuple[float, float, float]:
     """Exponents of the non-compact tail f ~ C0 y^gamma + C1 exp(-b0 y^nu).
 
@@ -194,17 +126,6 @@ def tail_exponents(params: ProblemParams, C0: float) -> tuple[float, float, floa
 # equations; P_k collects the coefficients of phi, phi', ..., phi^(k).
 
 
-@dataclass(frozen=True)
-class PkJet:
-    """Derivative jet (phi, phi', phi'', ...) at a point, with its exponent mu."""
-
-    values: tuple
-    mu: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-
 @lru_cache(maxsize=None)
 def pk_coefficients(k: int, mu: float) -> tuple:
     """Coefficients (c_0, ..., c_k) with P_k(phi) = sum_j c_j phi^(j).
@@ -224,67 +145,3 @@ def pk_coefficients(k: int, mu: float) -> tuple:
         damped = [(mu - level) * c for c in coeffs] + [0.0]
         coeffs = [a + b for a, b in zip(shifted, damped)]
     return tuple(coeffs)
-
-
-def pk_apply(k: int, jet: PkJet) -> float:
-    """Evaluate P_k on a derivative jet."""
-    if len(jet.values) < k + 1:
-        raise ValueError(
-            f"P_{k} needs derivatives up to order {k}, jet has {len(jet.values)}"
-        )
-    coeffs = pk_coefficients(k, jet.mu)
-    return float(sum(c * v for c, v in zip(coeffs, jet.values)))
-
-
-# -- profile rescaling -----------------------------------------------------
-
-
-def rescale_profile(profile, direction: str, target: str = "generic"):
-    """Map a profile between raw (f) and unit-equilibrium (F) normalization.
-
-    The normalization is f = A F with y -> a y, where A = (p-1)^(-1/(p-1))
-    and a = (p-1)^beta.  At p = n+1 this reduces to A = (1/n)^(1/n), a = 1,
-    which is what ``target="regional"`` asserts.
-
-    direction "forward" takes f-variables to F-variables (values/A,
-    nodes/a); "inverse" undoes it.  The round trip is exact up to floating
-    rounding.
-    """
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"direction must be forward|inverse, got {direction!r}")
-    if target not in ("regional", "generic"):
-        raise ValueError(f"target must be regional|generic, got {target!r}")
-    params = profile.params
-    n, p = params.n, params.p
-    if target == "regional" and regime(n, p) != REGIONAL:
-        raise ValueError(f"regional rescaling needs p = n+1, got n={n}, p={p}")
-    if p <= 1.0:
-        raise ValueError("rescaling undefined for p <= 1")
-    derived = derive_params(params)
-    A = derived.f_star
-    a = (p - 1.0) ** derived.beta
-    if direction == "forward":
-        values = np.asarray(profile.values) / A
-        nodes = np.asarray(profile.mesh.nodes) / a
-    else:
-        values = np.asarray(profile.values) * A
-        nodes = np.asarray(profile.mesh.nodes) * a
-    mesh = dataclasses.replace(profile.mesh, nodes=nodes)
-    return dataclasses.replace(profile, mesh=mesh, values=values)
-
-
-def final_time_profile(C0: float, params: ProblemParams, x) -> float:
-    """Profile left behind at the blow-up time for single-point blow-up.
-
-    u(x, T^-) = C0 |x|^gamma with gamma = -2(n+2)/(p-(n+1)); diverges at
-    the blow-up point x = 0, which is rejected.
-    """
-    n, p = params.n, params.p
-    if p <= n + 1.0:
-        raise ValueError(f"final-time profile needs p > n+1, got n={n}, p={p}")
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr == 0.0):
-        raise ValueError("final-time profile diverges at x = 0")
-    gamma = -2.0 * (n + 2.0) / (p - (n + 1.0))
-    out = C0 * np.abs(x_arr) ** gamma
-    return float(out) if np.isscalar(x) else out

@@ -44,7 +44,6 @@ __all__ = [
     "equilibrium_value",
     "integrate_osc",
     "find_periodic_osc",
-    "reconstruct_interface",
 ]
 
 # the periodic-orbit shooter: DOP853 tolerance of every shot, relative
@@ -94,13 +93,6 @@ class PeriodicComponent:
     amplitude: float
     multipliers: np.ndarray   # Floquet multipliers, all of modulus < 1
     counts: dict              # shooting work: legs, nfev, steps, accepted, rejected
-
-    def phi_star(self, s):
-        """Periodic interpolation of phi_* at arbitrary s."""
-        s = np.asarray(s, dtype=float)
-        wrapped = np.mod(s - self.samples_s[0], self.period)
-        return np.interp(wrapped, self.samples_s - self.samples_s[0],
-                         self.samples_phi)
 
 
 def equilibrium_value(n: float, mu: float) -> float:
@@ -386,17 +378,3 @@ def find_periodic_osc(n: float, mu: float, init: OscState) -> PeriodicComponent:
                              samples_s=samples_s, samples_phi=samples_phi,
                              amplitude=float(np.max(np.abs(samples_phi))),
                              multipliers=multipliers, counts=shooter.counts)
-
-
-def reconstruct_interface(pc: PeriodicComponent, y0: float, s_shift: float,
-                          y_samples) -> np.ndarray:
-    """Local profile f(y) = (y0 - y)^mu phi_*(ln(y0 - y) + s_shift).
-
-    Valid on 0 < y < y0 (approaching the interface from the left after the
-    reflection convention).
-    """
-    y = np.asarray(y_samples, dtype=float)
-    if np.any(y <= 0.0) or np.any(y >= y0):
-        raise ValueError("samples must lie strictly inside (0, y0)")
-    gap = y0 - y
-    return gap ** pc.mu * pc.phi_star(np.log(gap) + s_shift)

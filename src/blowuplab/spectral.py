@@ -41,7 +41,6 @@ __all__ = [
     "adjoint_eigenfunction",
     "adjoint_apply",
     "pairing",
-    "linear_pattern",
 ]
 
 #: exact envelope decay rate d = 3 * 2^(-11/3)
@@ -242,19 +241,3 @@ def pairing(table: KernelTable, l: int, k: int) -> float:
     y = table.nodes
     vals = _psi_factor(l) * table.ladder[l] * adjoint_eigenfunction(k)(y)
     return float(2.0 * simpson(vals, x=y))
-
-
-def linear_pattern(table: KernelTable, l: int, x, t, fundamental: bool = False):
-    """Decay pattern u_l(x,t) = e^(-t) t^(-(1+l)/4) psi_l(x / t^(1/4)).
-
-    With fundamental=True the e^(-t) factor is dropped; at l = 0 that is
-    exactly the fundamental solution b(x, t) of the pure biharmonic flow.
-    """
-    t = float(t)
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    xi = np.asarray(x, dtype=float) / t**0.25
-    out = t ** (-(1.0 + l) / 4.0) * eigenfunction(table, l, xi)
-    if not fundamental:
-        out = out * math.exp(-t)
-    return float(out) if np.isscalar(x) else out

@@ -40,9 +40,7 @@ __all__ = [
     "energy",
     "energy_gradient_pairing",
     "fiber_reduce",
-    "fiber_h",
     "first_nonlinear_eigenvalue",
-    "count_eigenvalues_below_one",
 ]
 
 # first_nonlinear_eigenvalue: step in n between Newton stages, and the
@@ -125,9 +123,7 @@ def energy_gradient_pairing(profile: Profile, perturbation: np.ndarray) -> tuple
 @dataclass(frozen=True)
 class FiberReport:
     h0: float            # constraint functional H_0(v)
-    on_constraint: bool  # |H_0 - 1| <= 1e-6
     r0: float            # (int v^2)^(1/n)
-    h_at_r0: float       # -n/(2(n+2)) r0^(n+2)
     h_tilde: float       # int v^2
 
 
@@ -136,6 +132,8 @@ def fiber_reduce(v: Profile) -> FiberReport:
     _require_regional(v.params)
     prof = v.full_extension()
     n = prof.params.n
+    if n <= 0.0:
+        raise ValueError("fibering needs n > 0")
     h = prof.mesh.h
     w = _second_difference(prof)
     vals = prof.values
@@ -143,19 +141,7 @@ def fiber_reduce(v: Profile) -> FiberReport:
         raise ValueError("fibering needs a nontrivial v")
     h0 = -_trapz(np.abs(w) ** (n + 2.0), h) + _trapz(np.abs(vals) ** (n + 2.0), h)
     h_tilde = _trapz(vals * vals, h)
-    r0 = h_tilde ** (1.0 / n)
-    h_at_r0 = -n / (2.0 * (n + 2.0)) * r0 ** (n + 2.0)
-    return FiberReport(h0=h0, on_constraint=abs(h0 - 1.0) <= 1e-6,
-                       r0=r0, h_at_r0=h_at_r0, h_tilde=h_tilde)
-
-
-def fiber_h(r: float, v: Profile) -> float:
-    """H(r, v) = r^(n+2)/(n+2) - r^2/2 int v^2 for admissible v."""
-    _require_regional(v.params)
-    prof = v.full_extension()
-    n = prof.params.n
-    h_tilde = _trapz(prof.values * prof.values, prof.mesh.h)
-    return r ** (n + 2.0) / (n + 2.0) - 0.5 * r * r * h_tilde
+    return FiberReport(h0=h0, r0=h_tilde ** (1.0 / n), h_tilde=h_tilde)
 
 
 # -- first nonlinear eigenvalue ---------------------------------------------
@@ -267,19 +253,3 @@ def first_nonlinear_eigenvalue(n: float, R: float, m: int = 400) -> float:
             raise RuntimeError(f"{exc} (stage n = {nk:g}); last quotient "
                                f"{quotient(exc.best[:-1], nk):.6g}") from None
     return quotient(z[:-1], n)
-
-
-def count_eigenvalues_below_one(n: float, R: float, lambda1_unit: float = None,
-                                m: int = 400) -> int:
-    """Crude count of nonlinear eigenvalues below 1 on (-R, R).
-
-    Uses the interval scaling law lambda_k(R) = R^(-4-2n) lambda_k(1)
-    together with the gluing heuristic lambda_k(1) ~ k^(4+2n) lambda_1(1)
-    (the k-th eigenfunction behaves like k copies of the first on
-    subintervals of length 1/k).  Grows with R; an estimate, not a
-    computation of higher eigenvalues.
-    """
-    if lambda1_unit is None:
-        lambda1_unit = first_nonlinear_eigenvalue(n, 1.0, m)
-    power = 4.0 + 2.0 * n
-    return max(0, int(math.floor(R / lambda1_unit ** (1.0 / power))))

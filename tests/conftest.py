@@ -4,6 +4,7 @@ by both the unit tests and the acceptance suite."""
 import numpy as np
 import pytest
 
+import blowuplab.branching as br
 import blowuplab.bvp as bvp
 import blowuplab.oscillation as osc
 import blowuplab.patterns as pat
@@ -11,6 +12,12 @@ import blowuplab.spectral as spectral
 from blowuplab.model import ProblemParams
 
 N02 = ProblemParams(0.2, 1.2, 1e-2)
+
+
+def _trace_f0_up(start):
+    """Criterion 07's F0-up continuation from p = n+1 to p = 6."""
+    return br.trace_p_branch(start, np.round(np.arange(1.25, 6.001, 0.05), 10),
+                             "F0-up", bvp.NewtonOptions(max_iters=500))
 
 
 @pytest.fixture(scope="session")
@@ -62,6 +69,23 @@ def basic_family(half_mesh):
 @pytest.fixture(scope="session")
 def f0_profile(basic_family):
     return basic_family[0]
+
+
+@pytest.fixture(scope="session")
+def f0_branch_up(f0_profile):
+    """The F0-up branch on [0, 50], m = 2000."""
+    return _trace_f0_up(f0_profile)
+
+
+@pytest.fixture(scope="session")
+def f0_branch_up_wide(f0_profile):
+    """The same branch at the same h on [0, 100], m = 4000, started from
+    F0 padded with zeros."""
+    mesh = bvp.Mesh.uniform(0.0, 100.0, 2 * f0_profile.mesh.m)
+    padded = np.concatenate([f0_profile.values,
+                             np.zeros(mesh.m - f0_profile.mesh.m)])
+    return _trace_f0_up(bvp.solve_profile(
+        N02, bvp.Profile(mesh, padded, N02, f0_profile.bc)))
 
 
 @pytest.fixture(scope="session")

@@ -107,10 +107,8 @@ def test_criterion_06_eigenvalue_scaling():
               f"oracle {beam:.4f}")
 
 
-def test_criterion_07_branch_phenomenology(f0_profile):
-    up = br.trace_p_branch(f0_profile,
-                           np.round(np.arange(1.25, 6.001, 0.05), 10),
-                           "F0-up", bvp.NewtonOptions(max_iters=500))
+def test_criterion_07_branch_phenomenology(f0_profile, f0_branch_up):
+    up = f0_branch_up
     assert up.stop_reason == "completed"
     assert all(r.profile.converged for r in up.records)
 

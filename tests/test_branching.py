@@ -71,30 +71,19 @@ class TestBranchStructure:
         assert np.max(np.abs(final.profile.values - start.values)) <= 1e-6
 
 
-class TestSummary:
-    def test_single_record(self, f0_profile):
-        b = br.Branch("single", 0.2, "increasing")
-        b.records.append(br.BranchRecord(1.2, f0_profile.sup_norm,
-                                         f0_profile.residual_norm,
-                                         f0_profile))
-        s = br.branch_summary(b)
-        assert len(s["rows"]) == 1
-        assert s["rows"][0]["p"] == 1.2
-
-    def test_blowup_trend_ratio(self, f0_profile):
-        # scaled profiles: sup_norm is exactly the ratio sup|f| / f_*(p);
-        # it stays bounded while raw_sup diverges as p -> 1
-        schedule = np.round(np.arange(1.19, 1.049, -0.01), 10)
-        b = br.trace_p_branch(f0_profile, schedule, "F0-down")
-        s = br.branch_summary(b)
-        ratios = [row["sup_norm"] for row in s["rows"]]
-        assert all(0.5 <= r <= 3.0 for r in ratios)
-        raw = [row["raw_sup"] for row in s["rows"]]
-        assert raw[-1] > 1e20  # f_*(1.05) = 0.05^(-20)
-
-    def test_empty_branch_rejected(self):
-        with pytest.raises(ValueError):
-            br.branch_summary(br.Branch("empty", 0.2, "increasing"))
+class TestFarField:
+    @pytest.mark.parametrize("p", [3.0, 6.0])
+    def test_truncation_does_not_reach_bulk(self, f0_branch_up,
+                                            f0_branch_up_wide, p):
+        # doubling R at fixed h moves neither the sup norm nor F(40): the
+        # Dirichlet far field needs no asymptotic boundary condition
+        a = next(r for r in f0_branch_up.records if r.p == p)
+        b = next(r for r in f0_branch_up_wide.records if r.p == p)
+        assert a.sup_norm == pytest.approx(b.sup_norm, abs=1e-10)
+        k = int(np.flatnonzero(a.profile.mesh.nodes == 40.0)[0])
+        assert b.profile.mesh.nodes[k] == 40.0
+        assert a.profile.values[k] == pytest.approx(b.profile.values[k],
+                                                    abs=1e-10)
 
 
 class TestDetectEnd:

@@ -283,41 +283,6 @@ class TestEpsContinuation:
             bvp.eps_continuation(N02, f0_profile, [])
 
 
-class TestTailFrequency:
-    def test_predicted_formula(self):
-        mesh = bvp.Mesh.uniform(0.0, 60.0, 6000)
-        y = mesh.nodes
-        freq = 0.89
-        vals = np.exp(-0.05 * y) * np.cos(freq * y)
-        prof = bvp.Profile(mesh, vals, N02, "symmetry")
-        measured, predicted = bvp.tail_frequency_estimate(prof)
-        assert predicted == pytest.approx(
-            math.sqrt(2.0) / 2.0 * 1e-2 ** (-0.05), rel=1e-12)
-        assert predicted == pytest.approx(0.8902, abs=2e-4)
-
-    def test_predicted_at_unit_eps(self):
-        mesh = bvp.Mesh.uniform(0.0, 60.0, 6000)
-        prof = bvp.Profile(mesh, np.cos(mesh.nodes), N02.with_eps(1.0),
-                           "symmetry")
-        _, predicted = bvp.tail_frequency_estimate(prof)
-        assert predicted == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-14)
-
-    def test_measurement_recovers_synthetic_frequency(self):
-        mesh = bvp.Mesh.uniform(0.0, 60.0, 6000)
-        y = mesh.nodes
-        freq = 0.8902
-        vals = np.exp(-0.05 * y) * np.cos(freq * y + 0.3)
-        prof = bvp.Profile(mesh, vals, N02, "symmetry")
-        measured, predicted = bvp.tail_frequency_estimate(prof)
-        assert measured == pytest.approx(freq, rel=1e-3)
-
-    def test_no_tail_zeros(self):
-        mesh = bvp.Mesh.uniform(0.0, 10.0, 100)
-        prof = bvp.Profile(mesh, np.zeros(101), N02, "symmetry")
-        with pytest.raises(ValueError, match="too few"):
-            bvp.tail_frequency_estimate(prof)
-
-
 class TestSerialization:
     def test_round_trip_bit_exact(self, f0_profile, tmp_path):
         path = tmp_path / "f0.csv"

@@ -233,6 +233,13 @@ class TestOtherCommands:
         assert code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_oscillate_nonpositive_n_is_usage_error(self, tmp_path, n):
+        out = tmp_path / "osc"
+        code = main(["oscillate", "--n", n, "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+
     def test_kernel_pairing_rows(self, tmp_path):
         # L = 15 cannot hold y^2 against the kernel tail: the rows are
         # written, and the exit code says they miss criterion 03's bound

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,55 +5,24 @@ from hypothesis import strategies as st
 
 import blowuplab.bvp as bvp
 import blowuplab.model as model
-from blowuplab.model import PkJet, ProblemParams
+from blowuplab.model import ProblemParams
 
 
-class TestDerivedParams:
+class TestDriftCoefficient:
     def test_regional_beta_vanishes(self):
-        d = model.derive_params(ProblemParams(0.2, 1.2))
-        assert d.beta == 0.0
-        assert d.beta_tilde == 0.0
-
-    def test_linear_limit_beta_quarter(self):
-        d = model.derive_params(ProblemParams(0.0, 2.0))
-        assert d.beta == pytest.approx(0.25, abs=0.0)
-        # p-independent at n = 0
-        assert model.derive_params(ProblemParams(0.0, 1.0)).beta == 0.25
-
-    def test_equilibrium_amplitude(self):
-        d = model.derive_params(ProblemParams(0.2, 1.2))
-        assert d.f_star == pytest.approx(0.2 ** -5.0, rel=1e-12)
-        assert model.derive_params(ProblemParams(0.7, 2.0)).f_star == 1.0
-
-    def test_interface_exponents(self):
-        d = model.derive_params(ProblemParams(0.2, 1.2))
-        assert d.mu_tw == pytest.approx((2 * 0.2 + 3) / 0.2)
-        assert d.mu_reg == pytest.approx(2 * 2.2 / 0.2)
-        assert d.mu_tw > 2.0
-
-    def test_n0_has_no_interface_exponents(self):
-        d = model.derive_params(ProblemParams(0.0, 2.0))
-        assert d.mu_tw is None and d.mu_reg is None
-
-    def test_p1_with_positive_n_rejected(self):
-        with pytest.raises(ValueError):
-            model.derive_params(ProblemParams(0.2, 1.0))
-
-    def test_tail_fields_absent_unless_single_point(self):
-        assert model.derive_params(ProblemParams(0.2, 1.2)).gamma is None
-        assert model.derive_params(ProblemParams(0.2, 1.5)).gamma is not None
+        assert bvp._beta_tilde(ProblemParams(0.2, 1.2)) == 0.0
 
     @given(n=st.floats(0.01, 5.0), p=st.floats(1.01, 8.0))
     @settings(max_examples=200)
     def test_regime_matches_beta_sign(self, n, p):
-        d = model.derive_params(ProblemParams(n, p))
+        bt = bvp._beta_tilde(ProblemParams(n, p))
         regime = model.regime(n, p)
         if regime == model.REGIONAL:
-            assert abs(d.beta) < 1e-12
+            assert bt == 0.0
         elif regime == model.SINGLE_POINT:
-            assert d.beta > 0
+            assert bt > 0
         else:
-            assert d.beta < 0
+            assert bt < 0
 
 
 class TestTailExponents:
@@ -69,9 +36,9 @@ class TestTailExponents:
         # the algebraic tail solves -beta y f' - f/(p-1) = 0 to leading
         # order, i.e. gamma = -1/beta_tilde: an independent derivation
         for (n, p) in [(0.2, 1.5), (0.5, 2.5), (0.0, 2.0)]:
-            d = model.derive_params(ProblemParams(n, p))
+            bt = bvp._beta_tilde(ProblemParams(n, p))
             g, _, _ = model.tail_exponents(ProblemParams(n, p), 1.0)
-            assert g == pytest.approx(-1.0 / d.beta_tilde, rel=1e-12)
+            assert g == pytest.approx(-1.0 / bt, rel=1e-12)
 
     def test_linear_limit_nu(self):
         for p in (1.3, 2.0, 4.0):
@@ -91,14 +58,27 @@ class TestTailExponents:
             model.tail_exponents(ProblemParams(0.2, 1.5), -1.0)
 
 
+    @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
+    def test_solved_tail_matches_gamma(self, f0_branch_up, p):
+        # least-squares slope of ln F against ln y on the algebraic tail
+        # of the solved F0 profile
+        prof = next(r.profile for r in f0_branch_up.records if r.p == p)
+        y, F = prof.mesh.nodes, prof.values
+        window = (y >= 15.0) & (y <= 40.0)
+        assert np.all(F[window] > 0.0)
+        slope, intercept = np.polyfit(np.log(y[window]), np.log(F[window]), 1)
+        gamma, _, b0 = model.tail_exponents(prof.params, np.exp(intercept))
+        assert slope == pytest.approx(gamma, rel=1e-3)
+        assert b0 > 0.0
+
+
 class TestPkOperators:
     def test_p0_is_identity(self):
-        jet = PkJet((0.37,), mu=5.0)
-        assert model.pk_apply(0, jet) == 0.37
+        assert model.pk_coefficients(0, 5.0) == (1.0,)
 
     def test_p1_on_constants(self):
-        jet = PkJet((2.5, 0.0), mu=5.0)
-        assert model.pk_apply(1, jet) == pytest.approx(5.0 * 2.5)
+        # P_1(phi) = phi' + mu phi
+        assert model.pk_coefficients(1, 5.0) == (5.0, 1.0)
 
     @pytest.mark.parametrize("mu", np.linspace(2.3, 17.0, 10))
     def test_recursion_matches_explicit_displays(self, mu):
@@ -112,81 +92,3 @@ class TestPkOperators:
         assert np.allclose(model.pk_coefficients(2, mu), p2, rtol=1e-13)
         assert np.allclose(model.pk_coefficients(3, mu), p3, rtol=1e-13)
         assert np.allclose(model.pk_coefficients(4, mu), p4, rtol=1e-13)
-
-    def test_jet_too_short(self):
-        with pytest.raises(ValueError):
-            model.pk_apply(3, PkJet((1.0, 2.0), mu=4.0))
-
-    @given(k=st.integers(0, 4), a=st.floats(-3, 3), b=st.floats(-3, 3),
-           seed=st.integers(0, 2**31))
-    @settings(max_examples=60)
-    def test_linearity(self, k, a, b, seed):
-        rng = np.random.default_rng(seed)
-        j1 = rng.standard_normal(k + 1)
-        j2 = rng.standard_normal(k + 1)
-        mu = 5.5
-        lhs = model.pk_apply(k, PkJet(tuple(a * j1 + b * j2), mu))
-        rhs = (a * model.pk_apply(k, PkJet(tuple(j1), mu))
-               + b * model.pk_apply(k, PkJet(tuple(j2), mu)))
-        assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
-
-
-class TestRescale:
-    def _profile(self, n=0.2, p=1.5, const=None):
-        mesh = bvp.Mesh.uniform(-10.0, 10.0, 100)
-        rng = np.random.default_rng(7)
-        vals = rng.standard_normal(101) if const is None else np.full(101, const)
-        return bvp.Profile(mesh, vals, ProblemParams(n, p), "dirichlet-far")
-
-    def test_zero_fixed_point(self):
-        prof = self._profile(const=0.0)
-        out = model.rescale_profile(prof, "forward")
-        assert np.all(out.values == 0.0)
-
-    def test_round_trip_machine_precision(self):
-        prof = self._profile()
-        back = model.rescale_profile(
-            model.rescale_profile(prof, "forward"), "inverse")
-        assert np.max(np.abs(back.values - prof.values)) <= 1e-14
-        assert np.max(np.abs(back.mesh.nodes - prof.mesh.nodes)) <= 1e-13
-
-    def test_equilibrium_maps_to_unit(self):
-        d = model.derive_params(ProblemParams(0.2, 1.5))
-        prof = self._profile(const=d.f_star)
-        out = model.rescale_profile(prof, "forward")
-        assert np.allclose(out.values, 1.0, rtol=1e-14)
-
-    def test_regional_target_requires_regional_params(self):
-        prof = self._profile(n=0.2, p=1.5)
-        with pytest.raises(ValueError):
-            model.rescale_profile(prof, "forward", target="regional")
-
-    def test_regional_target_keeps_mesh(self):
-        mesh = bvp.Mesh.uniform(-10.0, 10.0, 100)
-        prof = bvp.Profile(mesh, np.ones(101), ProblemParams(0.2, 1.2),
-                           "dirichlet-far")
-        out = model.rescale_profile(prof, "forward", target="regional")
-        assert np.allclose(out.mesh.nodes, mesh.nodes)  # a = (p-1)^0 = 1
-        assert np.allclose(out.values, 0.2 ** 5.0, rtol=1e-12)
-
-
-class TestFinalTimeProfile:
-    def test_unit_point(self):
-        assert model.final_time_profile(1.0, ProblemParams(0.2, 1.5), 1.0) == 1.0
-
-    def test_power_law(self):
-        v = model.final_time_profile(1.0, ProblemParams(0.2, 1.5), 2.0)
-        assert v == pytest.approx(2.0 ** (-44.0 / 3.0), rel=1e-13)
-
-    def test_linear_in_amplitude(self):
-        v1 = model.final_time_profile(1.0, ProblemParams(0.2, 1.5), 3.3)
-        v2 = model.final_time_profile(2.0, ProblemParams(0.2, 1.5), 3.3)
-        assert v2 == pytest.approx(2.0 * v1, rel=1e-14)
-
-    def test_blowup_point_rejected(self):
-        with pytest.raises(ValueError):
-            model.final_time_profile(1.0, ProblemParams(0.2, 1.5), 0.0)
-
-    def test_regime_violation(self):
-        with pytest.raises(ValueError):
-            model.final_time_profile(1.0, ProblemParams(0.2, 1.2), 1.0)

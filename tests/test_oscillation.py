@@ -205,41 +205,3 @@ class TestShooter:
         finally:
             tracemalloc.stop()
         assert grown < 256 * 1024
-
-
-class TestReconstruct:
-    def test_envelope_bound(self, periodic_components):
-        pc = periodic_components[5.0]
-        y0 = 2.0
-        y = np.linspace(0.2, y0 - 1e-4, 500)
-        f = osc.reconstruct_interface(pc, y0, 0.0, y)
-        assert np.all(np.abs(f) <= pc.amplitude * (y0 - y) ** pc.mu + 1e-300)
-
-    def test_shift_periodicity(self, periodic_components):
-        pc = periodic_components[5.0]
-        y = np.linspace(0.5, 1.9, 200)
-        a = osc.reconstruct_interface(pc, 2.0, 0.3, y)
-        b = osc.reconstruct_interface(pc, 2.0, 0.3 + pc.period, y)
-        assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(a)), 1e-300)
-
-    def test_zeros_accumulate_geometrically(self, periodic_components):
-        pc = periodic_components[5.0]
-        y0 = 3.0
-        y = np.linspace(1e-6, y0 - 1e-9, 400001)
-        f = osc.reconstruct_interface(pc, y0, 0.0, y)
-        idx = np.nonzero(f[:-1] * f[1:] < 0)[0]
-        zeros = y[idx]
-        gaps = y0 - zeros
-        # one period of phi_* maps to a fixed contraction factor e^(-T)
-        per = np.count_nonzero(np.diff(np.sign(pc.samples_phi)))
-        ratios = gaps[per:] / gaps[:-per]
-        target = np.exp(-pc.period)
-        close = np.abs(ratios - target) <= 0.05 * target
-        assert np.mean(close) > 0.8
-
-    def test_out_of_range_samples(self, periodic_components):
-        pc = periodic_components[5.0]
-        with pytest.raises(ValueError):
-            osc.reconstruct_interface(pc, 2.0, 0.0, np.array([2.5]))
-        with pytest.raises(ValueError):
-            osc.reconstruct_interface(pc, 2.0, 0.0, np.array([-0.1]))

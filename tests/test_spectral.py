@@ -217,28 +217,3 @@ class TestPairing:
     def test_index_guard(self, kernel_table):
         with pytest.raises(ValueError):
             spectral.pairing(kernel_table, 9, 0)
-
-
-class TestLinearPatterns:
-    def test_fundamental_flag_at_unit_time(self, kernel_table):
-        F0 = kernel_table.F[0]
-        assert spectral.linear_pattern(kernel_table, 0, 0.0, 1.0,
-                                       fundamental=True) == pytest.approx(F0)
-
-    def test_decay_factor(self, kernel_table):
-        F0 = kernel_table.F[0]
-        assert spectral.linear_pattern(kernel_table, 0, 0.0, 1.0) == \
-            pytest.approx(math.exp(-1.0) * F0, rel=1e-13)
-
-    @pytest.mark.parametrize("lam", [2.0, 4.0])
-    def test_fundamental_self_similarity(self, kernel_table, lam):
-        xs = np.linspace(-3.0, 3.0, 31)
-        t = 0.7
-        b1 = spectral.linear_pattern(kernel_table, 0, xs, t, fundamental=True)
-        b2 = spectral.linear_pattern(kernel_table, 0, lam**0.25 * xs, lam * t,
-                                     fundamental=True) * lam**0.25
-        assert np.max(np.abs(b1 - b2)) <= 1e-12
-
-    def test_time_guard(self, kernel_table):
-        with pytest.raises(ValueError):
-            spectral.linear_pattern(kernel_table, 0, 0.0, 0.0)
