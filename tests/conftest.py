@@ -78,6 +78,14 @@ def f0_branch_up(f0_profile):
 
 
 @pytest.fixture(scope="session")
+def f0_branch_down(f0_profile):
+    """Criterion 07's F0-down continuation from p = n+1 to p = 1.05."""
+    return br.trace_p_branch(f0_profile,
+                             np.round(np.arange(1.19, 1.049, -0.01), 10),
+                             "F0-down")
+
+
+@pytest.fixture(scope="session")
 def f0_branch_up_wide(f0_profile):
     """The same branch at the same h on [0, 100], m = 4000, started from
     F0 padded with zeros."""

@@ -107,14 +107,13 @@ def test_criterion_06_eigenvalue_scaling():
               f"oracle {beam:.4f}")
 
 
-def test_criterion_07_branch_phenomenology(f0_profile, f0_branch_up):
+def test_criterion_07_branch_phenomenology(f0_profile, f0_branch_up,
+                                           f0_branch_down):
     up = f0_branch_up
     assert up.stop_reason == "completed"
     assert all(r.profile.converged for r in up.records)
 
-    down = br.trace_p_branch(f0_profile,
-                             np.round(np.arange(1.19, 1.049, -0.01), 10),
-                             "F0-down")
+    down = f0_branch_down
     assert down.stop_reason == "completed"
     sups = [r.sup_norm for r in down.records]
     assert all(b > a for a, b in zip(sups, sups[1:]))

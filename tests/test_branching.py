@@ -71,6 +71,30 @@ class TestBranchStructure:
         assert np.max(np.abs(final.profile.values - start.values)) <= 1e-6
 
 
+class TestSummary:
+    def test_single_record(self, f0_profile):
+        # one target adds a single record after the start profile's own
+        b = br.trace_p_branch(f0_profile, [1.21], "single")
+        assert [r.p for r in b.records] == [1.2, 1.21]
+        assert b.records[0].profile is f0_profile
+        assert b.records[0].sup_norm == f0_profile.sup_norm
+        assert b.records[1].profile.converged
+
+    def test_blowup_trend_ratio(self, f0_branch_down):
+        # unit-equilibrium records: sup_norm is the ratio sup|f| / f_*(p),
+        # which stays bounded while the raw amplitude f_*(p) sup_norm
+        # diverges as p -> 1
+        assert all(0.5 <= r.sup_norm <= 3.0 for r in f0_branch_down.records)
+        last = f0_branch_down.records[-1]
+        assert last.p == 1.05
+        f_star = (last.p - 1.0) ** (-1.0 / (last.p - 1.0))  # 0.05^(-20)
+        assert f_star * last.sup_norm > 1e20
+
+    def test_empty_branch_rejected(self, f0_profile):
+        with pytest.raises(ValueError, match="empty p schedule"):
+            br.trace_p_branch(f0_profile, [])
+
+
 class TestFarField:
     @pytest.mark.parametrize("p", [3.0, 6.0])
     def test_truncation_does_not_reach_bulk(self, f0_branch_up,
