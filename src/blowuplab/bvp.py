@@ -412,9 +412,10 @@ class PeriodicOrbit:
     a: float          # F at the starting minimum (about=+1 convention)
     b: float          # F'' there
     period: float
-    min_val: float
+    min_val: float    # the extremes of F, at the section landings
     max_val: float
     about: int
+    counts: dict = field(compare=False)  # legs, nfev, steps, accepted, rejected
 
 
 def _spow(x: float, a: float) -> float:
@@ -495,7 +496,9 @@ def shoot_periodic_full(n: float, about: int, a_init: float) -> PeriodicOrbit:
     symmetric jet (F' = F''' = 0) at its half return closes into a
     periodic orbit by reflection.  The shooter of blowuplab.oscillation
     solves F'''(T/2) = 0 for a, from a_init once the walk below has given
-    that a half return.  The full jet must then return to 1e-8.
+    that a half return.  The full jet must then return to 1e-8.  F' = 0
+    only on the section, so the extremes of F are the landings there: the
+    minimum a and the maximum F(T/2).  orbit_samples resamples a period.
     """
     if about not in (1, -1):
         raise ValueError("about must be +1 or -1")
@@ -541,26 +544,17 @@ def shoot_periodic_full(n: float, about: int, a_init: float) -> PeriodicOrbit:
             "no-closure")
 
     period = float(legs[0].t + legs[1].t)
-    Fs = _orbit_samples(n, a, b, np.linspace(0.0, period, 4001))
-    lo_v, hi_v = float(np.min(Fs)), float(np.max(Fs))
-    if about == -1:
-        return PeriodicOrbit(a=-a, b=-b, period=period,
-                             min_val=-hi_v, max_val=-lo_v, about=about)
-    return PeriodicOrbit(a=a, b=b, period=period,
-                         min_val=lo_v, max_val=hi_v, about=about)
-
-
-def _orbit_samples(n: float, a: float, b: float, ts: np.ndarray) -> np.ndarray:
-    """F at the times ts of the orbit from the minimum (a, 0, b, 0)."""
-    return oscillation._sample(_orbit_rhs(n), _orbit_start(n, a, b), ts,
-                               ORBIT_ATOL)[0]
+    ends = (about * a, about * float(legs[0].y[0]))
+    return PeriodicOrbit(a=about * a, b=about * b, period=period,
+                         min_val=min(ends), max_val=max(ends), about=about,
+                         counts=shooter.counts)
 
 
 def orbit_samples(orbit: PeriodicOrbit, n: float, num: int = 2001) -> tuple[np.ndarray, np.ndarray]:
     """Re-run a converged orbit over one period and sample (y, F)."""
     ts = np.linspace(0.0, orbit.period, num)
-    return ts, orbit.about * _orbit_samples(n, orbit.a * orbit.about,
-                                            orbit.b * orbit.about, ts)
+    u0 = _orbit_start(n, orbit.a * orbit.about, orbit.b * orbit.about)
+    return ts, orbit.about * oscillation._sample(_orbit_rhs(n), u0, ts, ORBIT_ATOL)[0]
 
 
 # -- serialization ------------------------------------------------------------

@@ -178,14 +178,12 @@ def cmd_solve(args, argv) -> int:
 
 
 def cmd_branch(args, argv) -> int:
-    man = Manifest(args, argv)
     src = Path(args.from_profile)
     if not src.exists():
         raise _UsageError(f"start profile not found: {src}")
-    man.add_input(src)
-    start = bvp.load_profile(src)
     if args.dp <= 0:
         raise _UsageError("--dp must be positive")
+    start = bvp.load_profile(src)
     p0 = start.params.p
     if args.p_end == p0:
         raise _UsageError("empty schedule: --p-end equals the start exponent")
@@ -194,6 +192,8 @@ def cmd_branch(args, argv) -> int:
                                        sign * args.dp), 12))
     if not schedule:
         raise _UsageError("empty schedule")
+    man = Manifest(args, argv)
+    man.add_input(src)
     opts = NewtonOptions(tol=args.tol, max_iters=args.max_iters)
     branch = branching.trace_p_branch(start, schedule, label=args.label, opts=opts)
     recs = branch.records
@@ -226,9 +226,9 @@ def cmd_branch(args, argv) -> int:
 def cmd_oscillate(args, argv) -> int:
     if args.n <= 0.0:
         raise _UsageError("--n must be positive")
-    man = Manifest(args, argv)
     mu = args.mu if args.mu is not None else (2.0 * args.n + 3.0) / args.n
     scale = oscillation.equilibrium_value(args.n, mu)
+    man = Manifest(args, argv)
     init = oscillation.OscState(0.0, 0.5 * scale, 0.0, 0.0)
     stats = {"n": args.n, "mu": mu, "lambda": args.lam}
     if args.lam == -1:

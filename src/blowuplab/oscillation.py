@@ -83,13 +83,17 @@ class OscTrajectory:
 
 @dataclass(eq=False)
 class PeriodicComponent:
-    """One resampled period of the stable oscillatory component phi_*."""
+    """The stable oscillatory component phi_*, from its section maximum.
+
+    integrate_osc(start, n, mu, -1, (0, period)) resamples one period from
+    start (s = 0, phi' = 0).  amplitude is max |phi| over the maximum and
+    the half-return minimum, the only zeros of phi' in a period.
+    """
 
     n: float
     mu: float
     period: float
-    samples_s: np.ndarray
-    samples_phi: np.ndarray
+    start: OscState
     amplitude: float
     multipliers: np.ndarray   # Floquet multipliers, all of modulus < 1
     counts: dict              # shooting work: legs, nfev, steps, accepted, rejected
@@ -347,8 +351,7 @@ def find_periodic_osc(n: float, mu: float, init: OscState) -> PeriodicComponent:
     """
     if init.jet().max() == init.jet().min() == 0.0:
         raise ValueError("init must be a generic nonzero state")
-    rhs = _flux_rhs_factory(n, mu, -1)
-    shooter = _Shooter(rhs, 1, OSC_ATOL)
+    shooter = _Shooter(_flux_rhs_factory(n, mu, -1), 1, OSC_ATOL)
     lead = shooter.cross(_jet_to_flux(init.jet(), n, mu), -1)
     if lead.stop != 0:
         raise RuntimeError(f"no maximum of phi within s = {LEG_SPAN} of init")
@@ -362,8 +365,7 @@ def find_periodic_osc(n: float, mu: float, init: OscState) -> PeriodicComponent:
 
     # corrections are measured against the amplitudes along the lead
     x, jac = _newton(residual, lead.y[[0, 2]], lead.umax[[0, 2]])
-    start = (x[0], 0.0, x[1])
-    legs = shooter.section_return(start, -1)
+    legs = shooter.section_return((x[0], 0.0, x[1]), -1)
     period = float(legs[0].t + legs[1].t)
     eigs = np.linalg.eigvals(jac + np.eye(2))
     m1 = eigs[np.argmax(np.abs(eigs))]
@@ -372,9 +374,9 @@ def find_periodic_osc(n: float, mu: float, init: OscState) -> PeriodicComponent:
     if np.any(np.abs(multipliers) >= 1.0):
         raise RuntimeError(f"the cycle found is not stable: Floquet "
                            f"multipliers {multipliers}")
-    samples_s = np.linspace(0.0, period, 2001)
-    samples_phi = _sample(rhs, start, samples_s, OSC_ATOL)[0]
-    return PeriodicComponent(n=n, mu=mu, period=period,
-                             samples_s=samples_s, samples_phi=samples_phi,
-                             amplitude=float(np.max(np.abs(samples_phi))),
-                             multipliers=multipliers, counts=shooter.counts)
+    return PeriodicComponent(
+        n=n, mu=mu, period=period,
+        start=OscState(0.0, float(x[0]), 0.0,
+                       float(_flux_to_phi2(x[0], 0.0, x[1], n, mu))),
+        amplitude=float(max(abs(x[0]), abs(legs[0].y[0]))),
+        multipliers=multipliers, counts=shooter.counts)

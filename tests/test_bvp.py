@@ -376,6 +376,18 @@ class TestPeriodicOrbit:
     def test_orbit_brackets_equilibrium(self, orbit_n02):
         assert orbit_n02.min_val < 1.0 < orbit_n02.max_val
 
+    def test_extremes_match_resample(self, orbit_n02):
+        # F' vanishes only at the section landings: the start and the
+        # half return
+        assert orbit_n02.min_val == orbit_n02.a
+        _, F = bvp.orbit_samples(orbit_n02, 0.2, 4001)
+        assert orbit_n02.max_val == pytest.approx(np.max(F), abs=1e-9)
+        assert np.min(F) >= orbit_n02.min_val - 1e-9
+
+    def test_counts(self, orbit_n02):
+        c = orbit_n02.counts
+        assert c["nfev"] > c["steps"] >= c["accepted"] > c["legs"] > 0
+
     def test_jet_closure(self, orbit_n02):
         legs = bvp._orbit_shooter(0.2).section_return(
             bvp._orbit_start(0.2, orbit_n02.a, orbit_n02.b), 1)

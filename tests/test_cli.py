@@ -185,9 +185,18 @@ class TestBranchCommand:
         assert code == 1
 
     def test_missing_profile_rejected(self, tmp_path):
+        out = tmp_path / "branch"
         code = main(["branch", "--from-profile", str(tmp_path / "nope.csv"),
-                     "--p-end", "1.3", "--out", str(tmp_path)])
+                     "--p-end", "1.3", "--out", str(out)])
         assert code == 1
+        assert not out.exists()
+
+    def test_nonpositive_dp_is_usage_error(self, solve_run, tmp_path):
+        out = tmp_path / "branch"
+        code = main(["branch", "--from-profile", str(solve_run / "profile.csv"),
+                     "--p-end", "1.3", "--dp", "-0.01", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
 
     # n comes from the stored profile, the direction from --p-end, and the
     # start p from the profile's own solve; none of them can be overridden
@@ -237,6 +246,13 @@ class TestOtherCommands:
     def test_oscillate_nonpositive_n_is_usage_error(self, tmp_path, n):
         out = tmp_path / "osc"
         code = main(["oscillate", "--n", n, "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+
+    def test_oscillate_mu_without_equilibria_is_usage_error(self, tmp_path):
+        # equilibria need mu > 2
+        out = tmp_path / "osc"
+        code = main(["oscillate", "--n", "1", "--mu", "1.5", "--out", str(out)])
         assert code == 1
         assert not out.exists()
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import blowuplab.bvp as bvp
 import blowuplab.newton as newton
 import blowuplab.oscillation as osc
 from blowuplab.oscillation import OscState
@@ -76,21 +77,51 @@ class TestIntegrate:
         assert np.array_equal(a.phi2, b.phi2)
 
 
+@pytest.fixture(scope="module")
+def resampled(periodic_components):
+    """phi over one period of each component, integrated from its start."""
+    return {n: osc.integrate_osc(pc.start, n, pc.mu, -1, (0.0, pc.period),
+                                 tol=1e-11).phi
+            for n, pc in periodic_components.items()}
+
+
 class TestPeriodicComponent:
     def test_amplitude_orders_match_figures(self, periodic_components):
         # reported orders: ~1e-7 at n=3/4 and ~1e-2 at n=5
         assert 1e-8 <= periodic_components[0.75].amplitude <= 1e-6
         assert 1e-3 <= periodic_components[5.0].amplitude <= 1e-1
 
-    def test_changing_sign(self, periodic_components):
+    def test_amplitude_matches_resample(self, periodic_components, resampled):
+        # the section extremes bound phi over the whole period
+        for n, pc in periodic_components.items():
+            assert pc.amplitude == pytest.approx(np.max(np.abs(resampled[n])),
+                                                 rel=1e-6)
+
+    def test_start_is_the_maximum(self, periodic_components):
         for pc in periodic_components.values():
-            signs = np.count_nonzero(np.diff(np.sign(pc.samples_phi)))
+            assert pc.start.s == pc.start.phi1 == 0.0
+            assert pc.start.phi > 0.0 > pc.start.phi2
+
+    def test_changing_sign(self, resampled):
+        for phi in resampled.values():
+            signs = np.count_nonzero(np.diff(np.sign(phi)))
             assert signs >= 2
 
-    def test_samples_close_up(self, periodic_components):
-        for pc in periodic_components.values():
-            gap = abs(pc.samples_phi[-1] - pc.samples_phi[0])
-            assert gap <= 1e-9 * pc.amplitude
+    def test_samples_close_up(self, periodic_components, resampled):
+        for n, phi in resampled.items():
+            gap = abs(phi[-1] - phi[0])
+            assert gap <= 1e-9 * periodic_components[n].amplitude
+
+    def test_no_resampling_pass(self, monkeypatch):
+        # the extremes come from the shot itself; solve_ivp is left to the
+        # resamplers
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_ivp called")
+
+        monkeypatch.setattr(osc, "solve_ivp", forbidden)
+        pc = osc.find_periodic_osc(5.0, 3.6, OscState(0.0, 1e-3, 0.0, 0.0))
+        orbit = bvp.shoot_periodic_full(0.2, 1, 0.45)
+        assert pc.amplitude > 0.0 and orbit.max_val > 1.0
 
     def test_uniqueness_evidence(self):
         # two unrelated starts land on the same orbit
