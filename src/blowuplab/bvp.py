@@ -52,7 +52,6 @@ __all__ = [
     "PeriodicOrbit",
     "assemble_residual",
     "assemble_jacobian",
-    "linear_limit_residual",
     "solve_profile",
     "eps_continuation",
     "shoot_periodic_full",
@@ -305,25 +304,6 @@ def _band_add(ab: np.ndarray, i: int, j: int, v: float) -> None:
     ab[2 + i - j, j] += v
 
 
-def linear_limit_residual(mesh: Mesh, values: np.ndarray) -> np.ndarray:
-    """The n -> 0 linear-limit operator -D4 - (1/4) y D + I on interior nodes.
-
-    Built from the same composed stencils as assemble_residual, with the
-    n = 0 drift coefficient 1/4.  The quartic (y^4 + 24)/sqrt(24) lies in
-    its continuum kernel, so applying this to it measures pure
-    discretization error.  Rows within reach of the boundary ghosts are
-    boundary effects and are not returned.
-    """
-    h = mesh.h
-    F = np.asarray(values, dtype=float)
-    ext = _extended(F, "dirichlet-far")
-    w = (ext[:-2] - 2.0 * ext[1:-1] + ext[2:]) / h**2
-    lap_w = (w[:-2] - 2.0 * w[1:-1] + w[2:]) / h**2
-    dF = (ext[3:-1] - ext[1:-3]) / (2.0 * h)
-    res = -lap_w - 0.25 * mesh.nodes * dF + F
-    return res[2:-2]
-
-
 # -- Newton solver ----------------------------------------------------------
 
 
@@ -498,7 +478,8 @@ def shoot_periodic_full(n: float, about: int, a_init: float) -> PeriodicOrbit:
     solves F'''(T/2) = 0 for a, from a_init once the walk below has given
     that a half return.  The full jet must then return to 1e-8.  F' = 0
     only on the section, so the extremes of F are the landings there: the
-    minimum a and the maximum F(T/2).  orbit_samples resamples a period.
+    minimum a and the maximum F(T/2).  orbit_samples re-runs the orbit to
+    give F at any times.
     """
     if about not in (1, -1):
         raise ValueError("about must be +1 or -1")
@@ -550,11 +531,12 @@ def shoot_periodic_full(n: float, about: int, a_init: float) -> PeriodicOrbit:
                          counts=shooter.counts)
 
 
-def orbit_samples(orbit: PeriodicOrbit, n: float, num: int = 2001) -> tuple[np.ndarray, np.ndarray]:
-    """Re-run a converged orbit over one period and sample (y, F)."""
-    ts = np.linspace(0.0, orbit.period, num)
+def orbit_samples(orbit: PeriodicOrbit, n: float, ts) -> np.ndarray:
+    """F at the increasing times ts >= 0 of a converged orbit, F(0) = a."""
     u0 = _orbit_start(n, orbit.a * orbit.about, orbit.b * orbit.about)
-    return ts, orbit.about * oscillation._sample(_orbit_rhs(n), u0, ts, ORBIT_ATOL)[0]
+    us, _ = oscillation._samples(_orbit_rhs(n), u0, np.concatenate(([0.0], ts)),
+                                 ORBIT_ATOL)
+    return orbit.about * us[0, 1:]
 
 
 # -- serialization ------------------------------------------------------------

@@ -244,6 +244,7 @@ def cmd_oscillate(args, argv) -> int:
         traj = oscillation.integrate_osc(init, args.n, mu, +1,
                                          (0.0, args.s_budget))
         stats.update(final_phi=float(traj.phi[-1]))
+    stats.update(trajectory=traj.counts)
     man.csv("trajectory.csv", "s,phi,phi1,phi2",
             traj.s, traj.phi, traj.phi1, traj.phi2)
     man.write({"n": args.n, "mu": mu, "lambda": args.lam}, stats)

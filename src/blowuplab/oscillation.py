@@ -19,10 +19,11 @@ reduction calls for.
 
 phi_* is found by Newton (blowuplab.newton) on the return map of a Poincare
 section (Seydel, Practical Bifurcation and Stability Analysis, 2010, ch. 7).
-Every leg of a shot runs on scipy's compiled DOP853 and lands exactly on
-the section by Henon's step (Physica D 5, 1982); the weak Floquet
-multiplier follows from Liouville's formula.  The same shooter finds the
-regional orbit about +-1 in blowuplab.bvp.
+Every trajectory runs on scipy's compiled DOP853: the legs of a shot, which
+land exactly on the section by Henon's step (Physica D 5, 1982), and the
+sampled ones of integrate_osc and blowuplab.bvp.orbit_samples.  The weak
+Floquet multiplier follows from Liouville's formula.  The same shooter
+finds the regional orbit about +-1 in blowuplab.bvp.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import ode, solve_ivp
+from scipy.integrate import ode
 
 from . import newton
 from .model import pk_coefficients
@@ -46,9 +47,9 @@ __all__ = [
     "find_periodic_osc",
 ]
 
-# the periodic-orbit shooter: DOP853 tolerance of every shot, relative
-# forward-difference step of its Newton, the span within which each leg
-# must meet the section, and dop853's step budgets for that span and for
+# DOP853 tolerance of every integration; then the periodic-orbit shooter:
+# relative forward-difference step of its Newton, the span within which each
+# leg must meet the section, and dop853's step budgets for that span and for
 # Henon's step (which spans one step of the flow; a grazing crossing,
 # f_k near 0, fails on this budget instead of crawling)
 RTOL = 1e-11
@@ -79,6 +80,7 @@ class OscTrajectory:
     phi: np.ndarray
     phi1: np.ndarray
     phi2: np.ndarray
+    counts: dict              # dop853's nfev, steps, accepted, rejected
 
 
 @dataclass(eq=False)
@@ -155,34 +157,74 @@ def _flux_to_phi2(phi, phi1, v, n: float, mu: float):
 
 
 def integrate_osc(init: OscState, n: float, mu: float, lambda_sign: int,
-                  span: tuple, tol: float = 1e-10,
-                  sample_points=None) -> OscTrajectory:
-    """Adaptive explicit integration of the component equation.
+                  span: tuple) -> OscTrajectory:
+    """The component equation from init, at 2001 uniform points of span.
 
-    Dense output is evaluated at sample_points (default: 2000 uniform
-    points across the span).  Step underflow near the P_2 = 0 set is
-    reported with its location.
+    A failed run (step underflow near the P_2 = 0 set, say) raises
+    RuntimeError with its location.
     """
-    if not (1e-12 <= tol <= 1e-6):
-        raise ValueError("tol must lie in [1e-12, 1e-6]")
     if lambda_sign not in (-1, 1):
         raise ValueError("lambda_sign must be -1 or +1")
     s0, s1 = float(span[0]), float(span[1])
     if not (math.isfinite(s0) and math.isfinite(s1) and s1 > s0):
         raise ValueError("span must be finite with s1 > s0")
-    rhs = _flux_rhs_factory(n, mu, lambda_sign)
-    sol = solve_ivp(rhs, (s0, s1), _jet_to_flux(init.jet(), n, mu),
-                    method="DOP853", rtol=tol, atol=OSC_ATOL, dense_output=True)
-    if not sol.success:
-        raise RuntimeError(
-            f"integration stalled near s = {sol.t[-1]:.6g}: {sol.message}")
-    if sample_points is None:
-        sample_points = np.linspace(s0, s1, 2001)
-    else:
-        sample_points = np.asarray(sample_points, dtype=float)
-    phi, phi1, v = sol.sol(sample_points)
-    return OscTrajectory(sample_points, phi, phi1,
-                         _flux_to_phi2(phi, phi1, v, n, mu))
+    ts = np.linspace(s0, s1, 2001)
+    (phi, phi1, v), counts = _samples(_flux_rhs_factory(n, mu, lambda_sign),
+                                      _jet_to_flux(init.jet(), n, mu), ts, OSC_ATOL)
+    return OscTrajectory(ts, phi, phi1, _flux_to_phi2(phi, phi1, v, n, mu), counts)
+
+
+# -- the integrator ------------------------------------------------------------
+
+
+def _dop853(f, atol: float, nsteps: int):
+    # beta = 0.04 is Hairer's stabilized (PI) step-size control; on the
+    # Hoelder-continuous flux field it halves the rejected steps
+    return ode(f).set_integrator("dop853", rtol=RTOL, atol=atol,
+                                 nsteps=nsteps, beta=0.04)
+
+
+def _run(integrator, y0, x0: float, x1: float, counts: dict,
+         error=RuntimeError) -> np.ndarray:
+    """Restart integrator at (x0, y0), integrate to x1 and add dop853's
+    nfev, steps, accepted and rejected (IWORK(17..20)) to counts.  A failed
+    run raises error(message) naming where it stopped."""
+    integrator.set_initial_value(y0, x0)
+    y = integrator.integrate(x1).copy()
+    code = integrator.get_return_code()
+    if code < 0:
+        raise error(f"DOP853 failed with code {code} near s = {integrator.t:.6g}")
+    for key, c in zip(("nfev", "steps", "accepted", "rejected"),
+                      integrator._integrator.iwork[16:20].tolist()):
+        counts[key] += c
+    return y
+
+
+def _samples(rhs, u0, ts: np.ndarray, atol: float) -> tuple:
+    """States at the increasing times ts of the flow from u(ts[0]) = u0.
+
+    One run over [ts[0], ts[-1]] records its accepted steps, and each
+    sample hops from the last step at or before it, so sampling errors do
+    not add up along ts.  Returns the states (one row per component) and
+    dop853's counts of the run and the hops.
+    """
+    counts = dict.fromkeys(("nfev", "steps", "accepted", "rejected"), 0)
+    # the start is recorded here: dop853's solout call there is not relied on
+    times, states = [ts[0]], [np.array(u0, dtype=float)]
+
+    def accepted(t, y):
+        times.append(t)
+        states.append(y.copy())
+        return 0
+
+    flow, hop = _dop853(rhs, atol, MAX_STEPS), _dop853(rhs, atol, MAX_STEPS)
+    flow.set_solout(accepted)
+    _run(flow, u0, ts[0], ts[-1], counts)
+    out = np.empty((len(ts), len(u0)))
+    for j, i in enumerate(np.searchsorted(times, ts, side="right") - 1):
+        out[j] = (states[i] if times[i] == ts[j]
+                  else _run(hop, states[i], times[i], ts[j], counts))
+    return out.T, counts
 
 
 # -- periodic orbits: Newton on the section return -----------------------------
@@ -222,7 +264,7 @@ class _Shooter:
 
     scipy's dop853 never frees an ode instance, so both integrators are
     built once here and restarted for every leg.  counts sums legs and
-    dop853's own nfev, steps, accepted and rejected (IWORK(17..20)).
+    dop853's counts of every run.
     """
 
     def __init__(self, rhs, k: int, atol: float, events=(), error=RuntimeError):
@@ -234,14 +276,8 @@ class _Shooter:
             du = rhs(w[0], w[1:])
             return [1.0 / du[k], *(d / du[k] for d in du)]
 
-        # beta = 0.04 is Hairer's stabilized (PI) step-size control; on
-        # the Hoelder-continuous flux field it halves the rejected steps
-        def dop853(f, nsteps):
-            return ode(f).set_integrator("dop853", rtol=RTOL, atol=atol,
-                                         nsteps=nsteps, beta=0.04)
-
-        self.flow = dop853(rhs, MAX_STEPS)
-        self.henon = dop853(henon, HENON_STEPS)
+        self.flow = _dop853(rhs, atol, MAX_STEPS)
+        self.henon = _dop853(henon, atol, HENON_STEPS)
         self.flow.set_solout(self._accepted)
 
     def _accepted(self, t, y):
@@ -256,27 +292,16 @@ class _Shooter:
         np.maximum(self._umax, np.abs(y), out=self._umax)
         return 0
 
-    def _run(self, integrator, y0, x0: float, x1: float) -> np.ndarray:
-        integrator.set_initial_value(y0, x0)
-        y = integrator.integrate(x1).copy()
-        code = integrator.get_return_code()
-        if code < 0:
-            raise self.error(f"DOP853 failed with code {code} near s = "
-                             f"{integrator.t:.6g}")
-        for key, c in zip(("nfev", "steps", "accepted", "rejected"),
-                          integrator._integrator.iwork[16:20].tolist()):
-            self.counts[key] += c
-        return y
-
     def cross(self, u0, direction: int) -> Leg:
         """Leg from u0 to its first crossing of the section in direction."""
         self._direction, self._g, self._stop = direction, None, None
         self._umax = np.zeros(len(u0))
-        y = self._run(self.flow, u0, 0.0, LEG_SPAN)
+        y = _run(self.flow, u0, 0.0, LEG_SPAN, self.counts, self.error)
         t, stop = self.flow.t, self._stop
         self.counts["legs"] += 1
         if stop == 0 and y[self.k] != 0.0:
-            w = self._run(self.henon, np.concatenate(([t], y)), y[self.k], 0.0)
+            w = _run(self.henon, np.concatenate(([t], y)), y[self.k], 0.0,
+                     self.counts, self.error)
             t, y = w[0], w[1:]
             y[self.k] = 0.0
             stop = next((i for i, (g0, e) in enumerate(zip(self._g[1:], self.events), 1)
@@ -296,16 +321,6 @@ class _Shooter:
         if legs[0].stop == 0:
             legs.append(self.cross(legs[0].y, direction))
         return legs
-
-
-def _sample(rhs, u0, ts: np.ndarray, atol: float) -> np.ndarray:
-    """States at the times ts (from 0, increasing) of the flow from u0."""
-    sol = solve_ivp(rhs, (0.0, ts[-1]), u0, method="DOP853", rtol=RTOL,
-                    atol=atol, dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"sampling stalled near s = {sol.t[-1]:.6g}: "
-                           f"{sol.message}")
-    return sol.sol(ts)
 
 
 def _newton(residual, x, scale) -> tuple:

@@ -284,17 +284,14 @@ def guess_factory(spec: FamilySpec, mesh: Mesh,
         # on a half mesh the even half is built directly with symmetry bc
         if orbit is None:
             orbit = bvp.shoot_periodic_full(params.n, 1, 0.45)
-        ts, Fs = bvp.orbit_samples(orbit, params.n)
         k = spec.index // 2
         T = orbit.period
         span = (k - 1) * T / 2.0
-
-        def orbfun(t):
-            return np.interp(np.mod(t, T), ts, Fs)
-
         vals = np.zeros_like(y)
         mid = np.abs(y) <= span
-        vals[mid] = orbfun(y[mid] + span + T / 2.0)
+        phases, where = np.unique(np.mod(y[mid] + span + T / 2.0, T),
+                                  return_inverse=True)
+        vals[mid] = bvp.orbit_samples(orbit, params.n, phases)[where]
         edge = ~mid
         vals[edge] = orbit.max_val * np.exp(-(((np.abs(y[edge]) - span) / 2.5) ** 2))
         bc = "symmetry" if half else "dirichlet-far"

@@ -365,6 +365,9 @@ class TestOtherCommands:
         counts = stats["shooting"]
         assert sorted(counts) == ["accepted", "legs", "nfev", "rejected", "steps"]
         assert counts["nfev"] > counts["steps"] >= counts["accepted"] > counts["legs"] > 0
+        counts = stats["trajectory"]
+        assert sorted(counts) == ["accepted", "nfev", "rejected", "steps"]
+        assert counts["nfev"] > counts["steps"] >= counts["accepted"] > 0
 
     def test_help_lists_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -32,18 +32,16 @@ class TestIntegrate:
         n, mu = 1.0, 5.0
         eq = osc.equilibrium_value(n, mu)
         tr = osc.integrate_osc(OscState(0.0, eq, 0.0, 0.0), n, mu, +1,
-                               (0.0, 20.0), tol=1e-10)
+                               (0.0, 20.0))
         assert np.max(np.abs(tr.phi - eq)) <= 1e-9 * eq
 
     def test_translation_invariance(self):
         # autonomous equation: shifting the window shifts the trajectory
         n, mu = 1.0, 5.0
         init = OscState(0.0, 3e-4, 0.0, 0.0)
-        a = osc.integrate_osc(init, n, mu, -1, (0.0, 30.0), tol=1e-10,
-                              sample_points=np.linspace(0.0, 30.0, 500))
+        a = osc.integrate_osc(init, n, mu, -1, (0.0, 30.0))
         shifted = OscState(7.0, 3e-4, 0.0, 0.0)
-        b = osc.integrate_osc(shifted, n, mu, -1, (7.0, 37.0), tol=1e-10,
-                              sample_points=np.linspace(7.0, 37.0, 500))
+        b = osc.integrate_osc(shifted, n, mu, -1, (7.0, 37.0))
         assert np.max(np.abs(a.phi - b.phi)) <= 10.0 * 1e-10
 
     def test_positive_branch_equilibria_attract(self):
@@ -63,11 +61,6 @@ class TestIntegrate:
         assert np.max(np.abs(tail)) < 100.0 * eq
         assert np.count_nonzero(np.diff(np.sign(tail))) >= 4
 
-    def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            osc.integrate_osc(OscState(0, 1, 0, 0), 1.0, 5.0, -1, (0, 1),
-                              tol=1e-4)
-
     def test_determinism(self):
         n, mu = 1.0, 5.0
         init = OscState(0.0, 3e-4, 0.0, 0.0)
@@ -80,8 +73,7 @@ class TestIntegrate:
 @pytest.fixture(scope="module")
 def resampled(periodic_components):
     """phi over one period of each component, integrated from its start."""
-    return {n: osc.integrate_osc(pc.start, n, pc.mu, -1, (0.0, pc.period),
-                                 tol=1e-11).phi
+    return {n: osc.integrate_osc(pc.start, n, pc.mu, -1, (0.0, pc.period)).phi
             for n, pc in periodic_components.items()}
 
 
@@ -113,12 +105,12 @@ class TestPeriodicComponent:
             assert gap <= 1e-9 * periodic_components[n].amplitude
 
     def test_no_resampling_pass(self, monkeypatch):
-        # the extremes come from the shot itself; solve_ivp is left to the
-        # resamplers
+        # the extremes come from the shot itself; the sampler is left to
+        # integrate_osc and orbit_samples
         def forbidden(*args, **kwargs):
-            raise AssertionError("solve_ivp called")
+            raise AssertionError("_samples called")
 
-        monkeypatch.setattr(osc, "solve_ivp", forbidden)
+        monkeypatch.setattr(osc, "_samples", forbidden)
         pc = osc.find_periodic_osc(5.0, 3.6, OscState(0.0, 1e-3, 0.0, 0.0))
         orbit = bvp.shoot_periodic_full(0.2, 1, 0.45)
         assert pc.amplitude > 0.0 and orbit.max_val > 1.0
@@ -217,6 +209,19 @@ class TestShooter:
         with pytest.raises(RuntimeError, match="DOP853 failed with code -3"), \
                 pytest.warns(UserWarning, match="dop853"):
             shooter.cross((1.0, 0.0, 1.0), -1)
+
+    def test_samples_hop_off_one_run(self):
+        # u'' = -u from (1, 0): the samples are cos and -sin at any
+        # increasing times, and a sample at the start is the start itself
+        ts = np.array([0.0, 0.0, 1e-3, 0.5, 2.0, 2.0 + 1e-9, 7.0, 20.0])
+        us, counts = osc._samples(lambda s, u: [u[1], -u[0]], (1.0, 0.0),
+                                  ts, 1e-14)
+        assert us.shape == (2, ts.size)
+        assert us[0, 0] == us[0, 1] == 1.0 and us[1, 0] == 0.0
+        assert np.max(np.abs(us[0] - np.cos(ts))) <= 1e-9
+        assert np.max(np.abs(us[1] + np.sin(ts))) <= 1e-9
+        assert sorted(counts) == ["accepted", "nfev", "rejected", "steps"]
+        assert counts["nfev"] > counts["steps"] >= counts["accepted"] > 0
 
     def test_memory_stays_bounded(self):
         # scipy's dop853 keeps every ode instance alive; legs must reuse
