@@ -23,7 +23,8 @@ conditions are encoded as reflection ghosts (slope conditions) plus value rows:
 The same module shoots for the periodic orbits about +-1 of the
 autonomous p = n+1 equation, and owns the format of every output file:
 `write_csv` (17 significant digits) and `write_json` (sorted keys, indent
-2), UTF-8 with LF endings.  A stored profile is an `F`-only CSV plus a
+2), UTF-8 with LF endings.  Stored profiles are one CSV with an `F`
+column per profile (one for a solve, one per record for a branch) plus a
 JSON sidecar whose `mesh` block (a, b, intervals) rebuilds the uniform
 nodes bit for bit.
 """
@@ -541,14 +542,29 @@ def orbit_samples(orbit: PeriodicOrbit, n: float, ts) -> np.ndarray:
 
 # -- serialization ------------------------------------------------------------
 
+# values per block of write_csv; bounds what one block builds in memory
+CSV_BLOCK_VALUES = 1 << 13
+
 
 def write_csv(path, header: str, columns) -> None:
-    """Write columns under a header line: 17 significant digits, LF endings."""
-    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    # one %-format over all rows; Python floats format faster than numpy scalars
-    body = (",".join(["%.17g"] * table.shape[1]) + "\n") * table.shape[0]
-    text = header + "\n" + body % tuple(table.ravel().tolist())
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    """Write columns under a header line: 17 significant digits, LF endings.
+
+    Rows are stacked and formatted in blocks of about CSV_BLOCK_VALUES
+    values (at least one row each), so a wide table never builds its
+    whole table or text at once.
+    """
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    rows = cols[0].size
+    if any(c.shape != (rows,) for c in cols):
+        raise ValueError("CSV columns must be 1-d and of equal length")
+    step = max(1, CSV_BLOCK_VALUES // len(cols))
+    line = ",".join(["%.17g"] * len(cols)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for i in range(0, rows, step):
+            # one %-format per block; Python floats format faster than numpy scalars
+            block = np.column_stack([c[i:i + step] for c in cols])
+            fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def write_json(path, obj) -> None:
@@ -557,53 +573,80 @@ def write_json(path, obj) -> None:
                           encoding="utf-8", newline="\n")
 
 
-def save_profile(profile: Profile, csv_path) -> Path:
-    """Write the `F` CSV plus a JSON sidecar; return the sidecar's path.
+def save_profile(profiles, csv_path) -> Path:
+    """Write profiles as one CSV, an `F` column each, plus a JSON sidecar.
 
-    The sidecar's mesh block replaces a `y` column, so the nodes must be
-    exactly `Mesh.uniform(a, b, intervals)`; any other mesh (a
-    `full_extension()` one, say) raises ValueError.
+    The profiles must share n, eps, bc and mesh, which the sidecar holds
+    once; its `records` list holds each column's p, residual norm,
+    convergence and LU count, in column order.  The mesh block replaces
+    a `y` column, so the nodes must be exactly `Mesh.uniform(a, b,
+    intervals)`; any other mesh (a `full_extension()` one, say) raises
+    ValueError.  Returns the sidecar's path.
     """
-    nodes = profile.mesh.nodes
-    a, b, m = float(nodes[0]), float(nodes[-1]), profile.mesh.m
+    first = profiles[0]
+    nodes = first.mesh.nodes
+    a, b, m = float(nodes[0]), float(nodes[-1]), first.mesh.m
     if not np.array_equal(Mesh.uniform(a, b, m).nodes, nodes):
         raise ValueError("profile mesh is not Mesh.uniform(a, b, intervals) "
                          "bit for bit; its nodes cannot be stored as a, b, m")
+    shared = (first.params.n, first.params.eps, first.bc)
+    for prof in profiles[1:]:
+        if ((prof.params.n, prof.params.eps, prof.bc) != shared
+                or not np.array_equal(prof.mesh.nodes, nodes)):
+            raise ValueError("profiles saved together must share n, eps, bc "
+                             "and mesh")
     csv_path = Path(csv_path)
-    write_csv(csv_path, "F", (profile.values,))
+    write_csv(csv_path, ",".join(["F"] * len(profiles)),
+              [prof.values for prof in profiles])
     sidecar = csv_path.with_suffix(".json")
     write_json(sidecar, {
-        "n": profile.params.n,
-        "p": profile.params.p,
-        "eps": profile.params.eps,
-        "bc": profile.bc,
-        "residual_norm": profile.residual_norm,
-        "converged": profile.converged,
-        "newton_iters": profile.newton_iters,
+        "n": first.params.n,
+        "eps": first.params.eps,
+        "bc": first.bc,
         "mesh": {"a": a, "b": b, "intervals": m},
+        "records": [{"p": prof.params.p,
+                     "residual_norm": prof.residual_norm,
+                     "converged": prof.converged,
+                     "newton_iters": prof.newton_iters} for prof in profiles],
     })
     return sidecar
 
 
-def load_profile(csv_path) -> Profile:
-    """Load a profile; the residual norm is recomputed, never trusted.
+def load_profile(csv_path, record: int = 0) -> Profile:
+    """Load column `record` (0-based) of a stored profile CSV.
 
-    The nodes are rebuilt from the sidecar's mesh block and the CSV must
-    hold one `F` row per node.  Both round-trip bit for bit, so the
-    profile stays converged only if its sidecar says so and the
-    recomputed residual is no larger than stored.
+    The residual norm is recomputed, never trusted.  The nodes are
+    rebuilt from the sidecar's mesh block, the header must name one `F`
+    column per sidecar record, and the column must hold one row per node.
+    Both round-trip bit for bit, so the profile stays converged only if
+    its record says so and the recomputed residual is no larger than
+    stored.
     """
     csv_path = Path(csv_path)
-    values = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=1)
-    meta = json.loads(csv_path.with_suffix(".json").read_text(encoding="utf-8"))
+    sidecar = csv_path.with_suffix(".json")
+    meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    if "records" not in meta:
+        raise ValueError(f"{sidecar} has no records list; it predates the "
+                         "one-file records format")
+    records = meta["records"]
+    if not 0 <= record < len(records):
+        raise ValueError(f"record {record} is out of range: {csv_path} holds "
+                         f"{len(records)} records")
     grid = meta["mesh"]
-    if values.ndim != 1 or values.size != grid["intervals"] + 1:
-        raise ValueError(f"{csv_path} holds {values.shape[0]} rows of F, the "
+    with open(csv_path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        if header != ["F"] * len(records):
+            raise ValueError(f"{csv_path} has {len(header)} columns, its "
+                             f"sidecar {len(records)} records")
+        values = np.loadtxt(fh, delimiter=",", usecols=record, ndmin=1)
+    if values.size != grid["intervals"] + 1:
+        raise ValueError(f"{csv_path} holds {values.size} rows of F, the "
                          f"sidecar's mesh needs intervals + 1 = "
                          f"{grid['intervals'] + 1}")
-    params = ProblemParams(n=meta["n"], p=meta["p"], eps=meta["eps"])
+    rec = records[record]
+    params = ProblemParams(n=meta["n"], p=rec["p"], eps=meta["eps"])
     prof = Profile(Mesh.uniform(grid["a"], grid["b"], grid["intervals"]),
-                   values, params, meta["bc"], newton_iters=meta["newton_iters"])
+                   values, params, meta["bc"], newton_iters=rec["newton_iters"])
     rnorm = residual_norm(prof)
-    ok = meta["converged"] and rnorm <= meta["residual_norm"]
+    ok = rec["converged"] and rnorm <= rec["residual_norm"]
     return prof.replace(residual_norm=rnorm, converged=ok)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import (__version__, branching, bvp, oscillation, patterns,
                spectral, variational)
-from .bvp import Mesh, NewtonOptions, Profile
+from .bvp import Mesh, NewtonOptions
 from .model import ProblemParams
 
 EXIT_OK = 0
@@ -35,6 +35,9 @@ EXIT_NO_CONVERGENCE = 2
 
 # the bi-orthogonality bound of acceptance criterion 03
 PAIRING_TOL = 1e-5
+
+RECORD_HELP = ("0-based column of the profile CSV: a branch's records.csv "
+               "holds one per record, a solve's profile.csv only 0")
 
 
 class _UsageError(Exception):
@@ -83,8 +86,8 @@ class Manifest:
     def json(self, name: str, obj) -> None:
         bvp.write_json(self._output(name), obj)
 
-    def profile(self, name: str, prof: Profile) -> None:
-        sidecar = bvp.save_profile(prof, self._output(name))
+    def profiles(self, name: str, profs) -> None:
+        sidecar = bvp.save_profile(profs, self._output(name))
         self._output(sidecar.name)
 
     def write(self, parameters: dict, solver_stats: dict) -> None:
@@ -139,12 +142,14 @@ def _solve_with_warm_start(params, guess, spec, opts):
 
 
 def cmd_solve(args, argv) -> int:
-    man = Manifest(args, argv)
     params = ProblemParams(n=args.n, p=args.p, eps=args.eps)
     spec = _parse_family(args.family)
     spec = patterns.FamilySpec(spec.kind, spec.index, separation=args.separation,
                                n=args.n)
     mesh = _family_mesh(spec, args.R, args.N)
+    schedule = ([float(s) for s in args.eps_schedule.split(",")]
+                if args.eps_schedule else None)
+    man = Manifest(args, argv)
     template = None
     if spec.kind in ("glue_pp", "glue_mp", "q_type") or (
             spec.kind == "basic" and spec.index > 0):
@@ -154,8 +159,6 @@ def cmd_solve(args, argv) -> int:
         template = bvp.solve_profile(params, t_guess)
     guess = patterns.guess_factory(spec, mesh, params, template=template)
     opts = NewtonOptions(tol=args.tol, max_iters=args.max_iters)
-    schedule = ([float(s) for s in args.eps_schedule.split(",")]
-                if args.eps_schedule else None)
     try:
         if schedule:
             sol = bvp.eps_continuation(params, guess, schedule, opts)
@@ -163,7 +166,7 @@ def cmd_solve(args, argv) -> int:
             sol = _solve_with_warm_start(params, guess, spec, opts)
     except bvp.NewtonError as exc:
         sol = exc.best
-    man.profile("profile.csv", sol)
+    man.profiles("profile.csv", [sol])
     man.write({"n": args.n, "p": args.p,
                "eps": schedule[-1] if schedule else args.eps,
                "family": args.family, "R": args.R, "N": args.N,
@@ -183,7 +186,7 @@ def cmd_branch(args, argv) -> int:
         raise _UsageError(f"start profile not found: {src}")
     if args.dp <= 0:
         raise _UsageError("--dp must be positive")
-    start = bvp.load_profile(src)
+    start = bvp.load_profile(src, args.record)
     p0 = start.params.p
     if args.p_end == p0:
         raise _UsageError("empty schedule: --p-end equals the start exponent")
@@ -197,9 +200,7 @@ def cmd_branch(args, argv) -> int:
     opts = NewtonOptions(tol=args.tol, max_iters=args.max_iters)
     branch = branching.trace_p_branch(start, schedule, label=args.label, opts=opts)
     recs = branch.records
-    refs = [f"record_{i:04d}.csv" for i in range(len(recs))]
-    for ref, rec in zip(refs, recs):
-        man.profile(ref, rec.profile)
+    man.profiles("records.csv", [r.profile for r in recs])
     # every record is a converged solve; the constant column keeps the format
     man.csv("curve.csv", "p,sup_norm,residual,converged",
             [r.p for r in recs], [r.sup_norm for r in recs],
@@ -210,7 +211,6 @@ def cmd_branch(args, argv) -> int:
         "direction": branch.direction,
         "schedule": [float(p) for p in schedule],
         "stop_reason": branch.stop_reason,
-        "records": refs,
     })
     # the LUs of every solve this run tried; the start record came solved
     man.write({"n": branch.n, "p_start": p0, "p_end": args.p_end,
@@ -274,9 +274,9 @@ def cmd_kernel(args, argv) -> int:
 
 
 def cmd_eigen(args, argv) -> int:
-    man = Manifest(args, argv)
     ns = [float(v) for v in args.n.split(",")]
     Rs = [float(v) for v in args.R.split(",")]
+    man = Manifest(args, argv)
     grid = [(n, R) for n in ns for R in Rs]
     lams = [variational.first_nonlinear_eigenvalue(n, R, args.m) for n, R in grid]
     man.csv("eigenvalues.csv", "n,R,lambda1", *zip(*grid), lams)
@@ -285,12 +285,12 @@ def cmd_eigen(args, argv) -> int:
 
 
 def cmd_classify(args, argv) -> int:
-    man = Manifest(args, argv)
     src = Path(args.profile)
     if not src.exists():
         raise _UsageError(f"profile not found: {src}")
+    prof = bvp.load_profile(src, args.record)
+    man = Manifest(args, argv)
     man.add_input(src)
-    prof = bvp.load_profile(src)
     parameters = {"tol_zero": args.tol_zero, "tol_eq": args.tol_eq}
     if not prof.converged:
         man.write(parameters, {"converged": False,
@@ -372,6 +372,7 @@ def _build_parser() -> _Parser:
 
     pb = sub.add_parser("branch", help="trace a p-branch from a stored profile")
     pb.add_argument("--from-profile", required=True)
+    pb.add_argument("--record", type=int, default=0, help=RECORD_HELP)
     pb.add_argument("--p-end", type=float, required=True)
     pb.add_argument("--dp", type=float, default=1e-2)
     pb.add_argument("--label", default="branch")
@@ -408,6 +409,7 @@ def _build_parser() -> _Parser:
 
     pc = sub.add_parser("classify", help="multiindex of a stored profile")
     pc.add_argument("--profile", required=True)
+    pc.add_argument("--record", type=int, default=0, help=RECORD_HELP)
     pc.add_argument("--tol-zero", type=float, default=patterns.DEFAULT_TOL_ZERO)
     pc.add_argument("--tol-eq", type=float, default=patterns.DEFAULT_TOL_EQ)
     pc.add_argument("--out")

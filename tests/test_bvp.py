@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -305,7 +306,7 @@ class TestEpsContinuation:
 class TestSerialization:
     def test_round_trip_bit_exact(self, f0_profile, tmp_path):
         path = tmp_path / "f0.csv"
-        bvp.save_profile(f0_profile, path)
+        bvp.save_profile([f0_profile], path)
         back = bvp.load_profile(path)
         assert np.array_equal(back.values, f0_profile.values)
         assert np.array_equal(back.mesh.nodes, f0_profile.mesh.nodes)
@@ -315,7 +316,7 @@ class TestSerialization:
 
     def test_residual_norm_recomputed_on_load(self, f0_profile, tmp_path):
         path = tmp_path / "f0.csv"
-        bvp.save_profile(f0_profile, path)
+        bvp.save_profile([f0_profile], path)
         # tamper with the stored metadata: the loader must not trust it
         meta = path.with_suffix(".json")
         text = meta.read_text().replace(
@@ -325,6 +326,61 @@ class TestSerialization:
         assert back.residual_norm == pytest.approx(
             bvp.residual_norm(f0_profile), rel=1e-12)
 
+
+    def test_records_round_trip_by_column(self, f0_profile, tmp_path):
+        # a branch's records share n, eps, bc and mesh; each column loads
+        # back bit for bit with its own p and LU count
+        profs = [f0_profile.replace(values=f0_profile.values * scale,
+                                    params=f0_profile.params.with_p(p),
+                                    newton_iters=k)
+                 for k, (scale, p) in enumerate([(1.0, 1.2), (-0.5, 1.25),
+                                                 (2.0, 1.3)])]
+        path = tmp_path / "records.csv"
+        bvp.save_profile(profs, path)
+        assert path.read_text().splitlines()[0] == "F,F,F"
+        for k, prof in enumerate(profs):
+            back = bvp.load_profile(path, k)
+            assert np.array_equal(back.values, prof.values)
+            assert np.array_equal(back.mesh.nodes, prof.mesh.nodes)
+            assert back.params == prof.params
+            assert back.newton_iters == k
+        # only the untouched column still meets its stored residual
+        assert [bvp.load_profile(path, k).converged for k in range(3)] == [
+            True, False, False]
+        for k in (3, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                bvp.load_profile(path, k)
+
+    @pytest.mark.parametrize("change", [
+        {"bc": "antisymmetry"},
+        {"params": ProblemParams(0.2, 1.3, 5e-3)},
+        {"mesh": bvp.Mesh.uniform(0.0, 40.0, 2000)},
+    ], ids=["bc", "eps", "mesh"])
+    def test_records_must_share_mesh_and_problem(self, f0_profile, tmp_path,
+                                                 change):
+        path = tmp_path / "records.csv"
+        with pytest.raises(ValueError, match="share"):
+            bvp.save_profile([f0_profile, f0_profile.replace(**change)], path)
+        assert not path.exists()
+
+    def test_sidecar_without_records_refused(self, f0_profile, tmp_path):
+        # the one-record sidecar of the earlier format held p, converged,
+        # residual_norm and newton_iters at the top level
+        path = tmp_path / "f0.csv"
+        sidecar = bvp.save_profile([f0_profile], path)
+        meta = json.loads(sidecar.read_text())
+        meta.update(meta.pop("records")[0])
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="records"):
+            bvp.load_profile(path)
+
+    def test_header_must_match_sidecar(self, f0_profile, tmp_path):
+        path = tmp_path / "f0.csv"
+        bvp.save_profile([f0_profile], path)
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join(f"{row},{row}" for row in rows) + "\n")
+        with pytest.raises(ValueError, match="columns"):
+            bvp.load_profile(path)
 
     # the half domain, the glue domain [-R, R] with 2N intervals and the
     # q-type domain [s - 6, R] at two separations
@@ -343,7 +399,7 @@ class TestSerialization:
         values[:3] = (-0.0, 1e-300, 0.1)
         prof = bvp.Profile(mesh, values, ProblemParams(0.2, 1.5, 1e-2), bc)
         path = tmp_path / "prof.csv"
-        bvp.save_profile(prof, path)
+        bvp.save_profile([prof], path)
         assert path.read_text().splitlines()[0] == "F"
         back = bvp.load_profile(path)
         assert np.array_equal(back.values, prof.values)
@@ -355,12 +411,12 @@ class TestSerialization:
         # the mirrored nodes miss np.linspace(-R, R, 2m + 1) by ~1e-14
         path = tmp_path / "full.csv"
         with pytest.raises(ValueError, match="Mesh.uniform"):
-            bvp.save_profile(f0_profile.full_extension(), path)
+            bvp.save_profile([f0_profile.full_extension()], path)
         assert not path.exists()
 
     def test_missing_row_rejected(self, f0_profile, tmp_path):
         path = tmp_path / "f0.csv"
-        bvp.save_profile(f0_profile, path)
+        bvp.save_profile([f0_profile], path)
         rows = path.read_text().splitlines()
         path.write_text("\n".join(rows[:50] + rows[51:]) + "\n")
         with pytest.raises(ValueError, match="intervals"):
@@ -386,6 +442,38 @@ class TestSerialization:
         bvp.write_csv(path, "x", [[]])
         assert path.read_bytes() == reference("x", [[]]).encode()
 
+
+    @staticmethod
+    def _one_shot(header, table):
+        # the one %-format over the whole table that the row blocks replaced
+        body = (",".join(["%.17g"] * table.shape[1]) + "\n") * table.shape[0]
+        return (header + "\n" + body % tuple(table.ravel().tolist())).encode()
+
+    # several blocks with a short last one; one row; more columns than a
+    # block's budget (one row per block); the default budget on a wide table
+    @pytest.mark.parametrize("rows, cols, budget", [
+        (10, 3, 7), (1, 3, 7), (5, 9, 4), (300, 97, None)])
+    def test_write_csv_row_blocks(self, tmp_path, monkeypatch, rows, cols,
+                                  budget):
+        if budget is not None:
+            monkeypatch.setattr(bvp, "CSV_BLOCK_VALUES", budget)
+        rng = np.random.default_rng(rows * cols)
+        table = rng.standard_normal((rows, cols)) * np.exp(
+            rng.uniform(-700.0, 700.0, (rows, cols)))
+        table.flat[:3] = (-0.0, 5e-324, 1e308)[:table.size]
+        header = ",".join(["F"] * cols)
+        path = tmp_path / "t.csv"
+        bvp.write_csv(path, header, table.T)
+        assert path.read_bytes() == self._one_shot(header, table)
+        back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(back, table)
+        assert np.array_equal(np.signbit(back), np.signbit(table))
+
+    def test_write_csv_rejects_ragged_columns(self, tmp_path, monkeypatch):
+        # the short column ends after the first block
+        monkeypatch.setattr(bvp, "CSV_BLOCK_VALUES", 4)
+        with pytest.raises(ValueError, match="equal length"):
+            bvp.write_csv(tmp_path / "t.csv", "a,b", [np.ones(6), np.ones(5)])
 
 class TestPeriodicOrbit:
     def test_range_matches_published_values(self, orbit_n02):

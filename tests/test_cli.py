@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import blowuplab.branching as branching
 import blowuplab.bvp as bvp
+import blowuplab.patterns as patterns
 from blowuplab.cli import main
 
 
@@ -15,6 +17,22 @@ def solve_run(tmp_path_factory):
                  "--out", str(out)])
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def branch_run(solve_run, tmp_path_factory):
+    """F0 down from p = 1.2 to 1.15 via the CLI, with its in-memory Branch."""
+    out = tmp_path_factory.mktemp("branch") / "f0_down"
+    traced = []
+    trace = branching.trace_p_branch
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(branching, "trace_p_branch",
+                   lambda *a, **kw: traced.append(trace(*a, **kw)) or traced[-1])
+        code = main(["branch", "--from-profile", str(solve_run / "profile.csv"),
+                     "--p-end", "1.15", "--dp", "0.01", "--label", "F0-down",
+                     "--out", str(out)])
+    assert code == 0
+    return out, traced[0]
 
 
 class TestSolveCommand:
@@ -163,21 +181,47 @@ class TestReplay:
 
 
 class TestBranchCommand:
-    def test_branch_run(self, solve_run, tmp_path):
-        out = tmp_path / "branch"
-        code = main(["branch", "--from-profile", str(solve_run / "profile.csv"),
-                     "--p-end", "1.15", "--dp", "0.01", "--label", "F0-down",
-                     "--out", str(out)])
-        assert code == 0
+    def test_branch_run(self, branch_run):
+        out, _ = branch_run
         curve = (out / "curve.csv").read_text().splitlines()
         assert curve[0] == "p,sup_norm,residual,converged"
         assert len(curve) > 4
         bman = json.loads((out / "branch.json").read_text())
         assert set(bman) == {"label", "n", "direction", "schedule",
-                             "stop_reason", "records"}
+                             "stop_reason"}
         assert bman["stop_reason"] == "completed"
         assert bman["label"] == "F0-down"
-        assert all((out / r).exists() for r in bman["records"])
+        # every record of the curve is a column of records.csv, in order
+        ps = [float(row.split(",")[0]) for row in curve[1:]]
+        records = json.loads((out / "records.json").read_text())["records"]
+        assert [r["p"] for r in records] == ps
+        assert (out / "records.csv").read_text().splitlines()[0] == ",".join(
+            ["F"] * len(ps))
+        assert [bvp.load_profile(out / "records.csv", k).params.p
+                for k in range(len(ps))] == ps
+
+    @pytest.mark.parametrize("k", [1, -1])
+    def test_classify_selects_record(self, branch_run, tmp_path, capsys, k):
+        out, branch = branch_run
+        k %= len(branch.records)
+        code = main(["classify", "--profile", str(out / "records.csv"),
+                     "--record", str(k), "--out", str(tmp_path / "cls")])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == str(
+            patterns.classify(branch.records[k].profile))
+
+    def test_branch_continues_from_last_record(self, branch_run, tmp_path):
+        out, branch = branch_run
+        last = len(branch.records) - 1
+        more = tmp_path / "more"
+        code = main(["branch", "--from-profile", str(out / "records.csv"),
+                     "--record", str(last), "--p-end", "1.13", "--dp", "0.01",
+                     "--out", str(more)])
+        assert code == 0
+        records = json.loads((more / "records.json").read_text())["records"]
+        assert [r["p"] for r in records] == [1.15, 1.14, 1.13]
+        start = bvp.load_profile(more / "records.csv")
+        assert np.array_equal(start.values, branch.records[-1].profile.values)
 
     def test_empty_schedule_rejected(self, solve_run, tmp_path):
         code = main(["branch", "--from-profile", str(solve_run / "profile.csv"),
@@ -215,9 +259,8 @@ class TestBranchCommand:
                      "--p-end", "1.25", "--dp", "0.01", "--out", str(out)])
         assert code == 0
         stats = json.loads((out / "manifest.json").read_text())["solver_stats"]
-        refs = json.loads((out / "branch.json").read_text())["records"]
-        iters = [json.loads((out / r).with_suffix(".json").read_text())
-                 ["newton_iters"] for r in refs]
+        records = json.loads((out / "records.json").read_text())["records"]
+        iters = [r["newton_iters"] for r in records]
         # the start record was solved before the branch ran
         assert stats["newton_iters"] == sum(iters[1:]) > 0
 
@@ -377,6 +420,25 @@ class TestOtherCommands:
         for flag in ("--n", "--p", "--eps", "--family", "--R", "--N",
                      "--tol", "--out"):
             assert flag in text
+
+
+# each is refused before the output directory is created
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n", "0.2", "--p", "1.2", "--family", "zzz:1"],
+    ["solve", "--n", "0.2", "--p", "1.2", "--eps-schedule", "0.1,x"],
+    ["eigen", "--n", "0,x"],
+    ["classify", "--profile", "missing.csv"],
+    ["classify", "--profile", "{profile}", "--record", "1"],
+    ["classify", "--profile", "{profile}", "--record", "-1"],
+    ["branch", "--from-profile", "{profile}", "--record", "1", "--p-end", "1.3"],
+], ids=["family", "eps-schedule", "eigen-n", "classify-missing",
+        "classify-record", "classify-negative-record", "branch-record"])
+def test_usage_error_leaves_no_output_directory(solve_run, tmp_path, argv):
+    out = tmp_path / "run"
+    argv = [a.format(profile=solve_run / "profile.csv") for a in argv]
+    code = main([*argv, "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
