@@ -25,9 +25,13 @@ def branch_run(solve_run, tmp_path_factory):
     out = tmp_path_factory.mktemp("branch") / "f0_down"
     traced = []
     trace = branching.trace_p_branch
+
+    def keep(*args, **kwargs):
+        traced.append(trace(*args, **kwargs))
+        return traced[-1]
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(branching, "trace_p_branch",
-                   lambda *a, **kw: traced.append(trace(*a, **kw)) or traced[-1])
+        mp.setattr(branching, "trace_p_branch", keep)
         code = main(["branch", "--from-profile", str(solve_run / "profile.csv"),
                      "--p-end", "1.15", "--dp", "0.01", "--label", "F0-down",
                      "--out", str(out)])
