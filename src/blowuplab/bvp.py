@@ -13,7 +13,8 @@ Discretization is second-order centered differences on a uniform mesh,
 with the fourth derivative built as D2 o (nonlinear flux) o D2 so the
 regularized coefficient sits between the two second differences; Newton
 (blowuplab.newton) factors the Jacobian, banded with bandwidth 2.  Boundary
-conditions are encoded as reflection ghosts (slope conditions) plus value rows:
+conditions are encoded as reflection ghosts (slope conditions) plus value
+rows, one BC_RULES entry each:
 
     dirichlet-far    F = F' = 0 at both ends of [-R, R]
     q-plateau        F = 1, F' = 0 at -R (plateau), F = F' = 0 at R
@@ -34,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,7 +64,17 @@ __all__ = [
     "write_json",
 ]
 
-BC_CHOICES = ("symmetry", "antisymmetry", "q-plateau", "dirichlet-far")
+# F = 0 at the right end for every bc; per bc, the left ghosts are F_-k =
+# ghost_sign F_k, pin is F at node 0 (None: node 0 keeps its equation row),
+# and a half-domain bc lives on [0, R], extended to [-R, R] with that parity
+BcRule = namedtuple("BcRule", "ghost_sign pin half_domain")
+BC_RULES = {
+    "symmetry": BcRule(1.0, None, True),
+    "antisymmetry": BcRule(-1.0, 0.0, True),
+    "q-plateau": BcRule(1.0, 1.0, False),
+    "dirichlet-far": BcRule(1.0, 0.0, False),
+}
+BC_CHOICES = tuple(BC_RULES)
 MIN_INTERVALS = 64
 # absolute tolerance of the periodic-orbit shots
 ORBIT_ATOL = 1e-13
@@ -125,7 +137,7 @@ class Profile:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != self.mesh.nodes.shape:
             raise ValueError("values and mesh nodes must have matching shape")
-        if self.bc not in BC_CHOICES:
+        if self.bc not in BC_RULES:
             raise ValueError(f"bc must be one of {BC_CHOICES}, got {self.bc!r}")
 
     @property
@@ -140,14 +152,14 @@ class Profile:
 
         Full-domain profiles are returned unchanged.
         """
-        if self.bc not in ("symmetry", "antisymmetry"):
+        rule = BC_RULES[self.bc]
+        if not rule.half_domain:
             return self
         y = self.mesh.nodes
         if abs(y[0]) > 1e-14:
             raise ValueError("half-domain profile must start at 0")
-        sign = 1.0 if self.bc == "symmetry" else -1.0
         nodes = np.concatenate([-y[:0:-1], y])
-        values = np.concatenate([sign * self.values[:0:-1], self.values])
+        values = np.concatenate([rule.ghost_sign * self.values[:0:-1], self.values])
         return Profile(Mesh(nodes), values, self.params,
                        "dirichlet-far", self.residual_norm, self.converged,
                        self.newton_iters)
@@ -170,18 +182,13 @@ def _beta_tilde(params: ProblemParams) -> float:
 def _extended(values: np.ndarray, bc: str) -> np.ndarray:
     """Node values padded with two ghost nodes per side.
 
-    Left ghosts encode the symmetry class (even for slope conditions and
-    symmetric profiles, odd for antisymmetric ones); right ghosts encode
+    Left ghosts reflect with the bc's ghost_sign (even for slope conditions
+    and symmetric profiles, odd for antisymmetric ones); right ghosts encode
     F' = 0 at the far boundary by mirror reflection.
     """
     ext = np.empty(values.size + 4)
     ext[2:-2] = values
-    if bc == "antisymmetry":
-        ext[1] = -values[1]
-        ext[0] = -values[2]
-    else:
-        ext[1] = values[1]
-        ext[0] = values[2]
+    ext[:2] = BC_RULES[bc].ghost_sign * values[2:0:-1]
     ext[-2] = values[-2]
     ext[-1] = values[-3]
     return ext
@@ -221,47 +228,32 @@ def assemble_residual(profile: Profile) -> np.ndarray:
     lap_g = (g[:-2] - 2.0 * g[1:-1] + g[2:]) / h**2         # (flux)'' at nodes 0..m
     dF = (ext[3:-1] - ext[1:-3]) / (2.0 * h)                # F' at nodes 0..m
     res = -lap_g - bt * y * dF - F + np.abs(F) ** (p - 1.0) * F
-    _apply_bc_rows(res, F, profile.bc)
+    pin = BC_RULES[profile.bc].pin
+    res[-1] = F[-1]
+    if pin is not None:
+        res[0] = F[0] - pin
     return res
 
 
-def _apply_bc_rows(res: np.ndarray, F: np.ndarray, bc: str) -> None:
-    if bc == "dirichlet-far":
-        res[0] = F[0]
-        res[-1] = F[-1]
-    elif bc == "q-plateau":
-        res[0] = F[0] - 1.0
-        res[-1] = F[-1]
-    elif bc == "antisymmetry":
-        res[0] = F[0]
-        res[-1] = F[-1]
-    else:  # symmetry: node 0 keeps its equation row
-        res[-1] = F[-1]
-
-
-def interior_slice(bc: str) -> slice:
-    """Rows carrying the discrete equation (the others are bc rows)."""
-    return slice(0, -1) if bc == "symmetry" else slice(1, -1)
-
-
 def residual_norm(profile: Profile) -> float:
-    """Max-norm of the equation rows of the residual."""
-    res = assemble_residual(profile)
-    return float(np.max(np.abs(res[interior_slice(profile.bc)])))
+    """Max-norm of the equation rows of the residual (not the bc rows)."""
+    first = 0 if BC_RULES[profile.bc].pin is None else 1
+    return float(np.max(np.abs(assemble_residual(profile)[first:-1])))
 
 
 def assemble_jacobian(profile: Profile) -> np.ndarray:
-    """Analytic Jacobian of assemble_residual in (2, 2) banded storage.
+    """Analytic Jacobian of assemble_residual in dgbtrf's band layout.
 
-    Band storage ab[2 + i - j, j] = dres_i / dF_j.  Ghost dependencies fold
-    back into columns 1, 2 (left, with the symmetry sign) and m-1 (right).
+    Entry dres_i / dF_j sits in ab[4 + i - j, j] (kl = ku = 2); rows 0-1
+    are zero, the LU's fill-in.  Ghost dependencies fold back into columns
+    1, 2 (left, with the bc's ghost_sign) and m-1 (right).
     """
     h = _check_mesh(profile)
     n, p, eps = profile.params.n, profile.params.p, profile.params.eps
     bt = _beta_tilde(profile.params)
+    rule = BC_RULES[profile.bc]
     F = profile.values
     y = profile.mesh.nodes
-    m1 = F.size
     ext = _extended(F, profile.bc)
     w = (ext[:-2] - 2.0 * ext[1:-1] + ext[2:]) / h**2
     gp = _flux_prime(w, n, eps)                              # g'(F'') at nodes -1..m+1
@@ -274,35 +266,27 @@ def assemble_jacobian(profile: Profile) -> np.ndarray:
     c_p1 = 2.0 * (gpc + gpr) / h4 - drift
     c_p2 = -gpr / h4
 
-    ab = np.zeros((5, m1))
-    idx = np.arange(m1)
-    for off, c in ((-2, c_m2), (-1, c_m1), (0, c_0), (1, c_p1), (2, c_p2)):
-        cols = idx + off
-        ok = (cols >= 0) & (cols < m1)
-        ab[2 - off, cols[ok]] = c[ok]
+    ab = np.zeros((7, F.size))
+    ab[2, 2:] = c_p2[:-2]
+    ab[3, 1:] = c_p1[:-1]
+    ab[4] = c_0
+    ab[5, :-1] = c_m1[1:]
+    ab[6, :-2] = c_m2[2:]
 
-    # ghost folds: res_1 sees node -1 via c_m2[1]; res_0 (symmetry only)
-    # sees nodes -1, -2; res_{m-1} sees node m+1 via c_p2[m-1]
-    sign = -1.0 if profile.bc == "antisymmetry" else 1.0
-    _band_add(ab, 1, 1, sign * c_m2[1])
-    if profile.bc == "symmetry":
-        _band_add(ab, 0, 1, c_m1[0])
-        _band_add(ab, 0, 2, c_m2[0])
-    _band_add(ab, m1 - 2, m1 - 2, c_p2[m1 - 2])
+    # ghost folds: res_0 sees ghosts -1, -2 (a pinned row 0 is overwritten
+    # below) and res_1 ghost -1, all with the ghost_sign; res_{m-1} sees
+    # ghost m+1, which is node m-1
+    ab[3, 1] += rule.ghost_sign * c_m1[0]
+    ab[2, 2] += rule.ghost_sign * c_m2[0]
+    ab[4, 1] += rule.ghost_sign * c_m2[1]
+    ab[4, -2] += c_p2[-2]
 
-    # bc value rows overwrite their equation rows
-    rows = [m1 - 1] if profile.bc == "symmetry" else [0, m1 - 1]
-    for i in rows:
-        for off in (-2, -1, 0, 1, 2):
-            j = i + off
-            if 0 <= j < m1:
-                ab[2 - off, j] = 0.0
-        ab[2, i] = 1.0
+    # bc value rows overwrite their equation rows: F = 0 at the right end,
+    # the pinned value at node 0
+    ab[[6, 5, 4], [-3, -2, -1]] = (0.0, 0.0, 1.0)
+    if rule.pin is not None:
+        ab[[4, 3, 2], [0, 1, 2]] = (1.0, 0.0, 0.0)
     return ab
-
-
-def _band_add(ab: np.ndarray, i: int, j: int, v: float) -> None:
-    ab[2 + i - j, j] += v
 
 
 # -- Newton solver ----------------------------------------------------------
@@ -316,12 +300,11 @@ class NewtonOptions:
 
 def _project_bc(values: np.ndarray, bc: str) -> np.ndarray:
     """Pin the bc value rows of a guess exactly."""
+    pin = BC_RULES[bc].pin
     v = np.array(values, dtype=float)
     v[-1] = 0.0
-    if bc == "dirichlet-far" or bc == "antisymmetry":
-        v[0] = 0.0
-    elif bc == "q-plateau":
-        v[0] = 1.0
+    if pin is not None:
+        v[0] = pin
     return v
 
 
@@ -342,9 +325,7 @@ def solve_profile(params: ProblemParams, guess: Profile,
         return work.replace(values=_project_bc(values, work.bc))
 
     def factor(values, _res):
-        # dgbtrf takes the band below 2 spare rows for the LU fill-in
-        ab = np.pad(assemble_jacobian(at(values)), ((2, 0), (0, 0)))
-        lu, piv, info = dgbtrf(ab, 2, 2)
+        lu, piv, info = dgbtrf(assemble_jacobian(at(values)), 2, 2)
         return None if info > 0 else lambda b: dgbtrs(lu, 2, 2, b, piv)[0]
 
     try:
@@ -366,7 +347,8 @@ def eps_continuation(params: ProblemParams, guess: Profile, schedule,
 
     The schedule must decrease strictly, start at eps >= 1e-2 and never go
     below the 1e-4 resolution floor.  Returns the profile at the last eps;
-    a failing stage's NewtonError propagates, its best iterate at that eps.
+    a failing stage raises NewtonError with its best iterate at that eps.
+    Either counts the LUs of every stage.
     """
     schedule = [float(e) for e in schedule]
     if not schedule:
@@ -377,10 +359,15 @@ def eps_continuation(params: ProblemParams, guess: Profile, schedule,
         raise ValueError("eps schedule must start at or above 1e-2")
     if schedule[-1] < 1e-4:
         raise ValueError("eps schedule must stay at or above the 1e-4 floor")
-    profile = guess
+    profile, iters = guess, 0
     for eps in schedule:
-        profile = solve_profile(params.with_eps(eps), profile, opts)
-    return profile
+        try:
+            profile = solve_profile(params.with_eps(eps), profile, opts)
+        except NewtonError as exc:
+            best = exc.best.replace(newton_iters=iters + exc.newton_iters)
+            raise NewtonError(str(exc), best, best.newton_iters) from None
+        iters += profile.newton_iters
+    return profile.replace(newton_iters=iters)
 
 
 # -- periodic orbits of the autonomous regional equation ---------------------

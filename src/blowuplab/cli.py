@@ -8,12 +8,14 @@ parameters, input hashes, output list, wall time and solver statistics.
 a scratch directory and verifies the outputs byte for byte.
 
 Exit codes: 0 success, 1 usage error, 2 computation finished without
-convergence or outside its accuracy bound (best iterate still written).
+convergence or outside its accuracy bound (best iterate still written; a
+solve whose guess could not be built writes its manifest alone).
 """
 
 from __future__ import annotations
 
 import argparse
+import filecmp
 import hashlib
 import json
 import math
@@ -150,14 +152,23 @@ def cmd_solve(args, argv) -> int:
     schedule = ([float(s) for s in args.eps_schedule.split(",")]
                 if args.eps_schedule else None)
     man = Manifest(args, argv)
+    parameters = {"n": args.n, "p": args.p,
+                  "eps": schedule[-1] if schedule else args.eps,
+                  "family": args.family, "R": args.R, "N": args.N,
+                  "tol": args.tol}
     template = None
-    if spec.kind in ("glue_pp", "glue_mp", "q_type") or (
-            spec.kind == "basic" and spec.index > 0):
-        t_guess = patterns.guess_factory(
-            patterns.FamilySpec("basic", 0, n=args.n),
-            Mesh.uniform(0.0, args.R, args.N), params)
-        template = bvp.solve_profile(params, t_guess)
-    guess = patterns.guess_factory(spec, mesh, params, template=template)
+    try:
+        if spec.kind in ("glue_pp", "glue_mp", "q_type") or (
+                spec.kind == "basic" and spec.index > 0):
+            t_guess = patterns.guess_factory(
+                patterns.FamilySpec("basic", 0, n=args.n),
+                Mesh.uniform(0.0, args.R, args.N), params)
+            template = bvp.solve_profile(params, t_guess)
+        guess = patterns.guess_factory(spec, mesh, params, template=template)
+    except (bvp.NewtonError, bvp.ShootingError) as exc:
+        # no guess, so no profile: the manifest alone records the failure
+        man.write(parameters, {"converged": False, "message": str(exc)})
+        raise
     opts = NewtonOptions(tol=args.tol, max_iters=args.max_iters)
     try:
         if schedule:
@@ -167,10 +178,7 @@ def cmd_solve(args, argv) -> int:
     except bvp.NewtonError as exc:
         sol = exc.best
     man.profiles("profile.csv", [sol])
-    man.write({"n": args.n, "p": args.p,
-               "eps": schedule[-1] if schedule else args.eps,
-               "family": args.family, "R": args.R, "N": args.N,
-               "tol": args.tol, "bc": sol.bc},
+    man.write({**parameters, "bc": sol.bc},
               {"converged": sol.converged, "p": sol.params.p,
                "eps": sol.params.eps, "residual_norm": sol.residual_norm,
                "newton_iters": sol.newton_iters, "sup_norm": sol.sup_norm})
@@ -336,9 +344,11 @@ def cmd_replay(args, argv) -> int:
         print(f"replay run exited with {code}", file=sys.stderr)
         return code
     mismatches = []
+    # filecmp's cache is keyed by size and mtime, blind to a same-tick rewrite
+    filecmp.clear_cache()
     for name in data["outputs"]:
         a, b = orig_dir / name, scratch / name
-        if not b.exists() or a.read_bytes() != b.read_bytes():
+        if not b.exists() or not filecmp.cmp(a, b, shallow=False):
             mismatches.append(name)
     if mismatches:
         print("replay mismatch: " + ", ".join(mismatches), file=sys.stderr)

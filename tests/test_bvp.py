@@ -27,20 +27,19 @@ def random_profile(bc, n, p, m=80, seed=0, lo=0.3, hi=1.4, eps=1e-2):
     return bvp.Profile(mesh, vals, ProblemParams(n, p, eps), bc)
 
 
-def banded_to_dense(ab):
-    """Dense matrix of a (2, 2)-banded Jacobian in solve_banded storage."""
-    m1 = ab.shape[1]
-    J = np.zeros((m1, m1))
-    for i in range(m1):
-        for j in range(max(0, i - 2), min(m1, i + 3)):
-            J[i, j] = ab[2 + i - j, j]
-    return J
+def band_to_dense(ab):
+    """Dense matrix of a dgbtrf band (kl = ku = 2): entry (i, j) in row 4 + i - j."""
+    N = ab.shape[1]
+    A = np.zeros((N, N))
+    for k in range(-2, 3):
+        A += np.diag(ab[4 + k, max(0, -k):N - max(0, k)], -k)
+    return A
 
 
 def jacobian_fd_error(prof, step=1e-7):
     """Column-wise relative mismatch of the analytic Jacobian against
     forward finite differences of the residual."""
-    J = banded_to_dense(bvp.assemble_jacobian(prof))
+    J = band_to_dense(bvp.assemble_jacobian(prof))
     r0 = bvp.assemble_residual(prof)
     worst = 0.0
     for j in range(prof.values.size):
@@ -98,6 +97,14 @@ class TestJacobian:
         for bc in ("dirichlet-far", "q-plateau", "symmetry", "antisymmetry"):
             prof = random_profile(bc, n, p, seed=3)
             assert jacobian_fd_error(prof) <= 1e-5
+
+    @pytest.mark.parametrize("bc", bvp.BC_CHOICES)
+    def test_band_in_dgbtrf_layout(self, bc):
+        # kl = ku = 2 with the LU's two fill-in rows on top, left empty
+        prof = random_profile(bc, 0.2, 1.2, m=100, seed=5)
+        ab = bvp.assemble_jacobian(prof)
+        assert ab.shape == (7, 101)
+        assert not ab[:2].any()
 
     def test_symmetry_preserved_by_iterates(self):
         # even guess on a full domain stays even through the whole solve

@@ -6,6 +6,7 @@ import pytest
 
 import blowuplab.branching as branching
 import blowuplab.bvp as bvp
+import blowuplab.oscillation as oscillation
 import blowuplab.patterns as patterns
 from blowuplab.cli import main
 
@@ -142,6 +143,45 @@ class TestSolveCommand:
         assert man["parameters"]["eps"] == man["solver_stats"]["eps"] == 1e-4
         assert prof.params.eps == 1e-4
 
+    @pytest.mark.parametrize("argv, exit_code", [
+        (["--n", "0.2", "--p", "3", "--R", "30", "--N", "300",
+          "--eps-schedule", "0.05,0.01"], 0),
+        (["--n", "1", "--p", "2", "--R", "20", "--N", "400",
+          "--eps-schedule", "1.0,0.0001", "--max-iters", "15"], 2),
+    ], ids=["converged", "failing-stage"])
+    def test_eps_schedule_counts_every_lu(self, tmp_path, monkeypatch, argv,
+                                          exit_code):
+        # the LUs of every stage, not only of the last one
+        lus = []
+        dgbtrf = bvp.dgbtrf
+
+        def counting(*args):
+            lus.append(1)
+            return dgbtrf(*args)
+
+        monkeypatch.setattr(bvp, "dgbtrf", counting)
+        out = tmp_path / "eps"
+        code = main(["solve", "--family", "basic:0", *argv, "--out", str(out)])
+        assert code == exit_code
+        man = json.loads((out / "manifest.json").read_text())
+        record = json.loads((out / "profile.json").read_text())["records"][0]
+        assert man["solver_stats"]["newton_iters"] == len(lus)
+        assert record["newton_iters"] == len(lus)
+
+    def test_unbuildable_guess_writes_failure_manifest(self, tmp_path):
+        # the orbit shot of osc_plus's guess diverges at n = 2: no profile,
+        # but the manifest says why
+        out = tmp_path / "osc"
+        code = main(["solve", "--n", "2", "--p", "3", "--family", "osc_plus:4",
+                     "--R", "30", "--N", "300", "--out", str(out)])
+        assert code == 2
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["outputs"] == []
+        assert man["solver_stats"] == {"converged": False,
+                                       "message": "trajectory diverged"}
+        assert man["parameters"]["family"] == "osc_plus:4"
+
     def test_bc_flag_removed(self, tmp_path):
         code = main(["solve", "--n", "0.2", "--p", "1.2", "--bc", "antisym",
                      "--out", str(tmp_path)])
@@ -171,17 +211,21 @@ class TestReplay:
         assert code == 0
 
     def test_detects_tampering(self, solve_run, tmp_path):
-        tampered = tmp_path / "tampered"
-        tampered.mkdir()
-        for f in solve_run.iterdir():
-            (tampered / f.name).write_bytes(f.read_bytes())
-        csv = tampered / "profile.csv"
-        text = csv.read_text().splitlines()
-        text[1] = "0.5"
-        csv.write_text("\n".join(text) + "\n")
-        code = main(["replay", str(tampered / "manifest.json"),
-                     "--scratch", str(tmp_path / "rep2")])
-        assert code == 2
+        # a row cut short changes the size; one digit changed does not
+        row = (solve_run / "profile.csv").read_text().splitlines()[1]
+        digit = row[:-1] + ("2" if row.endswith("1") else "1")
+        for name, new_row in [("short", "0.5"), ("digit", digit)]:
+            tampered = tmp_path / name
+            tampered.mkdir()
+            for f in solve_run.iterdir():
+                (tampered / f.name).write_bytes(f.read_bytes())
+            csv = tampered / "profile.csv"
+            text = csv.read_text().splitlines()
+            text[1] = new_row
+            csv.write_text("\n".join(text) + "\n")
+            code = main(["replay", str(tampered / "manifest.json"),
+                         "--scratch", str(tmp_path / f"rep_{name}")])
+            assert code == 2
 
 
 class TestBranchCommand:
@@ -394,6 +438,21 @@ class TestOtherCommands:
         assert 1e-3 <= amp <= 1e-1
         rows = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert rows[0] == "s,phi,phi1,phi2"
+
+    def test_oscillate_lambda_plus_one(self, tmp_path):
+        # lambda = +1 is the non-oscillatory branch: the trajectory settles
+        # onto its attracting constant equilibrium and nothing is shot
+        code = main(["oscillate", "--n", "1", "--lambda", "1",
+                     "--s-budget", "40", "--out", str(tmp_path)])
+        assert code == 0
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+        assert len(rows) == 2002
+        stats = json.loads((tmp_path / "manifest.json").read_text())["solver_stats"]
+        assert stats["final_phi"] == pytest.approx(
+            oscillation.equilibrium_value(1.0, 5.0), rel=1e-9)
+        assert sorted(stats["trajectory"]) == ["accepted", "nfev", "rejected",
+                                               "steps"]
+        assert "shooting" not in stats
 
     def test_oscillate_records_multipliers(self, tmp_path):
         code = main(["oscillate", "--n", "5.0", "--lambda", "-1",

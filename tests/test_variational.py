@@ -10,6 +10,7 @@ import blowuplab.bvp as bvp
 import blowuplab.newton as newton
 import blowuplab.variational as var
 from blowuplab.model import ProblemParams
+from tests.test_bvp import band_to_dense
 
 N02 = ProblemParams(0.2, 1.2, 1e-2)
 
@@ -171,15 +172,6 @@ def clamped_pencil(R: float, m: int):
     c = np.full(m + 1, h)
     c[0] = c[-1] = 0.5 * h
     return W, c, c[1:-1]
-
-
-def band_to_dense(ab):
-    """Dense matrix of a dgbtrf band (kl = ku = 2): entry (i, j) in row 4 + i - j."""
-    N = ab.shape[1]
-    A = np.zeros((N, N))
-    for k in range(-2, 3):
-        A += np.diag(ab[4 + k, max(0, -k):N - max(0, k)], -k)
-    return A
 
 
 def rel_err(a, b):
