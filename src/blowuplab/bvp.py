@@ -81,14 +81,7 @@ ORBIT_ATOL = 1e-13
 
 
 class ShootingError(RuntimeError):
-    """Raised when periodic-orbit shooting fails.
-
-    kind is one of "escape-zero", "diverged", "no-closure".
-    """
-
-    def __init__(self, message, kind):
-        super().__init__(message)
-        self.kind = kind
+    """Raised when periodic-orbit shooting fails."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,7 +399,7 @@ def _orbit_shooter(n: float):
     return oscillation._Shooter(
         _orbit_rhs(n), 1, ORBIT_ATOL,
         events=(lambda u: u[0] - 0.02, lambda u: abs(u[0]) - 8.0),
-        error=lambda message: ShootingError(message, "diverged"))
+        error=ShootingError)
 
 
 def _orbit_start(n: float, a: float, b: float) -> tuple:
@@ -436,22 +429,13 @@ def _zero_energy_b(a: float, n: float) -> float:
     return (rhs * (n + 2.0) / (n + 1.0)) ** (1.0 / (n + 2.0))
 
 
-def _returned(leg):
-    """The leg if it reached the section, else its ShootingError."""
-    if leg.stop == 0:
-        return leg
-    if leg.stop == 1:
-        raise ShootingError("trajectory escaped to the basin of F = 0",
-                            "escape-zero")
-    if leg.stop == 2:
-        raise ShootingError("trajectory diverged", "diverged")
-    raise ShootingError("no section return within the integration budget",
-                        "no-closure")
-
-
-def _half_return(shooter, n: float, a: float):
-    """Leg of the zero-energy shot from a to the first maximum of F."""
-    return _returned(shooter.cross(_orbit_start(n, a, _zero_energy_b(a, n)), -1))
+def _half_return_f3(shooter, n: float, a: float) -> float:
+    """F''' at the half return of the zero-energy shot from a: -inf if the
+    shot escapes toward F = 0 first, +inf if it diverges first."""
+    leg = shooter.cross(_orbit_start(n, a, _zero_energy_b(a, n)), -1)
+    if leg.stop is None:
+        raise ShootingError("no section return within the integration budget")
+    return (float(_terminal_jet(n, leg.y)[3]), -math.inf, math.inf)[leg.stop]
 
 
 def shoot_periodic_full(n: float, about: int, a_init: float) -> PeriodicOrbit:
@@ -462,12 +446,15 @@ def shoot_periodic_full(n: float, about: int, a_init: float) -> PeriodicOrbit:
     F''(0) is a closed form of F(0) = a.  The equation is reversible, so
     a shot from the symmetric jet (a, 0, b, 0) that reaches another
     symmetric jet (F' = F''' = 0) at its half return closes into a
-    periodic orbit by reflection.  The shooter of blowuplab.oscillation
-    solves F'''(T/2) = 0 for a, from a_init once the walk below has given
-    that a half return.  The full jet must then return to 1e-8.  F' = 0
-    only on the section, so the extremes of F are the landings there: the
-    minimum a and the maximum F(T/2).  orbit_samples re-runs the orbit to
-    give F at any times.
+    periodic orbit by reflection.  F'''(T/2) changes sign once on 0 < a
+    < 1, from negative (or -inf) below to positive (or +inf) above.
+    Regula falsi with the Illinois modification (Dowell & Jarratt, BIT 11,
+    1971) finds that a from a first shot at a_init, bisecting while an end
+    of the bracket is infinite, to a bracket of 100 RTOL (the shots' noise
+    floor) within newton.MAX_ITERS shots.  The full jet must then return to
+    1e-8.  F' = 0 only on the section, so the extremes of F are the
+    landings there: the minimum a and the maximum F(T/2).  orbit_samples
+    re-runs the orbit to give F at any times.
     """
     if about not in (1, -1):
         raise ValueError("about must be +1 or -1")
@@ -479,38 +466,40 @@ def shoot_periodic_full(n: float, about: int, a_init: float) -> PeriodicOrbit:
     if n <= 0:
         raise ValueError("n must be positive")
 
-    a0 = a_init * about  # mirrored problem oscillates about +1
     shooter = _orbit_shooter(n)
-
-    # walk a0 into the window where the zero-energy shot reaches the
-    # opposite extremum: divergence means too much curvature (lower a),
-    # escape toward zero means too little (raise a)
-    for attempt in range(60):
-        try:
-            leg = _half_return(shooter, n, a0)
+    # the bracket's ends with their F''' values; side is -1 (+1) when the
+    # last shot moved the lower (upper) end, and Illinois halves the value
+    # at an end kept twice running
+    (lo, f_lo), (hi, f_hi) = (0.0, -math.inf), (1.0, math.inf)
+    a, side = a_init * about, 0  # mirrored problem oscillates about +1
+    for _ in range(newton.MAX_ITERS):
+        f = _half_return_f3(shooter, n, a)
+        if f == 0.0:
             break
-        except ShootingError as exc:
-            if exc.kind == "no-closure" or attempt == 59:
-                raise
-            a0 = a0 * 0.95 if exc.kind == "diverged" else a0 * 1.05 + 1e-3
-            if not 0.03 < a0 < 0.999:
-                raise
-
-    def residual(x):
-        return np.array([_terminal_jet(n, _half_return(shooter, n, x[0]).y)[3]])
-
-    # corrections are measured against the amplitude of the walk's leg
-    a = float(oscillation._newton(residual, [a0], [leg.umax[0]])[0][0])
+        if f < 0.0:
+            f_hi *= 0.5 if side < 0 else 1.0
+            (lo, f_lo), side = (a, f), -1
+        else:
+            f_lo *= 0.5 if side > 0 else 1.0
+            (hi, f_hi), side = (a, f), 1
+        a = (0.5 * (lo + hi) if math.isinf(f_lo) or math.isinf(f_hi)
+             else (lo * f_hi - hi * f_lo) / (f_hi - f_lo))
+        if hi - lo < 100.0 * oscillation.RTOL:
+            break
+    else:
+        raise ShootingError(f"no root of F'''(T/2) within {newton.MAX_ITERS} "
+                            f"shots: bracket [{lo:.6g}, {hi:.6g}]")
     b = _zero_energy_b(a, n)
     # the shot from the minimum returns to the next minimum, where F' = 0
     # is crossed upward
     legs = shooter.section_return(_orbit_start(n, a, b), 1)
-    jetT = _terminal_jet(n, _returned(legs[-1]).y)
+    if legs[-1].stop != 0:
+        raise ShootingError("the orbit's shot did not return to the section")
+    jetT = _terminal_jet(n, legs[-1].y)
     closure = max(abs(p - q) for p, q in zip((a, 0.0, b, 0.0), jetT))
     if closure > 1e-8:
         raise ShootingError(
-            f"no closure within iteration budget (jet mismatch {closure:.3e})",
-            "no-closure")
+            f"no closure within iteration budget (jet mismatch {closure:.3e})")
 
     period = float(legs[0].t + legs[1].t)
     ends = (about * a, about * float(legs[0].y[0]))

@@ -238,24 +238,30 @@ def cmd_oscillate(args, argv) -> int:
     scale = oscillation.equilibrium_value(args.n, mu)
     man = Manifest(args, argv)
     init = oscillation.OscState(0.0, 0.5 * scale, 0.0, 0.0)
-    stats = {"n": args.n, "mu": mu, "lambda": args.lam}
-    if args.lam == -1:
-        pc = oscillation.find_periodic_osc(args.n, mu, init)
-        # the dumped trajectory shows the transient settling onto phi_*
-        traj = oscillation.integrate_osc(init, args.n, mu, -1,
-                                         (0.0, args.s_budget))
-        stats.update(period=pc.period, amplitude=pc.amplitude,
-                     multipliers=[[float(z.real), float(z.imag)]
-                                  for z in pc.multipliers],
-                     shooting=pc.counts)
-    else:
-        traj = oscillation.integrate_osc(init, args.n, mu, +1,
-                                         (0.0, args.s_budget))
-        stats.update(final_phi=float(traj.phi[-1]))
+    parameters = {"n": args.n, "mu": mu, "lambda": args.lam}
+    stats = dict(parameters)
+    try:
+        if args.lam == -1:
+            pc = oscillation.find_periodic_osc(args.n, mu, init)
+            # the dumped trajectory shows the transient settling onto phi_*
+            traj = oscillation.integrate_osc(init, args.n, mu, -1,
+                                             (0.0, args.s_budget))
+            stats.update(period=pc.period, amplitude=pc.amplitude,
+                         multipliers=[[float(z.real), float(z.imag)]
+                                      for z in pc.multipliers],
+                         shooting=pc.counts)
+        else:
+            traj = oscillation.integrate_osc(init, args.n, mu, +1,
+                                             (0.0, args.s_budget))
+            stats.update(final_phi=float(traj.phi[-1]))
+    except RuntimeError as exc:
+        # no trajectory: the manifest alone records the failure
+        man.write(parameters, {"converged": False, "message": str(exc)})
+        raise
     stats.update(trajectory=traj.counts)
     man.csv("trajectory.csv", "s,phi,phi1,phi2",
             traj.s, traj.phi, traj.phi1, traj.phi2)
-    man.write({"n": args.n, "mu": mu, "lambda": args.lam}, stats)
+    man.write(parameters, stats)
     return EXIT_OK
 
 

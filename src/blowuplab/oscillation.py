@@ -185,15 +185,17 @@ def _dop853(f, atol: float, nsteps: int):
 
 
 def _run(integrator, y0, x0: float, x1: float, counts: dict,
-         error=RuntimeError) -> np.ndarray:
+         error=RuntimeError, s=None) -> np.ndarray:
     """Restart integrator at (x0, y0), integrate to x1 and add dop853's
     nfev, steps, accepted and rejected (IWORK(17..20)) to counts.  A failed
-    run raises error(message) naming where it stopped."""
+    run raises error(message) naming the s where it stopped: the
+    integrator's own variable, or s when given (Henon's step runs in u_k)."""
     integrator.set_initial_value(y0, x0)
     y = integrator.integrate(x1).copy()
     code = integrator.get_return_code()
     if code < 0:
-        raise error(f"DOP853 failed with code {code} near s = {integrator.t:.6g}")
+        where = integrator.t if s is None else s
+        raise error(f"DOP853 failed with code {code} near s = {where:.6g}")
     for key, c in zip(("nfev", "steps", "accepted", "rejected"),
                       integrator._integrator.iwork[16:20].tolist()):
         counts[key] += c
@@ -301,7 +303,7 @@ class _Shooter:
         self.counts["legs"] += 1
         if stop == 0 and y[self.k] != 0.0:
             w = _run(self.henon, np.concatenate(([t], y)), y[self.k], 0.0,
-                     self.counts, self.error)
+                     self.counts, self.error, t)
             t, y = w[0], w[1:]
             y[self.k] = 0.0
             stop = next((i for i, (g0, e) in enumerate(zip(self._g[1:], self.events), 1)

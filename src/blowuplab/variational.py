@@ -128,20 +128,17 @@ class FiberReport:
 
 
 def fiber_reduce(v: Profile) -> FiberReport:
-    """Spherical-fibering data of a candidate constraint function."""
-    _require_regional(v.params)
-    prof = v.full_extension()
-    n = prof.params.n
+    """Spherical-fibering data of a candidate constraint function, from its
+    energy integrals: H_0 = (n+2)(bending + source), int v^2 = -2 mass."""
+    rep = energy(v)
+    n = v.params.n
     if n <= 0.0:
         raise ValueError("fibering needs n > 0")
-    h = prof.mesh.h
-    w = _second_difference(prof)
-    vals = prof.values
-    if np.max(np.abs(vals)) == 0.0:
+    if np.max(np.abs(v.values)) == 0.0:
         raise ValueError("fibering needs a nontrivial v")
-    h0 = -_trapz(np.abs(w) ** (n + 2.0), h) + _trapz(np.abs(vals) ** (n + 2.0), h)
-    h_tilde = _trapz(vals * vals, h)
-    return FiberReport(h0=h0, r0=h_tilde ** (1.0 / n), h_tilde=h_tilde)
+    h_tilde = -2.0 * rep.mass
+    return FiberReport(h0=(n + 2.0) * (rep.bending + rep.source),
+                       r0=h_tilde ** (1.0 / n), h_tilde=h_tilde)
 
 
 # -- first nonlinear eigenvalue ---------------------------------------------

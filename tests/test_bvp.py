@@ -529,3 +529,26 @@ class TestPeriodicOrbit:
     def test_wrong_side_rejected(self):
         with pytest.raises(ValueError):
             bvp.shoot_periodic_full(0.2, 1, -0.45)
+
+    @pytest.mark.parametrize("a_init", [0.1, 0.3, 0.6, 0.9])
+    def test_starts_on_both_sides_agree(self, orbit_n02, a_init):
+        # 0.1 escapes toward F = 0 and 0.6, 0.9 diverge: the bracket holds
+        # the one sign change of F'''(T/2) from either side
+        orbit = bvp.shoot_periodic_full(0.2, 1, a_init)
+        assert orbit.a == pytest.approx(orbit_n02.a, abs=1e-12)
+        assert type(orbit.a) is type(orbit.max_val) is float
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, 3.0])
+    def test_larger_n_closes(self, n):
+        orbit = bvp.shoot_periodic_full(n, 1, 0.45)
+        legs = bvp._orbit_shooter(n).section_return(
+            bvp._orbit_start(n, orbit.a, orbit.b), 1)
+        jetT = bvp._terminal_jet(n, legs[-1].y)
+        jet0 = (orbit.a, 0.0, orbit.b, 0.0)
+        assert max(abs(x - y) for x, y in zip(jet0, jetT)) <= 1e-8
+        assert orbit.min_val < 1.0 < orbit.max_val
+
+    def test_shot_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(bvp.newton, "MAX_ITERS", 2)
+        with pytest.raises(bvp.ShootingError, match="2 shots"):
+            bvp.shoot_periodic_full(0.2, 1, 0.45)

@@ -168,9 +168,14 @@ class TestSolveCommand:
         assert man["solver_stats"]["newton_iters"] == len(lus)
         assert record["newton_iters"] == len(lus)
 
-    def test_unbuildable_guess_writes_failure_manifest(self, tmp_path):
-        # the orbit shot of osc_plus's guess diverges at n = 2: no profile,
+    def test_unbuildable_guess_writes_failure_manifest(self, tmp_path,
+                                                       monkeypatch):
+        # a failed orbit shot leaves osc_plus without a guess: no profile,
         # but the manifest says why
+        def diverged(*args):
+            raise bvp.ShootingError("trajectory diverged")
+
+        monkeypatch.setattr(bvp, "shoot_periodic_full", diverged)
         out = tmp_path / "osc"
         code = main(["solve", "--n", "2", "--p", "3", "--family", "osc_plus:4",
                      "--R", "30", "--N", "300", "--out", str(out)])
@@ -181,6 +186,16 @@ class TestSolveCommand:
         assert man["solver_stats"] == {"converged": False,
                                        "message": "trajectory diverged"}
         assert man["parameters"]["family"] == "osc_plus:4"
+
+    def test_osc_plus_at_n2(self, tmp_path, capsys):
+        out = tmp_path / "osc"
+        code = main(["solve", "--n", "2", "--p", "3", "--family", "osc_plus:4",
+                     "--R", "30", "--N", "300", "--out", str(out)])
+        assert code == 0
+        code = main(["classify", "--profile", str(out / "profile.csv"),
+                     "--out", str(tmp_path / "cls")])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "{+4}"
 
     def test_bc_flag_removed(self, tmp_path):
         code = main(["solve", "--n", "0.2", "--p", "1.2", "--bc", "antisym",
@@ -438,6 +453,22 @@ class TestOtherCommands:
         assert 1e-3 <= amp <= 1e-1
         rows = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert rows[0] == "s,phi,phi1,phi2"
+
+    def test_oscillate_failure_writes_manifest(self, tmp_path):
+        # at n = 0.1 a Henon step of the shooter fails: no trajectory, but
+        # the manifest says why
+        out = tmp_path / "osc"
+        with pytest.warns(UserWarning, match="dop853"):
+            code = main(["oscillate", "--n", "0.1", "--s-budget", "20",
+                         "--out", str(out)])
+        assert code == 2
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["outputs"] == []
+        assert man["parameters"] == {"n": 0.1, "mu": 32.0, "lambda": -1}
+        stats = man["solver_stats"]
+        assert stats["converged"] is False
+        assert stats["message"].startswith("DOP853 failed with code -2")
 
     def test_oscillate_lambda_plus_one(self, tmp_path):
         # lambda = +1 is the non-oscillatory branch: the trajectory settles

@@ -124,6 +124,15 @@ class TestPeriodicComponent:
         assert a.amplitude == pytest.approx(b.amplitude, rel=1e-4)
         assert a.period == pytest.approx(b.period, rel=1e-4)
 
+    def test_henon_failure_names_the_legs_s(self):
+        # Henon's step integrates in phi', which is near 0 when it fails;
+        # the message gives the s where the leg's crossing step ended
+        n, mu = 0.1, 32.0
+        init = OscState(0.0, 0.5 * osc.equilibrium_value(n, mu), 0.0, 0.0)
+        with pytest.raises(RuntimeError, match=r"code -2 near s = 5\.2"), \
+                pytest.warns(UserWarning, match="dop853"):
+            osc.find_periodic_osc(n, mu, init)
+
     def test_zero_init_rejected(self):
         with pytest.raises(ValueError):
             osc.find_periodic_osc(1.0, 5.0, OscState(0.0, 0.0, 0.0, 0.0))
