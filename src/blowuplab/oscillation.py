@@ -17,13 +17,15 @@ The exponent mu is always passed explicitly: (2n+3)/n for travelling
 waves, 2(n+2)/n in the regional regime, and whatever a once-integrated
 reduction calls for.
 
-phi_* is found by Newton (blowuplab.newton) on the return map of a Poincare
-section (Seydel, Practical Bifurcation and Stability Analysis, 2010, ch. 7).
-Every trajectory runs on scipy's compiled DOP853: the legs of a shot, which
-land exactly on the section by Henon's step (Physica D 5, 1982), and the
-sampled ones of integrate_osc and blowuplab.bvp.orbit_samples.  The weak
-Floquet multiplier follows from Liouville's formula.  The same shooter
-finds the regional orbit about +-1 in blowuplab.bvp.
+The equation is odd in phi, so phi_* is found by Newton (blowuplab.newton)
+on the half return H of a Poincare section, H(x) = -x (Seydel, Practical
+Bifurcation and Stability Analysis, 2010, ch. 7), and its monodromy is
+dH^2.  Every trajectory runs on scipy's compiled DOP853: the legs of a
+shot, which land exactly on the section by Henon's step (Physica D 5,
+1982), and the sampled ones of integrate_osc and
+blowuplab.bvp.orbit_samples.  The weak Floquet multiplier follows from
+Liouville's formula.  The same shooter finds the regional orbit about +-1
+in blowuplab.bvp.
 """
 
 from __future__ import annotations
@@ -354,11 +356,14 @@ def _newton(residual, x, scale) -> tuple:
 def find_periodic_osc(n: float, mu: float, init: OscState) -> PeriodicComponent:
     """Stable periodic component phi_* of the lambda = -1 branch.
 
-    The section is phi' = 0 at maxima of phi, and the unknowns are the
-    state x = (phi, v) there.  Newton on P(x) - x, with P the section
-    return, starts from the first maximum after init.  The dominant
-    Floquet multiplier m1 is an eigenvalue of the finite-difference
-    monodromy dP; the other follows from Liouville's formula, since the
+    The section is phi' = 0, and the unknowns are the state x = (phi, v)
+    at a maximum of phi.  The component equation is odd in phi, so the
+    flux flow commutes with u -> -u and phi_* lands, half a period after
+    its maximum, on minus that maximum.  Newton on H(x) + x, with H the
+    half return (maximum to next minimum), starts from the first maximum
+    after init.  The monodromy is D^2, D = dH the finite-difference
+    Jacobian, so the dominant Floquet multiplier m1 is the square of an
+    eigenvalue of D; the other follows from Liouville's formula, since the
     flux field has the constant divergence -(2mu-1 + (n+1)(mu-2)):
 
         m1 m2 = exp(-(2mu-1 + (n+1)(mu-2)) T).
@@ -373,19 +378,20 @@ def find_periodic_osc(n: float, mu: float, init: OscState) -> PeriodicComponent:
     if lead.stop != 0:
         raise RuntimeError(f"no maximum of phi within s = {LEG_SPAN} of init")
 
-    def residual(x):
-        legs = shooter.section_return((x[0], 0.0, x[1]), -1)
-        if legs[-1].stop != 0:
-            raise RuntimeError(f"no section return within s = {LEG_SPAN} "
+    def half_return(x):
+        leg = shooter.cross((x[0], 0.0, x[1]), +1)
+        if leg.stop != 0:
+            raise RuntimeError(f"no half return within s = {LEG_SPAN} "
                                f"from (phi, v) = {tuple(x)}")
-        return legs[-1].y[[0, 2]] - x
+        return leg
 
     # corrections are measured against the amplitudes along the lead
-    x, jac = _newton(residual, lead.y[[0, 2]], lead.umax[[0, 2]])
-    legs = shooter.section_return((x[0], 0.0, x[1]), -1)
-    period = float(legs[0].t + legs[1].t)
-    eigs = np.linalg.eigvals(jac + np.eye(2))
-    m1 = eigs[np.argmax(np.abs(eigs))]
+    x, jac = _newton(lambda x: half_return(x).y[[0, 2]] + x,
+                     lead.y[[0, 2]], lead.umax[[0, 2]])
+    leg = half_return(x)
+    period = 2.0 * float(leg.t)
+    eigs = np.linalg.eigvals(jac - np.eye(2))
+    m1 = eigs[np.argmax(np.abs(eigs))] ** 2
     divergence = -(pk_coefficients(2, mu)[1] + (n + 1.0) * (mu - 2.0))
     multipliers = np.array([m1, math.exp(divergence * period) / m1])
     if np.any(np.abs(multipliers) >= 1.0):
@@ -395,5 +401,5 @@ def find_periodic_osc(n: float, mu: float, init: OscState) -> PeriodicComponent:
         n=n, mu=mu, period=period,
         start=OscState(0.0, float(x[0]), 0.0,
                        float(_flux_to_phi2(x[0], 0.0, x[1], n, mu))),
-        amplitude=float(max(abs(x[0]), abs(legs[0].y[0]))),
+        amplitude=float(max(abs(x[0]), abs(leg.y[0]))),
         multipliers=multipliers, counts=shooter.counts)

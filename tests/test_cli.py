@@ -225,6 +225,15 @@ class TestReplay:
                      "--scratch", str(tmp_path / "rep")])
         assert code == 0
 
+    def test_oscillate_byte_exact(self, tmp_path, capsys):
+        code = main(["oscillate", "--n", "5", "--lambda", "-1",
+                     "--s-budget", "5", "--out", str(tmp_path / "osc")])
+        assert code == 0
+        code = main(["replay", str(tmp_path / "osc" / "manifest.json"),
+                     "--scratch", str(tmp_path / "rep")])
+        assert code == 0
+        assert "reproduced 1 outputs byte-exactly" in capsys.readouterr().out
+
     def test_detects_tampering(self, solve_run, tmp_path):
         # a row cut short changes the size; one digit changed does not
         row = (solve_run / "profile.csv").read_text().splitlines()[1]

@@ -115,6 +115,27 @@ class TestPeriodicComponent:
         orbit = bvp.shoot_periodic_full(0.2, 1, 0.45)
         assert pc.amplitude > 0.0 and orbit.max_val > 1.0
 
+    def test_half_return_is_minus_the_start(self, periodic_components):
+        # the component equation is odd, so the full return from the
+        # maximum splits into two equal legs, the first landing on minus
+        # the start: the symmetry the half-return shot relies on
+        for n, pc in periodic_components.items():
+            u0 = osc._jet_to_flux(pc.start.jet(), n, pc.mu)
+            half, back = _flux_shooter(n, pc.mu).section_return(u0, -1)
+            assert half.stop == back.stop == 0
+            assert half.t == pytest.approx(back.t, rel=1e-9)
+            assert half.t + back.t == pytest.approx(pc.period, rel=1e-9)
+            assert np.all(np.abs(half.y + u0) <= 1e-9 * np.abs(u0))
+            assert np.all(np.abs(back.y - u0) <= 1e-9 * np.abs(u0))
+
+    def test_shooting_work_pinned(self, periodic_components):
+        # one leg per residual: the full-return shot took 35 and 23 legs,
+        # and 38,781 and 41,070 right-hand-side calls
+        for n, legs, nfev in [(0.75, 18, 38781), (5.0, 12, 41070)]:
+            counts = periodic_components[n].counts
+            assert counts["legs"] <= legs
+            assert counts["nfev"] <= 0.6 * nfev
+
     def test_uniqueness_evidence(self):
         # two unrelated starts land on the same orbit
         n, mu = 1.0, 5.0
@@ -174,7 +195,10 @@ class TestFloquet:
         n, mu = 0.75, 6.0
         pc = osc.find_periodic_osc(n, mu, OscState(
             0.0, 0.5 * osc.equilibrium_value(n, mu), 0.0, 0.0))
-        fd = np.linalg.eigvals(jacs[-1] + np.eye(2))
+        # the last Jacobian is that of H(x) + x, H the half return, and
+        # the monodromy is dH^2
+        dh = jacs[-1] - np.eye(2)
+        fd = np.linalg.eigvals(dh @ dh)
         weak = fd[np.argmin(np.abs(fd))]
         assert pc.multipliers[1] == pytest.approx(weak, rel=0.02)
 
