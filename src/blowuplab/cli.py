@@ -126,9 +126,9 @@ def _solve_with_warm_start(params, guess, spec, opts):
 
     Guesses are built from the p = n+1 geometry; far from it the cold
     solve is hopeless, so the profile is continued across p instead.  A
-    walk that stops short of params.p returns its last profile marked
-    unconverged.  A walk's profile counts the LUs of the anchor and of
-    every solve the walk tried.
+    walk that stops short of params.p raises NewtonError carrying its last
+    profile, marked unconverged.  A walk's profile counts the LUs of the
+    anchor and of every solve the walk tried.
     """
     p_var = params.n + 1.0
     if spec.kind == "q_type" or abs(params.p - p_var) <= 0.05:
@@ -138,9 +138,14 @@ def _solve_with_warm_start(params, guess, spec, opts):
     schedule = np.linspace(p_var, params.p, steps + 1)[1:]
     branch = branching.trace_p_branch(anchor, schedule, label="warm-start",
                                       opts=opts)
-    return branch.records[-1].profile.replace(
+    last = branch.records[-1].profile.replace(
         converged=branch.stop_reason == "completed",
         newton_iters=anchor.newton_iters + branch.newton_iters)
+    if not last.converged:
+        raise bvp.NewtonError(f"warm-start walk stopped at p = "
+                              f"{last.params.p!r} short of p = {params.p!r} "
+                              f"({branch.stop_reason})", last, last.newton_iters)
+    return last
 
 
 def cmd_solve(args, argv) -> int:
@@ -170,18 +175,20 @@ def cmd_solve(args, argv) -> int:
         man.write(parameters, {"converged": False, "message": str(exc)})
         raise
     opts = NewtonOptions(tol=args.tol, max_iters=args.max_iters)
+    failure = {}
     try:
         if schedule:
             sol = bvp.eps_continuation(params, guess, schedule, opts)
         else:
             sol = _solve_with_warm_start(params, guess, spec, opts)
     except bvp.NewtonError as exc:
-        sol = exc.best
+        sol, failure["message"] = exc.best, str(exc)
     man.profiles("profile.csv", [sol])
     man.write({**parameters, "bc": sol.bc},
               {"converged": sol.converged, "p": sol.params.p,
                "eps": sol.params.eps, "residual_norm": sol.residual_norm,
-               "newton_iters": sol.newton_iters, "sup_norm": sol.sup_norm})
+               "newton_iters": sol.newton_iters, "sup_norm": sol.sup_norm,
+               **failure})
     return EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
 
 

@@ -10,9 +10,10 @@ exactly exp(-k^4), so every derivative is one Fourier integral,
 
     F^(l)(y) = (1/pi) int_0^inf exp(-k^4) k^l cos(k y + l pi/2) dk,
 
-and one trapezoid sum evaluates it for every order l = 0..MAX_LADDER:
-compute_kernel tabulates the whole ladder on [0, L], and off-node values
-come from the same sum at signed y.  F oscillates with the envelope
+and one trapezoid sum evaluates it for every order l = 0..MAX_LADDER.
+compute_kernel tabulates the whole ladder on [0, L], where the sum on the
+N+1 nodes is a real FFT of length 4N; off-node values come from the same
+sum, summed directly at signed y.  F oscillates with the envelope
 D exp(-d |y|^(4/3)), d = 3 * 2^(-11/3).  The operator B has the point
 spectrum lambda_l = -l/4 with eigenfunctions psi_l = (-1)^l F^(l) / sqrt(l!);
 the adjoint B* = -D^4 - (1/4) y D has degree-l polynomial eigenfunctions
@@ -82,36 +83,35 @@ class KernelTable:
         return self.ladder[2]
 
 
-def _fourier_sum(L: float, y: np.ndarray, orders) -> np.ndarray:
-    """Trapezoid sums of (1/pi) int_0^inf exp(-k^4) k^l cos(k y + l pi/2) dk.
+def _weights(L: float, l: int) -> tuple:
+    """Wavenumbers k_j = j pi/(2L) and trapezoid weights a_j of F^(l):
+    F^(l)(y) = sum_j a_j cos(k_j y) (l even) or sin (l odd), where a_j =
+    s_l w_j k_j^l exp(-k_j^4) / pi and s_l = (1, -1, -1, 1)[l % 4].
 
-    One row per order l, summed on k_j = j dk, dk = pi/(2L).  By Poisson
-    summation the only error is the kernel's images 4L away, below roundoff
-    on [-L, L] for L >= 15.  The sum stops at the first k_j with
-    max(1, k_j^MAX_LADDER) exp(-k_j^4) < eps (k near 2.6), where every
+    By Poisson summation the only error is the kernel's images 4L away,
+    below roundoff on [-L, L] for L >= 15.  The sum stops at the first k_j
+    with max(1, k_j^MAX_LADDER) exp(-k_j^4) < eps (k near 2.6), where every
     order of the ladder has converged.
     """
     dk = 0.5 * math.pi / L
-    out = np.zeros((len(orders), y.size))
-    for j in itertools.count():
-        k = j * dk
-        decay = math.exp(-k**4)
-        if max(1.0, k**MAX_LADDER) * decay < np.finfo(float).eps:
-            return out
-        # one wavenumber at a time keeps memory O(len(orders) * y.size)
-        w = (0.5 if j == 0 else 1.0) * dk * decay / math.pi
-        trig = (np.cos(k * y), np.sin(k * y))
-        for row, l in zip(out, orders):
-            # cos(x + l pi/2) is cos x, -sin x, -cos x, sin x for l mod 4
-            row += ((1.0, -1.0, -1.0, 1.0)[l % 4] * w * k**l) * trig[l % 2]
+    J = next(j for j in itertools.count()
+             if max(1.0, (j * dk)**MAX_LADDER) * math.exp(-(j * dk)**4)
+             < np.finfo(float).eps)
+    k = dk * np.arange(J)
+    a = (1.0, -1.0, -1.0, 1.0)[l % 4] * dk / math.pi * k**l * np.exp(-k**4)
+    a[0] *= 0.5
+    return k, a
 
 
 def compute_kernel(L: float = 15.0, N: int = 4000) -> KernelTable:
     """Tabulate the ladder F^(l), l = 0..MAX_LADDER, on N+1 nodes of [0, L].
 
-    Every row is the trapezoid sum of its Fourier integral (_fourier_sum,
-    about 1.7 L wavenumbers).  One rescale, chosen so that the Simpson
-    quadrature of F is exactly normalized, applies to every row.
+    On the nodes y_i = i L/N the phases k_j y_i = 2 pi i j / (4N) are exact,
+    so every row of the trapezoid sum (_weights, about 1.7 L wavenumbers) is
+    one real FFT of length 4N: the real part for even l, minus the imaginary
+    part for odd l.  Wavenumbers past 4N alias onto the nodes exactly and are
+    folded in.  One rescale, chosen so that the Simpson quadrature of F is
+    exactly normalized, applies to every row.
     """
     if L < 15.0:
         raise ValueError(f"L must be >= 15, got {L}")
@@ -119,7 +119,13 @@ def compute_kernel(L: float = 15.0, N: int = 4000) -> KernelTable:
         raise ValueError(f"N must be >= 2000, got {N}")
 
     nodes = np.linspace(0.0, L, N + 1)
-    ladder = _fourier_sum(L, nodes, range(MAX_LADDER + 1))
+    ladder = np.empty((MAX_LADDER + 1, N + 1))
+    for l, row in enumerate(ladder):
+        # one order at a time: a batched transform would hold 13 x 4N
+        a = _weights(L, l)[1]
+        a = np.bincount(np.arange(a.size) % (4 * N), weights=a)
+        S = np.fft.rfft(a, n=4 * N)[:N + 1]
+        row[:] = -S.imag if l % 2 else S.real
     scale = 0.5 / simpson(ladder[0], x=nodes)
     ladder *= scale
     return KernelTable(nodes, ladder, scale,
@@ -128,17 +134,15 @@ def compute_kernel(L: float = 15.0, N: int = 4000) -> KernelTable:
 
 
 def _fit_decay(y: np.ndarray, F: np.ndarray) -> tuple:
-    """Least-squares fit of ln|F| at envelope peaks against y^(4/3)."""
-    sign_changes = np.nonzero(F[:-1] * F[1:] < 0)[0]
-    if sign_changes.size == 0:
-        raise RuntimeError("kernel has no zeros on the table: cannot fit decay")
-    start = sign_changes[0] + 1
+    """Least-squares fit of ln|F| against y^(4/3) at the peak (argmax of
+    |F| > 1e-13) of each lobe between consecutive sign changes: rounding
+    ripples on the flat far lobes would add spurious local maxima."""
+    starts = np.nonzero(F[:-1] * F[1:] < 0)[0] + 1
     absF = np.abs(F)
-    peaks = [i for i in range(max(start, 1), F.size - 1)
-             if absF[i] >= absF[i - 1] and absF[i] >= absF[i + 1]
-             and absF[i] > 1e-13]
+    peaks = [i + np.argmax(absF[i:j]) for i, j in zip(starts, starts[1:])]
+    peaks = [i for i in peaks if absF[i] > 1e-13]
     if len(peaks) < 2:
-        raise RuntimeError("too few envelope peaks for a decay fit")
+        raise RuntimeError("too few complete lobes for a decay fit")
     xs = y[peaks] ** (4.0 / 3.0)
     ys = np.log(absF[peaks])
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -148,15 +152,19 @@ def _fit_decay(y: np.ndarray, F: np.ndarray) -> tuple:
 def kernel_derivative(table: KernelTable, k: int, y):
     """F^(k)(y) for k = 0..MAX_LADDER, and 0 beyond |y| = L.
 
-    The table's Fourier sum is evaluated at the signed y and multiplied by
-    the table's scale, so the parity (-1)^k follows from the phase.  Beyond
-    L the envelope is below any tolerance of interest.
+    The table's trapezoid sum is summed directly at the signed y and
+    multiplied by the table's scale, so the parity (-1)^k follows from the
+    phase.  Beyond L the envelope is below any tolerance of interest.
     """
     if not 0 <= k <= MAX_LADDER:
         raise ValueError(f"derivative order {k} must lie in [0, {MAX_LADDER}]")
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    out = table.scale * _fourier_sum(table.L, y_arr, (k,))[0]
-    out = np.where(np.abs(y_arr) <= table.L, out, 0.0)
+    trig = np.sin if k % 2 else np.cos
+    out = np.zeros(y_arr.size)
+    # one wavenumber at a time keeps memory O(y.size)
+    for kj, aj in zip(*_weights(table.L, k)):
+        out += aj * trig(kj * y_arr)
+    out = np.where(np.abs(y_arr) <= table.L, table.scale * out, 0.0)
     return float(out[0]) if np.isscalar(y) else out
 
 

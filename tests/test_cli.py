@@ -75,6 +75,8 @@ class TestSolveCommand:
         assert (out / "profile.csv").exists()
         man = json.loads((out / "manifest.json").read_text())
         assert man["solver_stats"]["converged"] is False
+        assert man["solver_stats"]["message"] == \
+            "no convergence in 2 Newton steps"
 
     def test_warm_start_stuck_at_fold_exits_2(self, tmp_path):
         # the dipole branch dies at its fold near p = 1.218, short of 1.3:
@@ -88,6 +90,10 @@ class TestSolveCommand:
         assert man["solver_stats"]["converged"] is False
         assert not prof.converged
         assert man["solver_stats"]["p"] == prof.params.p < 1.3
+        # the manifest names where the walk stopped
+        assert man["solver_stats"]["message"] == (
+            f"warm-start walk stopped at p = {prof.params.p!r} short of "
+            "p = 1.3 (newton-failure)")
 
     def test_failed_solve_counts_its_lus(self, tmp_path):
         out = tmp_path / "one"

@@ -37,6 +37,14 @@ class TestKernel:
         assert D > 0
         assert d == pytest.approx(spectral.DECAY_RATE, rel=0.10)
 
+    def test_decay_fit_ignores_summation_rounding(self, kernel_table_wide):
+        # one peak per lobe: the fit of the FFT table and that of the direct
+        # sum on the same nodes agree, though their far-tail rounding differs
+        t = kernel_table_wide
+        direct = spectral.kernel_derivative(t, 0, t.nodes)
+        _, d = spectral._fit_decay(t.nodes, direct)
+        assert t.decay_fit[1] == pytest.approx(d, rel=1e-4)
+
     def test_domain_doubling_stability(self, kernel_table, kernel_table_wide):
         # both tables sum the same Fourier integral; they differ only by
         # the normalization rescale, which at L = 15 absorbs ~1e-5 of
@@ -144,6 +152,28 @@ class TestLadder:
             assert spectral.kernel_derivative(kernel_table, l,
                                               kernel_table.L + 0.1) == 0.0
 
+    @pytest.mark.parametrize("L, N", [(44.0, 20000), (15.0, 2001),
+                                      (15.0, 2047)])
+    def test_fft_rows_are_the_direct_sum(self, L, N):
+        # the table (a length-4N FFT) and off-node evaluation (the direct
+        # sum) read one set of weights, so they agree on the nodes of the
+        # wide table and for odd and non-power-of-two N
+        table = spectral.compute_kernel(L, N)
+        for l in range(spectral.MAX_LADDER + 1):
+            assert np.allclose(spectral.kernel_derivative(table, l,
+                                                          table.nodes),
+                               table.ladder[l], rtol=0.0, atol=1e-15)
+
+    def test_wavenumbers_past_4n_fold_onto_the_nodes(self):
+        # at L = 10^4, N = 2000 the sum has ~16,600 wavenumbers, more than
+        # the 4N = 8000 of the transform: those past 4N alias onto the nodes
+        # exactly (their truncation would cost 4.5e-3) and must be folded in
+        table = spectral.compute_kernel(1.0e4, 2000)
+        y = table.nodes[::40]
+        for l in (0, 3):
+            assert np.allclose(spectral.kernel_derivative(table, l, y),
+                               table.ladder[l][::40], rtol=0.0, atol=1e-14)
+
     @pytest.mark.parametrize("l, y", [(12, 20.0), (12, 30.0), (12, 43.9),
                                       (6, 38.0)])
     def test_matches_quadrature_oracle(self, kernel_table_wide, l, y):
@@ -162,6 +192,9 @@ class TestLadder:
                             mp.linspace(0, 7, 141)) / mp.pi
         got = spectral.kernel_derivative(kernel_table_wide, l, y)
         assert abs(got - float(exact)) <= 1e-15
+        # the tabulated row, one FFT, is closer still
+        row = kernel_table_wide.ladder[l][np.searchsorted(nodes, y)]
+        assert abs(row - float(exact)) <= 1e-16
 
 
 class TestAdjointPolynomials:
