@@ -12,9 +12,10 @@ The constant states F = -1, 0, +1 are exact solutions at every (n, p).
 Discretization is second-order centered differences on a uniform mesh,
 with the fourth derivative built as D2 o (nonlinear flux) o D2 so the
 regularized coefficient sits between the two second differences; Newton
-(blowuplab.newton) factors the Jacobian, banded with bandwidth 2.  Boundary
-conditions are encoded as reflection ghosts (slope conditions) plus value
-rows, one BC_RULES entry each:
+(blowuplab.newton) factors the Jacobian, banded with bandwidth 2.  Residual
+and band come from one stencil evaluation per Newton point: the band reuses
+the terms its point's residual kept.  Boundary conditions are encoded as
+reflection ghosts (slope conditions) plus value rows, one BC_RULES entry:
 
     dirichlet-far    F = F' = 0 at both ends of [-R, R]
     q-plateau        F = 1, F' = 0 at -R (plateau), F = F' = 0 at R
@@ -172,14 +173,14 @@ def _beta_tilde(params: ProblemParams) -> float:
     return (params.p - (params.n + 1.0)) / (2.0 * (params.n + 2.0))
 
 
-def _extended(values: np.ndarray, bc: str) -> np.ndarray:
-    """Node values padded with two ghost nodes per side.
+def _extended(values: np.ndarray, bc: str, ext=None) -> np.ndarray:
+    """Node values padded with two ghost nodes per side, in ext if given.
 
     Left ghosts reflect with the bc's ghost_sign (even for slope conditions
     and symmetric profiles, odd for antisymmetric ones); right ghosts encode
     F' = 0 at the far boundary by mirror reflection.
     """
-    ext = np.empty(values.size + 4)
+    ext = np.empty(values.size + 4) if ext is None else ext
     ext[2:-2] = values
     ext[:2] = BC_RULES[bc].ghost_sign * values[2:0:-1]
     ext[-2] = values[-2]
@@ -187,19 +188,85 @@ def _extended(values: np.ndarray, bc: str) -> np.ndarray:
     return ext
 
 
-def _flux(w: np.ndarray, n: float, eps: float) -> np.ndarray:
-    return (eps * eps + w * w) ** (0.5 * n) * w
+def _flux(w: np.ndarray, base: np.ndarray, n: float) -> np.ndarray:
+    """(eps^2 + w^2)^(n/2) w, from its base eps^2 + w^2."""
+    return base ** (0.5 * n) * w
 
 
-def _flux_prime(w: np.ndarray, n: float, eps: float) -> np.ndarray:
-    a = eps * eps + w * w
-    return a ** (0.5 * n - 1.0) * (eps * eps + (n + 1.0) * w * w)
+def _flux_prime(w: np.ndarray, base: np.ndarray, n: float, eps2: float) -> np.ndarray:
+    """Derivative of _flux in w, from the same base."""
+    return base ** (0.5 * n - 1.0) * (eps2 + (n + 1.0) * w * w)
 
 
-def _check_mesh(profile: Profile) -> float:
-    if profile.mesh.m < MIN_INTERVALS:
-        raise ValueError(f"mesh too coarse: {profile.mesh.m} < {MIN_INTERVALS} intervals")
-    return profile.mesh.h
+class _Stencil:
+    """The discrete equation at one (mesh, params, bc), on raw node arrays.
+
+    Built once per solve: h^2, h^4, bt y, the drift bt y / (2h), eps^2 and a
+    ghost buffer.  residual(F) keeps its point's F'' (w), flux base eps^2 +
+    w^2 and |F|^(p-1); band(F) builds the Jacobian from them when F is that
+    point (the same array, as newton.solve passes it), else evaluates F
+    first.  With project, F is pinned onto the bc value rows first.
+    """
+
+    def __init__(self, mesh: Mesh, params: ProblemParams, bc: str,
+                 project: bool = False):
+        if mesh.m < MIN_INTERVALS:
+            raise ValueError(f"mesh too coarse: {mesh.m} < {MIN_INTERVALS} intervals")
+        self.h2, self.h4, self.two_h = mesh.h**2, mesh.h**4, 2.0 * mesh.h
+        self.bty = _beta_tilde(params) * mesh.nodes
+        self.drift = self.bty / self.two_h
+        self.n, self.p, self.eps2 = params.n, params.p, params.eps * params.eps
+        self.bc, self.rule, self.project = bc, BC_RULES[bc], project
+        self.ext, self.at = np.empty(mesh.nodes.size + 4), None
+
+    def residual(self, values: np.ndarray) -> np.ndarray:
+        pin = self.rule.pin
+        ext = _extended(values, self.bc, self.ext)
+        if self.project:
+            ext[-3], ext[2] = 0.0, ext[2] if pin is None else pin
+        F = ext[2:-2]
+        w = (ext[:-2] - 2.0 * ext[1:-1] + ext[2:]) / self.h2   # F'' at nodes -1..m+1
+        base = self.eps2 + w * w
+        g = _flux(w, base, self.n)
+        lap_g = (g[:-2] - 2.0 * g[1:-1] + g[2:]) / self.h2     # (flux)'' at nodes 0..m
+        dF = (ext[3:-1] - ext[1:-3]) / self.two_h              # F' at nodes 0..m
+        fp = np.abs(F) ** (self.p - 1.0)
+        res = -lap_g - self.bty * dF - F + fp * F
+        res[-1] = F[-1]
+        if pin is not None:
+            res[0] = F[0] - pin
+        self.at, self.w, self.base, self.fp = values, w, base, fp
+        return res
+
+    def band(self, values: np.ndarray) -> np.ndarray:
+        if values is not self.at:
+            self.residual(values)
+        h4, drift, sign = self.h4, self.drift, self.rule.ghost_sign
+        gp = _flux_prime(self.w, self.base, self.n, self.eps2)  # nodes -1..m+1
+        # row i couples to i-2 .. i+2 through gp at nodes i-1, i, i+1: the outer
+        # diagonals read -gp_k / h^4, the inner 2 (gp_k + gp_k+1) / h^4 -+ drift
+        outer = -gp / h4
+        inner = 2.0 * (gp[:-1] + gp[1:]) / h4
+        ab = np.zeros((7, values.size))
+        ab[2, 2:] = ab[6, :-2] = outer[2:-2]
+        np.subtract(inner[1:-1], drift[:-1], out=ab[3, 1:])
+        ab[4] = -(gp[:-2] + 4.0 * gp[1:-1] + gp[2:]) / h4 - 1.0 + self.p * self.fp
+        np.add(inner[1:-1], drift[1:], out=ab[5, :-1])
+
+        # ghost folds: res_0 sees ghosts -1, -2 (a pinned row 0 is
+        # overwritten below) and res_1 ghost -1, all with the ghost_sign;
+        # res_{m-1} sees ghost m+1, which is node m-1
+        ab[3, 1] += sign * (inner[0] + drift[0])
+        ab[2, 2] += sign * outer[0]
+        ab[4, 1] += sign * outer[1]
+        ab[4, -2] += outer[-2]
+
+        # bc value rows overwrite their equation rows: F = 0 at the right
+        # end, the pinned value at node 0
+        ab[6, -3], ab[5, -2], ab[4, -1] = 0.0, 0.0, 1.0
+        if self.rule.pin is not None:
+            ab[4, 0], ab[3, 1], ab[2, 2] = 1.0, 0.0, 0.0
+        return ab
 
 
 def assemble_residual(profile: Profile) -> np.ndarray:
@@ -210,22 +277,7 @@ def assemble_residual(profile: Profile) -> np.ndarray:
     antisymmetry).  Slope conditions live in the ghost reflections used by
     the interior rows, not in rows of their own.
     """
-    h = _check_mesh(profile)
-    n, p, eps = profile.params.n, profile.params.p, profile.params.eps
-    bt = _beta_tilde(profile.params)
-    F = profile.values
-    y = profile.mesh.nodes
-    ext = _extended(F, profile.bc)
-    w = (ext[:-2] - 2.0 * ext[1:-1] + ext[2:]) / h**2       # F'' at nodes -1..m+1
-    g = _flux(w, n, eps)
-    lap_g = (g[:-2] - 2.0 * g[1:-1] + g[2:]) / h**2         # (flux)'' at nodes 0..m
-    dF = (ext[3:-1] - ext[1:-3]) / (2.0 * h)                # F' at nodes 0..m
-    res = -lap_g - bt * y * dF - F + np.abs(F) ** (p - 1.0) * F
-    pin = BC_RULES[profile.bc].pin
-    res[-1] = F[-1]
-    if pin is not None:
-        res[0] = F[0] - pin
-    return res
+    return _Stencil(profile.mesh, profile.params, profile.bc).residual(profile.values)
 
 
 def residual_norm(profile: Profile) -> float:
@@ -241,45 +293,7 @@ def assemble_jacobian(profile: Profile) -> np.ndarray:
     are zero, the LU's fill-in.  Ghost dependencies fold back into columns
     1, 2 (left, with the bc's ghost_sign) and m-1 (right).
     """
-    h = _check_mesh(profile)
-    n, p, eps = profile.params.n, profile.params.p, profile.params.eps
-    bt = _beta_tilde(profile.params)
-    rule = BC_RULES[profile.bc]
-    F = profile.values
-    y = profile.mesh.nodes
-    ext = _extended(F, profile.bc)
-    w = (ext[:-2] - 2.0 * ext[1:-1] + ext[2:]) / h**2
-    gp = _flux_prime(w, n, eps)                              # g'(F'') at nodes -1..m+1
-    h4 = h**4
-    gpl, gpc, gpr = gp[:-2], gp[1:-1], gp[2:]                # nodes i-1, i, i+1
-    drift = bt * y / (2.0 * h)
-    c_m2 = -gpl / h4
-    c_m1 = 2.0 * (gpl + gpc) / h4 + drift
-    c_0 = -(gpl + 4.0 * gpc + gpr) / h4 - 1.0 + p * np.abs(F) ** (p - 1.0)
-    c_p1 = 2.0 * (gpc + gpr) / h4 - drift
-    c_p2 = -gpr / h4
-
-    ab = np.zeros((7, F.size))
-    ab[2, 2:] = c_p2[:-2]
-    ab[3, 1:] = c_p1[:-1]
-    ab[4] = c_0
-    ab[5, :-1] = c_m1[1:]
-    ab[6, :-2] = c_m2[2:]
-
-    # ghost folds: res_0 sees ghosts -1, -2 (a pinned row 0 is overwritten
-    # below) and res_1 ghost -1, all with the ghost_sign; res_{m-1} sees
-    # ghost m+1, which is node m-1
-    ab[3, 1] += rule.ghost_sign * c_m1[0]
-    ab[2, 2] += rule.ghost_sign * c_m2[0]
-    ab[4, 1] += rule.ghost_sign * c_m2[1]
-    ab[4, -2] += c_p2[-2]
-
-    # bc value rows overwrite their equation rows: F = 0 at the right end,
-    # the pinned value at node 0
-    ab[[6, 5, 4], [-3, -2, -1]] = (0.0, 0.0, 1.0)
-    if rule.pin is not None:
-        ab[[4, 3, 2], [0, 1, 2]] = (1.0, 0.0, 0.0)
-    return ab
+    return _Stencil(profile.mesh, profile.params, profile.bc).band(profile.values)
 
 
 # -- Newton solver ----------------------------------------------------------
@@ -305,33 +319,35 @@ def solve_profile(params: ProblemParams, guess: Profile,
                   opts: NewtonOptions = NewtonOptions()) -> Profile:
     """Profile by blowuplab.newton, one banded LU (dgbtrf) per iteration.
 
+    Residual and band come from one _Stencil evaluation per Newton point.
     Corrections are scaled by max(|F_i|, opts.tol); newton_iters counts
     the LUs.  Failure raises NewtonError with the last iterate, unconverged,
     and the LUs it made.
     """
     if params.eps == 0.0 and params.n > 0.0:
         raise ValueError("eps = 0 with n > 0: degenerate equation, Newton refused")
-    work = Profile(guess.mesh, _project_bc(guess.values, guess.bc), params, guess.bc)
-
-    def at(values) -> Profile:
-        # pivoting solves the identity bc rows of J only to roundoff
-        return work.replace(values=_project_bc(values, work.bc))
+    mesh, bc = guess.mesh, guess.bc
+    # pivoting solves J's identity bc rows only to roundoff: pin every iterate
+    stencil = _Stencil(mesh, params, bc, project=True)
 
     def factor(values, _res):
-        lu, piv, info = dgbtrf(assemble_jacobian(at(values)), 2, 2)
+        lu, piv, info = dgbtrf(stencil.band(values), 2, 2)
         return None if info > 0 else lambda b: dgbtrs(lu, 2, 2, b, piv)[0]
 
+    def profile(values, iters: int, converged: bool) -> Profile:
+        prof = Profile(mesh, _project_bc(values, bc), params, bc,
+                       converged=converged, newton_iters=iters)
+        prof.residual_norm = residual_norm(prof)
+        return prof
+
     try:
-        values, iters = newton.solve(lambda v: assemble_residual(at(v)), factor,
-                                     work.values, opts.tol, opts.tol, opts.max_iters)
+        values, iters = newton.solve(stencil.residual, factor,
+                                     _project_bc(guess.values, bc),
+                                     opts.tol, opts.tol, opts.max_iters)
     except NewtonError as exc:
-        last = at(exc.best)
-        last = last.replace(residual_norm=residual_norm(last),
-                            newton_iters=exc.newton_iters)
-        raise NewtonError(str(exc), last, exc.newton_iters) from None
-    sol = at(values)
-    return sol.replace(residual_norm=residual_norm(sol), converged=True,
-                       newton_iters=iters)
+        raise NewtonError(str(exc), profile(exc.best, exc.newton_iters, False),
+                          exc.newton_iters) from None
+    return profile(values, iters, True)
 
 
 def eps_continuation(params: ProblemParams, guess: Profile, schedule,

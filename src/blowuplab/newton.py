@@ -14,6 +14,10 @@ T_MIN = 1e-8
 MAX_ITERS = 100
 
 
+def _norm(v: np.ndarray) -> float:  # np.linalg.norm of a 1-d v, bit for bit
+    return math.sqrt(v.dot(v))
+
+
 class NewtonError(RuntimeError):
     """Newton failed; best is the last iterate (a Profile from bvp) and
     newton_iters the number of factorizations made."""
@@ -46,15 +50,15 @@ def solve(residual, factor, x, scale, tol: float, max_iters: int):
         if dx is None or not np.all(np.isfinite(dx)):
             raise NewtonError(f"singular factor at Newton step {it}", x, it + 1)
         w = np.maximum(np.abs(x), scale) * math.sqrt(x.size)
-        dx_norm = np.linalg.norm(dx / w)
+        dx_norm = _norm(dx / w)
         if dx_norm <= tol:
             return x + dx, it + 1
         while True:
             trial = x + t * dx
             trial_r = residual(trial)
             dx_bar = -lin(trial_r)
-            bar_norm = np.linalg.norm(dx_bar / w)
-            gap = np.linalg.norm((dx_bar - (1.0 - t) * dx) / w)
+            bar_norm = _norm(dx_bar / w)
+            gap = _norm((dx_bar - (1.0 - t) * dx) / w)
             mu = 0.5 * dx_norm * t * t / gap if gap > 0.0 else math.inf
             if bar_norm <= (1.0 - 0.25 * t) * dx_norm:
                 break

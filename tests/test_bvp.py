@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import blowuplab.bvp as bvp
 import blowuplab.cli as cli
+import blowuplab.newton as newton
 import blowuplab.patterns as pat
 import blowuplab.spectral as spectral
 from blowuplab.model import ProblemParams
@@ -253,7 +254,7 @@ class TestSolve:
         assert best.residual_norm == bvp.residual_norm(best)
 
     def test_warm_start_converges_quadratically(self, f0_profile, monkeypatch):
-        # one Jacobian and one banded LU per Newton iteration; from the
+        # one band build and one banded LU per Newton iteration; from the
         # neighbouring p the iteration keeps its quadratic convergence
         calls = {"jacobian": 0, "lu": 0}
 
@@ -263,12 +264,117 @@ class TestSolve:
                 return fn(*args, **kwargs)
             return call
 
-        monkeypatch.setattr(bvp, "assemble_jacobian",
-                            counted("jacobian", bvp.assemble_jacobian))
+        monkeypatch.setattr(bvp._Stencil, "band",
+                            counted("jacobian", bvp._Stencil.band))
         monkeypatch.setattr(bvp, "dgbtrf", counted("lu", bvp.dgbtrf))
         sol = bvp.solve_profile(N02.with_p(1.25), f0_profile)
         assert sol.converged and sol.newton_iters <= 6
         assert calls == {"jacobian": sol.newton_iters, "lu": sol.newton_iters}
+
+
+class TestStencil:
+    @pytest.mark.parametrize("bc", bvp.BC_CHOICES)
+    @pytest.mark.parametrize("p", [1.2, 1.7], ids=["p=n+1", "p!=n+1"])
+    def test_kept_terms_never_stale(self, bc, p):
+        # residual at x1, residual at x2, band at x1: the band must not
+        # come from x2's kept terms
+        x1 = random_profile(bc, 0.2, p, m=100, seed=1)
+        x2 = random_profile(bc, 0.2, p, m=100, seed=2)
+        stencil = bvp._Stencil(x1.mesh, x1.params, bc, project=True)
+        r1 = stencil.residual(x1.values)
+        assert np.array_equal(r1, bvp.assemble_residual(x1))
+        assert np.array_equal(stencil.residual(x2.values), bvp.assemble_residual(x2))
+        assert np.array_equal(stencil.band(x1.values), bvp.assemble_jacobian(x1))
+        # the band at the last residual's point, built from its kept terms
+        assert np.array_equal(stencil.residual(x2.values), bvp.assemble_residual(x2))
+        assert np.array_equal(stencil.band(x2.values), bvp.assemble_jacobian(x2))
+
+    @pytest.mark.parametrize("bc", bvp.BC_CHOICES)
+    def test_projection_pins_the_bc_rows(self, bc):
+        # Newton's iterates leave the bc value rows by roundoff; the solve's
+        # stencil evaluates them pinned, as the projected profile
+        prof = random_profile(bc, 0.2, 1.5, m=100, seed=4)
+        off = prof.values.copy()
+        off[[0, -1]] += 1e-3
+        stencil = bvp._Stencil(prof.mesh, prof.params, bc, project=True)
+        pinned = bvp._project_bc(off, bc)
+        assert np.array_equal(stencil.residual(off),
+                              bvp.assemble_residual(prof.replace(values=pinned)))
+        assert np.array_equal(stencil.band(off),
+                              bvp.assemble_jacobian(prof.replace(values=pinned)))
+
+    def test_norm_is_numpys(self):
+        # newton's RMS norms are np.linalg.norm of a 1-d array, bit for bit
+        rng = np.random.default_rng(0)
+        for size in (1, 7, 301, 2001):
+            v = rng.standard_normal(size) * 10.0 ** rng.integers(-12, 12, size)
+            assert newton._norm(v) == np.linalg.norm(v)
+
+
+def reference_solve(params, guess, opts=bvp.NewtonOptions()):
+    """solve_profile wired as before the stencil kernel: newton.solve on the
+    public assemblers through a projected Profile."""
+    work = bvp.Profile(guess.mesh, bvp._project_bc(guess.values, guess.bc),
+                       params, guess.bc)
+
+    def at(values):
+        return work.replace(values=bvp._project_bc(values, work.bc))
+
+    def factor(values, _res):
+        lu, piv, info = bvp.dgbtrf(bvp.assemble_jacobian(at(values)), 2, 2)
+        return None if info > 0 else lambda b: bvp.dgbtrs(lu, 2, 2, b, piv)[0]
+
+    values, iters = newton.solve(lambda v: bvp.assemble_residual(at(v)), factor,
+                                 work.values, opts.tol, opts.tol, opts.max_iters)
+    sol = at(values)
+    return sol.replace(residual_norm=bvp.residual_norm(sol), converged=True,
+                       newton_iters=iters)
+
+
+def reference_cases():
+    """One converging solve per bc, on meshes of 300-600 intervals."""
+    half = bvp.Mesh.uniform(0.0, 30.0, 300)
+    spec = pat.FamilySpec
+    f0 = bvp.solve_profile(N02, pat.guess_factory(spec("basic", 0, n=0.2), half, N02))
+    p15 = N02.with_p(1.5)
+    return {
+        "symmetry": (N02, pat.guess_factory(spec("basic", 0, n=0.2), half, N02)),
+        "antisymmetry": (N02.with_p(1.21), pat.guess_factory(
+            spec("basic", 1, n=0.2), half, N02, template=f0)),
+        "dirichlet-far": (p15, pat.guess_factory(
+            spec("basic", 0, n=0.2), bvp.Mesh.uniform(-30.0, 30.0, 600), p15)),
+        "q-plateau": (p15, pat.guess_factory(
+            spec("q_type", separation=4.0, n=0.2),
+            bvp.Mesh.uniform(-2.0, 30.0, 320), p15)),
+    }
+
+
+class TestReferenceIteration:
+    @pytest.mark.parametrize("bc", bvp.BC_CHOICES)
+    def test_solve_matches_reference(self, bc):
+        params, guess = reference_cases()[bc]
+        assert guess.bc == bc
+        sol = bvp.solve_profile(params, guess)
+        ref = reference_solve(params, guess)
+        assert sol.converged and ref.converged
+        assert np.array_equal(sol.values, ref.values)
+        assert sol.residual_norm == ref.residual_norm
+        assert sol.newton_iters == ref.newton_iters
+
+    def test_failure_matches_reference(self):
+        # test_divergence_reported's 100x dipole: the same message, best
+        # iterate and LU count
+        bad = bvp.Profile(HALF_MESH, 100.0 * DIPOLE, N02, "antisymmetry")
+        with pytest.raises(bvp.NewtonError) as got:
+            bvp.solve_profile(N02, bad)
+        with pytest.raises(bvp.NewtonError) as ref:
+            reference_solve(N02, bad)
+        assert str(got.value) == str(ref.value)
+        assert got.value.newton_iters == ref.value.newton_iters
+        best = got.value.best
+        assert np.array_equal(best.values, bvp._project_bc(ref.value.best, "antisymmetry"))
+        assert best.residual_norm == bvp.residual_norm(best)
+        assert not best.converged and best.newton_iters == ref.value.newton_iters
 
 
 class TestEpsContinuation:
