@@ -181,20 +181,27 @@ def _extended(values: np.ndarray, bc: str, ext=None) -> np.ndarray:
     F' = 0 at the far boundary by mirror reflection.
     """
     ext = np.empty(values.size + 4) if ext is None else ext
+    sign = BC_RULES[bc].ghost_sign
     ext[2:-2] = values
-    ext[:2] = BC_RULES[bc].ghost_sign * values[2:0:-1]
-    ext[-2] = values[-2]
-    ext[-1] = values[-3]
+    ext[0], ext[1], ext[-2], ext[-1] = (sign * values[2], sign * values[1],
+                                        values[-2], values[-3])
     return ext
 
 
+def _d2(a: np.ndarray, scale: float) -> np.ndarray:
+    """(a_k-1 - 2 a_k + a_k+1) / scale at every interior k of a."""
+    d = a[:-2] - 2.0 * a[1:-1]
+    d += a[2:]
+    d /= scale
+    return d
+
+
 def _flux(w: np.ndarray, base: np.ndarray, n: float) -> np.ndarray:
-    """(eps^2 + w^2)^(n/2) w, from its base eps^2 + w^2."""
+    """(eps^2 + w^2)^(n/2) w from its base eps^2 + w^2; _flux_prime is d/dw."""
     return base ** (0.5 * n) * w
 
 
 def _flux_prime(w: np.ndarray, base: np.ndarray, n: float, eps2: float) -> np.ndarray:
-    """Derivative of _flux in w, from the same base."""
     return base ** (0.5 * n - 1.0) * (eps2 + (n + 1.0) * w * w)
 
 
@@ -208,8 +215,7 @@ class _Stencil:
     first.  With project, F is pinned onto the bc value rows first.
     """
 
-    def __init__(self, mesh: Mesh, params: ProblemParams, bc: str,
-                 project: bool = False):
+    def __init__(self, mesh: Mesh, params: ProblemParams, bc: str, project: bool = False):
         if mesh.m < MIN_INTERVALS:
             raise ValueError(f"mesh too coarse: {mesh.m} < {MIN_INTERVALS} intervals")
         self.h2, self.h4, self.two_h = mesh.h**2, mesh.h**4, 2.0 * mesh.h
@@ -225,13 +231,14 @@ class _Stencil:
         if self.project:
             ext[-3], ext[2] = 0.0, ext[2] if pin is None else pin
         F = ext[2:-2]
-        w = (ext[:-2] - 2.0 * ext[1:-1] + ext[2:]) / self.h2   # F'' at nodes -1..m+1
+        w = _d2(ext, self.h2)                                  # F'' at nodes -1..m+1
         base = self.eps2 + w * w
-        g = _flux(w, base, self.n)
-        lap_g = (g[:-2] - 2.0 * g[1:-1] + g[2:]) / self.h2     # (flux)'' at nodes 0..m
+        res = _d2(_flux(w, base, self.n), -self.h2)            # -(flux)'' at nodes 0..m
         dF = (ext[3:-1] - ext[1:-3]) / self.two_h              # F' at nodes 0..m
+        res -= self.bty * dF
+        res -= F
         fp = np.abs(F) ** (self.p - 1.0)
-        res = -lap_g - self.bty * dF - F + fp * F
+        res += fp * F
         res[-1] = F[-1]
         if pin is not None:
             res[0] = F[0] - pin
@@ -245,13 +252,13 @@ class _Stencil:
         gp = _flux_prime(self.w, self.base, self.n, self.eps2)  # nodes -1..m+1
         # row i couples to i-2 .. i+2 through gp at nodes i-1, i, i+1: the outer
         # diagonals read -gp_k / h^4, the inner 2 (gp_k + gp_k+1) / h^4 -+ drift
-        outer = -gp / h4
+        outer = gp / -h4
         inner = 2.0 * (gp[:-1] + gp[1:]) / h4
         ab = np.zeros((7, values.size))
         ab[2, 2:] = ab[6, :-2] = outer[2:-2]
-        np.subtract(inner[1:-1], drift[:-1], out=ab[3, 1:])
-        ab[4] = -(gp[:-2] + 4.0 * gp[1:-1] + gp[2:]) / h4 - 1.0 + self.p * self.fp
-        np.add(inner[1:-1], drift[1:], out=ab[5, :-1])
+        ab[3, 1:] = inner[1:-1] - drift[:-1]
+        ab[4] = (gp[:-2] + 4.0 * gp[1:-1] + gp[2:]) / -h4 - 1.0 + self.p * self.fp
+        ab[5, :-1] = inner[1:-1] + drift[1:]
 
         # ghost folds: res_0 sees ghosts -1, -2 (a pinned row 0 is
         # overwritten below) and res_1 ghost -1, all with the ghost_sign;
@@ -334,20 +341,18 @@ def solve_profile(params: ProblemParams, guess: Profile,
         lu, piv, info = dgbtrf(stencil.band(values), 2, 2)
         return None if info > 0 else lambda b: dgbtrs(lu, 2, 2, b, piv)[0]
 
-    def profile(values, iters: int, converged: bool) -> Profile:
-        prof = Profile(mesh, _project_bc(values, bc), params, bc,
-                       converged=converged, newton_iters=iters)
-        prof.residual_norm = residual_norm(prof)
-        return prof
-
     try:
-        values, iters = newton.solve(stencil.residual, factor,
-                                     _project_bc(guess.values, bc),
+        values, iters = newton.solve(stencil.residual, factor, _project_bc(guess.values, bc),
                                      opts.tol, opts.tol, opts.max_iters)
     except NewtonError as exc:
-        raise NewtonError(str(exc), profile(exc.best, exc.newton_iters, False),
-                          exc.newton_iters) from None
-    return profile(values, iters, True)
+        last = Profile(mesh, _project_bc(exc.best, bc), params, bc,
+                       newton_iters=exc.newton_iters)
+        last.residual_norm = residual_norm(last)
+        raise NewtonError(str(exc), last, exc.newton_iters) from None
+    sol = Profile(mesh, _project_bc(values, bc), params, bc, converged=True,
+                  newton_iters=iters)
+    sol.residual_norm = residual_norm(sol)
+    return sol
 
 
 def eps_continuation(params: ProblemParams, guess: Profile, schedule,

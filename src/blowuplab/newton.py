@@ -47,7 +47,7 @@ def solve(residual, factor, x, scale, tol: float, max_iters: int):
     for it in range(max_iters):
         lin = factor(x, r)
         dx = None if lin is None else -lin(r)
-        if dx is None or not np.all(np.isfinite(dx)):
+        if dx is None or not np.isfinite(dx).all():
             raise NewtonError(f"singular factor at Newton step {it}", x, it + 1)
         w = np.maximum(np.abs(x), scale) * math.sqrt(x.size)
         dx_norm = _norm(dx / w)

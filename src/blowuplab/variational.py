@@ -65,10 +65,7 @@ def _require_regional(params):
 
 def _second_difference(profile: Profile) -> np.ndarray:
     """F'' at every node with the solver's ghost conventions."""
-    h = profile.mesh.h
-    ext = bvp._extended(profile.values, profile.bc)
-    w = (ext[:-2] - 2.0 * ext[1:-1] + ext[2:]) / h**2
-    return w[1:-1]
+    return bvp._d2(bvp._extended(profile.values, profile.bc), profile.mesh.h**2)[1:-1]
 
 
 def _trapz(values: np.ndarray, h: float) -> float:
@@ -147,14 +144,12 @@ def fiber_reduce(v: Profile) -> FiberReport:
 def _curvature(x: np.ndarray, h: float) -> np.ndarray:
     """W x: psi'' at all m+1 nodes from psi_1..psi_{m-1}, the clamped ends
     entering as zero end nodes and ghost reflections (w_0 = 2 psi_1 / h^2)."""
-    ext = np.concatenate(([x[0], 0.0], x, [0.0, x[-1]]))
-    return (ext[:-2] - 2.0 * ext[1:-1] + ext[2:]) / (h * h)
+    return bvp._d2(np.concatenate(([x[0], 0.0], x, [0.0, x[-1]])), h * h)
 
 
 def _curvature_adjoint(y: np.ndarray, h: float) -> np.ndarray:
     """W^T y: the second difference of y e, e = (2, 1, ..., 1, 2), inside."""
-    ye = np.concatenate(([2.0 * y[0]], y[1:-1], [2.0 * y[-1]]))
-    return (ye[:-2] - 2.0 * ye[1:-1] + ye[2:]) / (h * h)
+    return bvp._d2(np.concatenate(([2.0 * y[0]], y[1:-1], [2.0 * y[-1]])), h * h)
 
 
 def _block_band(d, cx, lam: float, nk: float, h: float) -> np.ndarray:
