@@ -202,6 +202,8 @@ def _flux(w: np.ndarray, base: np.ndarray, n: float) -> np.ndarray:
 
 
 def _flux_prime(w: np.ndarray, base: np.ndarray, n: float, eps2: float) -> np.ndarray:
+    if eps2 == 0.0:  # the general form reads 0^(n/2-1) * 0 where w = 0
+        return (n + 1.0) * np.abs(w) ** n
     return base ** (0.5 * n - 1.0) * (eps2 + (n + 1.0) * w * w)
 
 
@@ -209,23 +211,28 @@ class _Stencil:
     """The discrete equation at one (mesh, params, bc), on raw node arrays.
 
     Built once per solve: h^2, h^4, bt y, the drift bt y / (2h), eps^2 and a
-    ghost buffer.  residual(F) keeps its point's F'' (w), flux base eps^2 +
-    w^2 and |F|^(p-1); band(F) builds the Jacobian from them when F is that
-    point (the same array, as newton.solve passes it), else evaluates F
-    first.  With project, F is pinned onto the bc value rows first.
+    ghost buffer.  The zero-order term is a F + b |F|^(p-1) F: (a, b) =
+    (-1, 1) for profiles, (0, lambda) for the nonlinear eigenvalue.
+    residual(F, a, b) keeps its point's F'' (w), flux base eps^2 + w^2 and
+    |F|^(p-1), none of which depends on (a, b); band(F, a, b) builds the
+    Jacobian from them when F is that point (the same array, as
+    newton.solve passes it; never a buffer refilled in place), else
+    evaluates F first.  With project, F is pinned onto the bc value rows
+    first.
     """
 
     def __init__(self, mesh: Mesh, params: ProblemParams, bc: str, project: bool = False):
         if mesh.m < MIN_INTERVALS:
             raise ValueError(f"mesh too coarse: {mesh.m} < {MIN_INTERVALS} intervals")
         self.h2, self.h4, self.two_h = mesh.h**2, mesh.h**4, 2.0 * mesh.h
-        self.bty = _beta_tilde(params) * mesh.nodes
+        self.bt = _beta_tilde(params)
+        self.bty = self.bt * mesh.nodes
         self.drift = self.bty / self.two_h
         self.n, self.p, self.eps2 = params.n, params.p, params.eps * params.eps
         self.bc, self.rule, self.project = bc, BC_RULES[bc], project
         self.ext, self.at = np.empty(mesh.nodes.size + 4), None
 
-    def residual(self, values: np.ndarray) -> np.ndarray:
+    def residual(self, values: np.ndarray, a: float = -1.0, b: float = 1.0) -> np.ndarray:
         pin = self.rule.pin
         ext = _extended(values, self.bc, self.ext)
         if self.project:
@@ -234,18 +241,19 @@ class _Stencil:
         w = _d2(ext, self.h2)                                  # F'' at nodes -1..m+1
         base = self.eps2 + w * w
         res = _d2(_flux(w, base, self.n), -self.h2)            # -(flux)'' at nodes 0..m
-        dF = (ext[3:-1] - ext[1:-3]) / self.two_h              # F' at nodes 0..m
-        res -= self.bty * dF
-        res -= F
+        if self.bt:                                            # 0 at p = n+1
+            dF = (ext[3:-1] - ext[1:-3]) / self.two_h          # F' at nodes 0..m
+            res -= self.bty * dF
+        res += a * F
         fp = np.abs(F) ** (self.p - 1.0)
-        res += fp * F
+        res += b * fp * F
         res[-1] = F[-1]
         if pin is not None:
             res[0] = F[0] - pin
         self.at, self.w, self.base, self.fp = values, w, base, fp
         return res
 
-    def band(self, values: np.ndarray) -> np.ndarray:
+    def band(self, values: np.ndarray, a: float = -1.0, b: float = 1.0) -> np.ndarray:
         if values is not self.at:
             self.residual(values)
         h4, drift, sign = self.h4, self.drift, self.rule.ghost_sign
@@ -257,7 +265,7 @@ class _Stencil:
         ab = np.zeros((7, values.size))
         ab[2, 2:] = ab[6, :-2] = outer[2:-2]
         ab[3, 1:] = inner[1:-1] - drift[:-1]
-        ab[4] = (gp[:-2] + 4.0 * gp[1:-1] + gp[2:]) / -h4 - 1.0 + self.p * self.fp
+        ab[4] = (gp[:-2] + 4.0 * gp[1:-1] + gp[2:]) / -h4 + a + b * self.p * self.fp
         ab[5, :-1] = inner[1:-1] + drift[1:]
 
         # ghost folds: res_0 sees ghosts -1, -2 (a pinned row 0 is

@@ -18,8 +18,11 @@ nonlinear eigenvalues of -(|psi''|^n psi'')'' + lambda |psi|^n psi = 0
 under clamped conditions; the first one is the minimum of the Rayleigh
 quotient int |psi''|^(n+2) / int |psi|^(n+2) and obeys the interval
 scaling lambda_k(R) = R^(-4-2n) lambda_k(1).  It is computed by
-blowuplab.newton on the discrete Euler-Lagrange system, continued in n,
-its pentadiagonal block on a banded LU and its border by block elimination.
+blowuplab.newton on the discrete Euler-Lagrange system, which is the
+profile solver's stencil (bvp._Stencil) at eps = 0 and p = n+1 with the
+zero-order coefficients (0, lambda) in place of the profiles' (-1, 1):
+continued in n, the stencil's band on a banded LU and the border by block
+elimination.
 """
 
 from __future__ import annotations
@@ -63,9 +66,9 @@ def _require_regional(params):
             f"variational machinery needs p = n+1, got n={params.n}, p={params.p}")
 
 
-def _second_difference(profile: Profile) -> np.ndarray:
+def _second_difference(values: np.ndarray, bc: str, h: float) -> np.ndarray:
     """F'' at every node with the solver's ghost conventions."""
-    return bvp._d2(bvp._extended(profile.values, profile.bc), profile.mesh.h**2)[1:-1]
+    return bvp._d2(bvp._extended(values, bc), h**2)[1:-1]
 
 
 def _trapz(values: np.ndarray, h: float) -> float:
@@ -82,8 +85,8 @@ def energy(profile: Profile) -> EnergyReport:
     prof = profile.full_extension()
     n = prof.params.n
     h = prof.mesh.h
-    w = _second_difference(prof)
     F = prof.values
+    w = _second_difference(F, prof.bc, h)
     bending = -_trapz(np.abs(w) ** (n + 2.0), h) / (n + 2.0)
     mass = -0.5 * _trapz(F * F, h)
     source = _trapz(np.abs(F) ** (n + 2.0), h) / (n + 2.0)
@@ -141,35 +144,11 @@ def fiber_reduce(v: Profile) -> FiberReport:
 # -- first nonlinear eigenvalue ---------------------------------------------
 
 
-def _curvature(x: np.ndarray, h: float) -> np.ndarray:
-    """W x: psi'' at all m+1 nodes from psi_1..psi_{m-1}, the clamped ends
-    entering as zero end nodes and ghost reflections (w_0 = 2 psi_1 / h^2)."""
-    return bvp._d2(np.concatenate(([x[0], 0.0], x, [0.0, x[-1]])), h * h)
-
-
-def _curvature_adjoint(y: np.ndarray, h: float) -> np.ndarray:
-    """W^T y: the second difference of y e, e = (2, 1, ..., 1, 2), inside."""
-    return bvp._d2(np.concatenate(([2.0 * y[0]], y[1:-1], [2.0 * y[-1]])), h * h)
-
-
-def _block_band(d, cx, lam: float, nk: float, h: float) -> np.ndarray:
-    """(nk+1)(W^T diag(d) W - lam diag(cx)) in dgbtrf's layout (kl = ku = 2):
-    row 4 + i - j holds entry (i, j), rows 0-1 are the LU's fill-in.  Row j
-    of W^T diag(d) W is (d_{j-1}, -2(d_{j-1} + d_j), d~_{j-1} + 4 d_j +
-    d~_{j+1}, -2(d_j + d_{j+1}), d_{j+1}) / h^4, with d~ = d e^2."""
-    s = (nk + 1.0) / h**4
-    dt = np.concatenate(([4.0 * d[0]], d[1:-1], [4.0 * d[-1]]))
-    ab = np.zeros((7, cx.size))
-    ab[4] = s * (dt[:-2] + 4.0 * d[1:-1] + dt[2:]) - (nk + 1.0) * lam * cx
-    ab[3, 1:] = ab[5, :-1] = -2.0 * s * (d[1:-2] + d[2:-1])
-    ab[2, 2:] = ab[6, :-2] = s * d[2:-2]
-    return ab
-
-
 def _bordered_solver(ab: np.ndarray, col: np.ndarray, row: np.ndarray):
     """b -> z solving [[A, col], [row^T, 0]] z = b (None if dgbtrf finds A
-    singular) by block elimination on the banded LU of A, laid out as by
-    _block_band, plus one step of iterative refinement on the bordered
+    singular) by block elimination on the banded LU of A, in dgbtrf's
+    layout (kl = ku = 2, rows 0-1 the LU's fill-in), plus one step of
+    iterative refinement on the bordered
     residual: accurate whenever the bordered matrix is well conditioned,
     even with A singular to roundoff (Govaerts & Pryce, BIT 30, 1990)."""
     lu, piv, info = dgbtrf(ab, 2, 2)
@@ -193,55 +172,67 @@ def _bordered_solver(ab: np.ndarray, col: np.ndarray, row: np.ndarray):
 def first_nonlinear_eigenvalue(n: float, R: float, m: int = 400) -> float:
     """Minimum of the clamped Rayleigh quotient on (-R, R).
 
-    The minimizer solves the discrete Euler-Lagrange system
+    The minimizer solves the discrete Euler-Lagrange system, the profile
+    stencil (bvp._Stencil) on Mesh.uniform(-R, R, m) with the clamped ends
+    of bc dirichlet-far, eps = 0, p = n+1 and zero-order coefficients
+    (a, b) = (0, lambda):
 
-        W^T (c phi(W x)) - lambda c_int phi(x) = 0,   phi(s) = |s|^n s,
+        -(|F''|^n F'')'' + lambda |F|^n F = 0   at nodes 1..m-1,
 
-    bordered by <x0, x> = <x0, x0>, with x0 the clamped bump.  Each
-    blowuplab.newton step solves the bordered system by _bordered_solver
-    (the block alone is singular: J x = 0 by homogeneity).  The linear
+    in the unknowns x = F_1..F_(m-1) and lambda, bordered by <x0, x> =
+    <x0, x0>, with x0 the clamped bump.  Each blowuplab.newton step solves
+    the bordered system by _bordered_solver on the stencil's band without
+    its two pinned end rows and columns, with border column |x|^n x (the
+    block alone is singular: J x = 0 by homogeneity).  The linear
     eigenvector lies outside the basin for n >= 2.5 on fine meshes, so
     Newton runs in stages n_k = 0, N_STAGE, 2 N_STAGE, ..., n, each from
-    the last; the first is the linear pencil W^T C W x = lambda C_int x.
-    The quotient of the final x is stationary there, so exact to rounding.
-    A Newton failure raises RuntimeError with the quotient of the last
-    iterate.
+    the last; the first is the linear pencil.  The quotient of the final x
+    is stationary there, so exact to rounding.  A Newton failure raises
+    RuntimeError with the quotient of the last iterate.
     """
     if n < 0 or R <= 0:
         raise ValueError("need n >= 0 and R > 0")
     if m < 64:
         raise ValueError("mesh too coarse")
-    h = 2.0 * R / m
+    mesh, h = bvp.Mesh.uniform(-R, R, m), 2.0 * R / m
     # trapezoid weights on the full node set
     c = np.full(m + 1, h)
     c[[0, -1]] *= 0.5
-    c_int = c[1:-1]
+    kept = [None, None]
 
-    def quotient(x, nk):
-        return float(np.sum(c * np.abs(_curvature(x, h)) ** (nk + 2.0))
-                     / np.sum(c_int * np.abs(x) ** (nk + 2.0)))
+    def nodes(z):
+        """F = (0, x, 0) of z, one fresh array per z: the stencil's band
+        reuses its residual's terms only for that same array."""
+        if z is not kept[0]:
+            kept[:] = z, np.concatenate(([0.0], z[:-1], [0.0]))
+        return kept[1]
+
+    def quotient(z, nk):
+        F = nodes(z)
+        w = _second_difference(F, "dirichlet-far", h)
+        return float(np.sum(c * np.abs(w) ** (nk + 2.0))
+                     / np.sum(c[1:-1] * np.abs(F[1:-1]) ** (nk + 2.0)))
 
     # unknowns (x, lambda), from the clamped bump (1 - (y/R)^2)^2 of order one
     x0 = (1.0 - np.linspace(-1.0, 1.0, m + 1)[1:-1] ** 2) ** 2
-    z = np.append(x0, quotient(x0, 0.0))
+    z = np.append(x0, quotient(np.append(x0, 0.0), 0.0))
     z_scale = np.append(np.ones(m - 1), z[-1])
 
     for nk in [N_STAGE * k for k in range(math.ceil(n / N_STAGE))] + [n]:
+        stencil = bvp._Stencil(mesh, model.ProblemParams(nk, nk + 1.0, 0.0), "dirichlet-far")
+
         def residual(z):
-            x, lam = z[:-1], z[-1]
-            w = _curvature(x, h)
-            return np.append(_curvature_adjoint(c * np.abs(w) ** nk * w, h)
-                             - lam * c_int * np.abs(x) ** nk * x, x0 @ (x - x0))
+            res = stencil.residual(nodes(z), 0.0, z[-1])
+            return np.append(res[1:-1], x0 @ (z[:-1] - x0))
 
         def factor(z, _r):
-            x, lam = z[:-1], z[-1]
-            cx = c_int * np.abs(x) ** nk
-            ab = _block_band(c * np.abs(_curvature(x, h)) ** nk, cx, lam, nk, h)
-            return _bordered_solver(ab, -(cx * x), x0)
+            F = nodes(z)
+            ab = stencil.band(F, 0.0, z[-1])
+            return _bordered_solver(ab[:, 1:-1], stencil.fp[1:-1] * F[1:-1], x0)
 
         try:
             z, _ = newton.solve(residual, factor, z, z_scale, TOL, newton.MAX_ITERS)
         except newton.NewtonError as exc:
             raise RuntimeError(f"{exc} (stage n = {nk:g}); last quotient "
-                               f"{quotient(exc.best[:-1], nk):.6g}") from None
-    return quotient(z[:-1], n)
+                               f"{quotient(exc.best, nk):.6g}") from None
+    return quotient(z, n)

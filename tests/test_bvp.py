@@ -99,6 +99,21 @@ class TestJacobian:
             prof = random_profile(bc, n, p, seed=3)
             assert jacobian_fd_error(prof) <= 1e-5
 
+    @pytest.mark.parametrize("n", [0.0, 0.5, 1.0, 3.0])
+    def test_eps_zero_band_at_zero_curvature(self, n):
+        # at eps = 0 the flux |w|^n w has derivative (n+1)|w|^n, also on the
+        # flat stretches where w = F'' = 0 exactly; h = 1 keeps the rows O(1).
+        # The flux is only C^(1,n) at w = 0, so the difference quotient is
+        # off by about (step / h^2)^n there: 1e-4 at n = 0.5
+        mesh = bvp.Mesh.uniform(-32.0, 32.0, 64)
+        y = mesh.nodes
+        vals = np.where(np.abs(y) < 12.0, 1.2 * (1.0 - (y / 12.0) ** 2) ** 2, 0.0)
+        prof = bvp.Profile(mesh, vals, ProblemParams(n, n + 1.0, 0.0), "dirichlet-far")
+        w = bvp._d2(bvp._extended(vals, prof.bc), mesh.h**2)
+        assert np.count_nonzero(w == 0.0) >= 40
+        assert np.isfinite(bvp.assemble_jacobian(prof)).all()
+        assert jacobian_fd_error(prof, step=1e-8) <= 1e-3
+
     @pytest.mark.parametrize("bc", bvp.BC_CHOICES)
     def test_band_in_dgbtrf_layout(self, bc):
         # kl = ku = 2 with the LU's two fill-in rows on top, left empty
@@ -288,6 +303,14 @@ class TestStencil:
         # the band at the last residual's point, built from its kept terms
         assert np.array_equal(stencil.residual(x2.values), bvp.assemble_residual(x2))
         assert np.array_equal(stencil.band(x2.values), bvp.assemble_jacobian(x2))
+        # the eigenvalue's zero-order coefficients (0, lambda): a band built
+        # after lambda changes is the band at the new lambda
+        fresh = bvp._Stencil(x1.mesh, x1.params, bc, project=True)
+        stencil.residual(x2.values, 0.0, 30.0)
+        assert np.array_equal(stencil.band(x2.values, 0.0, 40.0),
+                              fresh.band(x2.values, 0.0, 40.0))
+        assert np.array_equal(stencil.residual(x2.values, 0.0, 40.0),
+                              fresh.residual(x2.values, 0.0, 40.0))
 
     @pytest.mark.parametrize("bc", bvp.BC_CHOICES)
     def test_projection_pins_the_bc_rows(self, bc):

@@ -178,34 +178,48 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
+def clamped_stencil(n: float, R: float, m: int):
+    """The profile stencil of the clamped problem on (-R, R): eps = 0,
+    p = n+1, bc dirichlet-far."""
+    return bvp._Stencil(bvp.Mesh.uniform(-R, R, m), ProblemParams(n, n + 1.0, 0.0),
+                        "dirichlet-far")
+
+
 class TestBandedEulerLagrange:
     @pytest.mark.parametrize("m", [64, 400])
-    @pytest.mark.parametrize("n", [0.0, 1.0])
+    @pytest.mark.parametrize("n", [0.0, 0.5, 1.0, 3.0])
     def test_stencils_and_band_match_clamped_pencil(self, n, m):
+        # at (a, b) = (0, lam), -h times the stencil's interior rows is the
+        # Euler-Lagrange system W^T (c phi(W x)) - lam c_int phi(x), phi(s) =
+        # |s|^n s, and its band without the pinned end rows and columns
+        # that system's Jacobian
         rng = np.random.default_rng(12)
         R, lam = 1.0, 30.0
         h = 2.0 * R / m
         W, c, c_int = clamped_pencil(R, m)
-        x, y = rng.standard_normal(m - 1), rng.standard_normal(m + 1)
-        assert rel_err(var._curvature(x, h), W @ x) <= 1e-12
-        assert rel_err(var._curvature_adjoint(y, h), W.T @ y) <= 1e-12
+        x = rng.standard_normal(m - 1)
+        F = np.concatenate(([0.0], x, [0.0]))
+        stencil = clamped_stencil(n, R, m)
+        phi = lambda s: np.abs(s) ** n * s
+        el = W.T @ (c * phi(W @ x)) - lam * c_int * phi(x)
+        assert rel_err(-h * stencil.residual(F, 0.0, lam)[1:-1], el) <= 1e-12
         d, cx = c * np.abs(W @ x) ** n, c_int * np.abs(x) ** n
         dense = (n + 1.0) * (W.T @ (d[:, None] * W) - lam * np.diag(cx))
-        ab = var._block_band(d, cx, lam, n, h)
+        ab = stencil.band(F, 0.0, lam)[:, 1:-1]
         assert not ab[:2].any()   # the LU's fill-in rows start empty
-        assert rel_err(band_to_dense(ab), dense) <= 1e-12
+        assert rel_err(-h * band_to_dense(ab), dense) <= 1e-12
 
     def test_bordered_solve_at_singular_block(self):
         # at the linear eigenpair the block is singular to roundoff; the
         # bordered system is not, and its solve must be backward stable
         m, R = 400, 1.0
-        h = 2.0 * R / m
         W, c, c_int = clamped_pencil(R, m)
         _, vecs = scipy.linalg.eigh(W.T @ (c[:, None] * W), np.diag(c_int))
         x = vecs[:, 0]
         lam = np.sum(c * (W @ x) ** 2) / np.sum(c_int * x * x)
-        ab = var._block_band(c, c_int, lam, 0.0, h)
-        col = -(c_int * x)
+        F = np.concatenate(([0.0], x, [0.0]))
+        ab = clamped_stencil(0.0, R, m).band(F, 0.0, lam)[:, 1:-1]
+        col = x   # d/dlam of the stencil's lam |F|^0 F
         row = (1.0 - np.linspace(-1.0, 1.0, m + 1)[1:-1] ** 2) ** 2
         b = np.random.default_rng(3).standard_normal(m)
         z = var._bordered_solver(ab, col, row)(b)
