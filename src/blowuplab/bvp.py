@@ -211,14 +211,13 @@ class _Stencil:
     """The discrete equation at one (mesh, params, bc), on raw node arrays.
 
     Built once per solve: h^2, h^4, bt y, the drift bt y / (2h), eps^2 and a
-    ghost buffer.  The zero-order term is a F + b |F|^(p-1) F: (a, b) =
-    (-1, 1) for profiles, (0, lambda) for the nonlinear eigenvalue.
+    ghost buffer.  The zero-order term is a F + b |F|^(p-1) F, (a, b) =
+    (-1, 1) for profiles and (0, lambda) for the nonlinear eigenvalue.
     residual(F, a, b) keeps its point's F'' (w), flux base eps^2 + w^2 and
     |F|^(p-1), none of which depends on (a, b); band(F, a, b) builds the
-    Jacobian from them when F is that point (the same array, as
-    newton.solve passes it; never a buffer refilled in place), else
-    evaluates F first.  With project, F is pinned onto the bc value rows
-    first.
+    Jacobian from them when F is that point (the same array, never a buffer
+    refilled in place), else evaluates F first.  With project, F is pinned
+    onto the bc value rows first.
     """
 
     def __init__(self, mesh: Mesh, params: ProblemParams, bc: str, project: bool = False):
