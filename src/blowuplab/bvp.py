@@ -12,9 +12,8 @@ The constant states F = -1, 0, +1 are exact solutions at every (n, p).
 Discretization is second-order centered differences on a uniform mesh,
 with the fourth derivative built as D2 o (nonlinear flux) o D2 so the
 regularized coefficient sits between the two second differences; Newton
-(blowuplab.newton) factors the Jacobian, banded with bandwidth 2.  Residual
-and band come from one stencil evaluation per Newton point: the band reuses
-the terms its point's residual kept.  Boundary conditions are encoded as
+(blowuplab.newton) factors the Jacobian, banded with bandwidth 2, built
+from the terms of its point's residual.  Boundary conditions are encoded as
 reflection ghosts (slope conditions) plus value rows, one BC_RULES entry:
 
     dirichlet-far    F = F' = 0 at both ends of [-R, R]
@@ -97,10 +96,11 @@ class Mesh:
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("mesh needs a 1-d array of at least 2 nodes")
-        if np.any(np.diff(nodes) <= 0):
-            raise ValueError("mesh nodes must be strictly increasing")
-        h = float(nodes[1] - nodes[0])
-        if not np.allclose(np.diff(nodes), h, rtol=1e-12, atol=1e-12):
+        d = np.diff(nodes)
+        if not (np.isfinite(nodes).all() and (d > 0.0).all()):
+            raise ValueError("mesh nodes must be finite and strictly increasing")
+        h = float(d[0])
+        if not (np.abs(d - h) <= 1e-12 + 1e-12 * abs(h)).all():
             raise ValueError("stencils require a uniform mesh")
         object.__setattr__(self, "h", h)
 
@@ -213,11 +213,10 @@ class _Stencil:
     Built once per solve: h^2, h^4, bt y, the drift bt y / (2h), eps^2 and a
     ghost buffer.  The zero-order term is a F + b |F|^(p-1) F, (a, b) =
     (-1, 1) for profiles and (0, lambda) for the nonlinear eigenvalue.
-    residual(F, a, b) keeps its point's F'' (w), flux base eps^2 + w^2 and
-    |F|^(p-1), none of which depends on (a, b); band(F, a, b) builds the
-    Jacobian from them when F is that point (the same array, never a buffer
-    refilled in place), else evaluates F first.  With project, F is pinned
-    onto the bc value rows first.
+    evaluate(F, a, b) returns the residual at F and band(), which builds
+    the Jacobian there from that evaluation's F'' (w), flux base eps^2 +
+    w^2 and |F|^(p-1).  With project, F is pinned onto the bc value rows
+    first.
     """
 
     def __init__(self, mesh: Mesh, params: ProblemParams, bc: str, project: bool = False):
@@ -229,9 +228,9 @@ class _Stencil:
         self.drift = self.bty / self.two_h
         self.n, self.p, self.eps2 = params.n, params.p, params.eps * params.eps
         self.bc, self.rule, self.project = bc, BC_RULES[bc], project
-        self.ext, self.at = np.empty(mesh.nodes.size + 4), None
+        self.ext = np.empty(mesh.nodes.size + 4)
 
-    def residual(self, values: np.ndarray, a: float = -1.0, b: float = 1.0) -> np.ndarray:
+    def evaluate(self, values: np.ndarray, a: float = -1.0, b: float = 1.0):
         pin = self.rule.pin
         ext = _extended(values, self.bc, self.ext)
         if self.project:
@@ -249,38 +248,36 @@ class _Stencil:
         res[-1] = F[-1]
         if pin is not None:
             res[0] = F[0] - pin
-        self.at, self.w, self.base, self.fp = values, w, base, fp
-        return res
 
-    def band(self, values: np.ndarray, a: float = -1.0, b: float = 1.0) -> np.ndarray:
-        if values is not self.at:
-            self.residual(values)
-        h4, drift, sign = self.h4, self.drift, self.rule.ghost_sign
-        gp = _flux_prime(self.w, self.base, self.n, self.eps2)  # nodes -1..m+1
-        # row i couples to i-2 .. i+2 through gp at nodes i-1, i, i+1: the outer
-        # diagonals read -gp_k / h^4, the inner 2 (gp_k + gp_k+1) / h^4 -+ drift
-        outer = gp / -h4
-        inner = 2.0 * (gp[:-1] + gp[1:]) / h4
-        ab = np.zeros((7, values.size))
-        ab[2, 2:] = ab[6, :-2] = outer[2:-2]
-        ab[3, 1:] = inner[1:-1] - drift[:-1]
-        ab[4] = (gp[:-2] + 4.0 * gp[1:-1] + gp[2:]) / -h4 + a + b * self.p * self.fp
-        ab[5, :-1] = inner[1:-1] + drift[1:]
+        def band():
+            h4, drift, sign = self.h4, self.drift, self.rule.ghost_sign
+            gp = _flux_prime(w, base, self.n, self.eps2)       # nodes -1..m+1
+            # row i couples to i-2 .. i+2 through gp at nodes i-1, i, i+1: the outer
+            # diagonals read -gp_k / h^4, the inner 2 (gp_k + gp_k+1) / h^4 -+ drift
+            outer = gp / -h4
+            inner = 2.0 * (gp[:-1] + gp[1:]) / h4
+            ab = np.zeros((7, fp.size))
+            ab[2, 2:] = ab[6, :-2] = outer[2:-2]
+            ab[3, 1:] = inner[1:-1] - drift[:-1]
+            ab[4] = (gp[:-2] + 4.0 * gp[1:-1] + gp[2:]) / -h4 + a + b * self.p * fp
+            ab[5, :-1] = inner[1:-1] + drift[1:]
 
-        # ghost folds: res_0 sees ghosts -1, -2 (a pinned row 0 is
-        # overwritten below) and res_1 ghost -1, all with the ghost_sign;
-        # res_{m-1} sees ghost m+1, which is node m-1
-        ab[3, 1] += sign * (inner[0] + drift[0])
-        ab[2, 2] += sign * outer[0]
-        ab[4, 1] += sign * outer[1]
-        ab[4, -2] += outer[-2]
+            # ghost folds: res_0 sees ghosts -1, -2 (a pinned row 0 is
+            # overwritten below) and res_1 ghost -1, all with the ghost_sign;
+            # res_{m-1} sees ghost m+1, which is node m-1
+            ab[3, 1] += sign * (inner[0] + drift[0])
+            ab[2, 2] += sign * outer[0]
+            ab[4, 1] += sign * outer[1]
+            ab[4, -2] += outer[-2]
 
-        # bc value rows overwrite their equation rows: F = 0 at the right
-        # end, the pinned value at node 0
-        ab[6, -3], ab[5, -2], ab[4, -1] = 0.0, 0.0, 1.0
-        if self.rule.pin is not None:
-            ab[4, 0], ab[3, 1], ab[2, 2] = 1.0, 0.0, 0.0
-        return ab
+            # bc value rows overwrite their equation rows: F = 0 at the right
+            # end, the pinned value at node 0
+            ab[6, -3], ab[5, -2], ab[4, -1] = 0.0, 0.0, 1.0
+            if pin is not None:
+                ab[4, 0], ab[3, 1], ab[2, 2] = 1.0, 0.0, 0.0
+            return ab
+
+        return res, band
 
 
 def assemble_residual(profile: Profile) -> np.ndarray:
@@ -291,7 +288,7 @@ def assemble_residual(profile: Profile) -> np.ndarray:
     antisymmetry).  Slope conditions live in the ghost reflections used by
     the interior rows, not in rows of their own.
     """
-    return _Stencil(profile.mesh, profile.params, profile.bc).residual(profile.values)
+    return _Stencil(profile.mesh, profile.params, profile.bc).evaluate(profile.values)[0]
 
 
 def residual_norm(profile: Profile) -> float:
@@ -307,7 +304,7 @@ def assemble_jacobian(profile: Profile) -> np.ndarray:
     are zero, the LU's fill-in.  Ghost dependencies fold back into columns
     1, 2 (left, with the bc's ghost_sign) and m-1 (right).
     """
-    return _Stencil(profile.mesh, profile.params, profile.bc).band(profile.values)
+    return _Stencil(profile.mesh, profile.params, profile.bc).evaluate(profile.values)[1]()
 
 
 # -- Newton solver ----------------------------------------------------------
@@ -317,6 +314,12 @@ def assemble_jacobian(profile: Profile) -> np.ndarray:
 class NewtonOptions:
     tol: float = 1e-6
     max_iters: int = 200
+
+
+def _banded_lu(ab: np.ndarray):
+    """b -> A^-1 b by dgbtrf's LU of the band A (kl = ku = 2); None if singular."""
+    lu, piv, info = dgbtrf(ab, 2, 2)
+    return None if info > 0 else lambda b: dgbtrs(lu, 2, 2, b, piv)[0]
 
 
 def _project_bc(values: np.ndarray, bc: str) -> np.ndarray:
@@ -331,7 +334,7 @@ def _project_bc(values: np.ndarray, bc: str) -> np.ndarray:
 
 def solve_profile(params: ProblemParams, guess: Profile,
                   opts: NewtonOptions = NewtonOptions()) -> Profile:
-    """Profile by blowuplab.newton, one banded LU (dgbtrf) per iteration.
+    """Profile by blowuplab.newton, one banded LU (_banded_lu) per iteration.
 
     Residual and band come from one _Stencil evaluation per Newton point.
     Corrections are scaled by max(|F_i|, opts.tol); newton_iters counts
@@ -344,12 +347,12 @@ def solve_profile(params: ProblemParams, guess: Profile,
     # pivoting solves J's identity bc rows only to roundoff: pin every iterate
     stencil = _Stencil(mesh, params, bc, project=True)
 
-    def factor(values, _res):
-        lu, piv, info = dgbtrf(stencil.band(values), 2, 2)
-        return None if info > 0 else lambda b: dgbtrs(lu, 2, 2, b, piv)[0]
+    def evaluate(values):
+        res, band = stencil.evaluate(values)
+        return res, lambda: _banded_lu(band())
 
     try:
-        values, iters = newton.solve(stencil.residual, factor, _project_bc(guess.values, bc),
+        values, iters = newton.solve(evaluate, _project_bc(guess.values, bc),
                                      opts.tol, opts.tol, opts.max_iters)
     except NewtonError as exc:
         last = Profile(mesh, _project_bc(exc.best, bc), params, bc,
@@ -407,16 +410,12 @@ class PeriodicOrbit:
     counts: dict = field(compare=False)  # legs, nfev, steps, accepted, rejected
 
 
-def _spow(x: float, a: float) -> float:
-    return math.copysign(abs(x) ** a, x)
-
-
 def _orbit_rhs(n: float):
     inv = 1.0 / (n + 1.0)
 
     def rhs(t, u):
         F, F1, w, w1 = u.tolist()
-        return [F1, _spow(w, inv), w1, -F + abs(F) ** n * F]
+        return [F1, math.copysign(abs(w) ** inv, w), w1, -F + abs(F) ** n * F]
 
     return rhs
 
@@ -431,12 +430,12 @@ def _orbit_shooter(n: float):
 
 
 def _orbit_start(n: float, a: float, b: float) -> tuple:
-    return (a, 0.0, _spow(b, n + 1.0), 0.0)
+    return (a, 0.0, oscillation._spow(b, n + 1.0), 0.0)
 
 
 def _terminal_jet(n: float, u) -> tuple:
     F, F1, w, w1 = u
-    F2 = _spow(w, 1.0 / (n + 1.0))
+    F2 = oscillation._spow(w, 1.0 / (n + 1.0))
     F3 = w1 / ((n + 1.0) * abs(F2) ** n) if F2 != 0.0 else math.inf
     return (F, F1, F2, F3)
 

@@ -1,6 +1,6 @@
 """Damped Newton's method (Deuflhard's NLEQ-ERR, Newton Methods for Nonlinear
 Problems, 2004) behind every nonlinear solve of the package: the callers
-supply only a residual and a factorization of its Jacobian."""
+supply one evaluation per point, its residual and a factorization on demand."""
 
 import math
 
@@ -28,24 +28,24 @@ class NewtonError(RuntimeError):
         self.newton_iters = newton_iters
 
 
-def solve(residual, factor, x, scale, tol: float, max_iters: int):
-    """Root of residual(x) = 0 and the number of factorizations it took.
+def solve(evaluate, x, scale, tol: float, max_iters: int):
+    """Root of F(x) = 0 and the number of factorizations it took.
 
-    factor(x, r), with r = residual(x), returns b -> J(x)^-1 b (None if
-    singular): the step dx = -J^-1 F(x) and, per damping factor t tried,
-    dx_bar = -J^-1 F(x + t dx).  In RMS norms scaled by max(|x_i|,
-    scale_i), t passes if ||dx_bar|| <= (1 - t/4) ||dx||, and mu = ||dx||
-    t^2 / (2 ||dx_bar - (1-t) dx||) gives the next t: min(1, mu) after a
-    pass, min(t/2, mu) after a failure.  Converged is a correction (dx, or
-    dx_bar after a full step) of at most tol; the root is that iterate
-    plus that correction.  A singular factor, t < T_MIN or max_iters
-    factorizations raise NewtonError with the last iterate and the
-    factorization count.
+    evaluate(x) returns (F(x), factor), and factor() b -> J(x)^-1 b (None if
+    singular), called at accepted iterates only: the step dx = -J^-1 F(x)
+    and, per damping factor t tried, dx_bar = -J^-1 F(x + t dx).  In RMS
+    norms scaled by max(|x_i|, scale_i), t passes if ||dx_bar|| <= (1 -
+    t/4) ||dx||, and mu = ||dx|| t^2 / (2 ||dx_bar - (1-t) dx||) gives the
+    next t: min(1, mu) after a pass, min(t/2, mu) after a failure.
+    Converged is a correction (dx, or dx_bar after a full step) of at most
+    tol; the root is that iterate plus that correction.  A singular factor,
+    t < T_MIN or max_iters factorizations raise NewtonError with the last
+    iterate and the factorization count.
     """
     x = np.array(x, dtype=float)
-    t, r = 1.0, residual(x)
+    t, (r, factor) = 1.0, evaluate(x)
     for it in range(max_iters):
-        lin = factor(x, r)
+        lin = factor()
         dx = None if lin is None else -lin(r)
         if dx is None or not np.isfinite(dx).all():
             raise NewtonError(f"singular factor at Newton step {it}", x, it + 1)
@@ -55,7 +55,7 @@ def solve(residual, factor, x, scale, tol: float, max_iters: int):
             return x + dx, it + 1
         while True:
             trial = x + t * dx
-            trial_r = residual(trial)
+            trial_r, trial_factor = evaluate(trial)
             dx_bar = -lin(trial_r)
             bar_norm = _norm(dx_bar / w)
             gap = _norm((dx_bar - (1.0 - t) * dx) / w)
@@ -66,7 +66,7 @@ def solve(residual, factor, x, scale, tol: float, max_iters: int):
             if t < T_MIN:
                 raise NewtonError(f"divergence at Newton step {it}: t = {t:.2g}",
                                   x, it + 1)
-        x, r = trial, trial_r
+        x, r, factor = trial, trial_r, trial_factor
         if t == 1.0 and bar_norm <= tol:
             return x + dx_bar, it + 1
         t = min(1.0, mu)

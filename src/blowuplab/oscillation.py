@@ -335,18 +335,23 @@ def _newton(residual, x, scale) -> tuple:
     """
     jac = None
 
-    def factor(x, r):
-        nonlocal jac
-        steps = FD_STEP * np.maximum(np.abs(x), scale)
-        jac = np.column_stack([(residual(x + s * e) - r) / s
-                               for s, e in zip(steps, np.eye(x.size))])
-        try:
-            return np.linalg.inv(jac).dot
-        except np.linalg.LinAlgError:
-            return None
+    def evaluate(x):
+        r = residual(x)
+
+        def factor():
+            nonlocal jac
+            steps = FD_STEP * np.maximum(np.abs(x), scale)
+            jac = np.column_stack([(residual(x + s * e) - r) / s
+                                   for s, e in zip(steps, np.eye(x.size))])
+            try:
+                return np.linalg.inv(jac).dot
+            except np.linalg.LinAlgError:
+                return None
+
+        return r, factor
 
     try:   # corrections below 100 RTOL are integration noise
-        x, _ = newton.solve(residual, factor, x, scale, 100.0 * RTOL, newton.MAX_ITERS)
+        x, _ = newton.solve(evaluate, x, scale, 100.0 * RTOL, newton.MAX_ITERS)
     except newton.NewtonError as exc:
         raise RuntimeError(f"shooting Newton: {exc}; last residual "
                            f"{np.max(np.abs(residual(exc.best))):.3e}") from None

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dgbmv
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import bvp, model, newton
 from .bvp import Profile
@@ -145,19 +144,19 @@ def fiber_reduce(v: Profile) -> FiberReport:
 
 
 def _bordered_solver(ab: np.ndarray, col: np.ndarray, row: np.ndarray):
-    """b -> z solving [[A, col], [row^T, 0]] z = b (None if dgbtrf finds A
-    singular) by block elimination on the banded LU of A, in dgbtrf's
-    layout (kl = ku = 2, rows 0-1 the LU's fill-in), plus one step of
-    iterative refinement on the bordered
-    residual: accurate whenever the bordered matrix is well conditioned,
-    even with A singular to roundoff (Govaerts & Pryce, BIT 30, 1990)."""
-    lu, piv, info = dgbtrf(ab, 2, 2)
-    if info > 0:
+    """b -> z solving [[A, col], [row^T, 0]] z = b (None if A is singular)
+    by block elimination on the banded LU (bvp._banded_lu) of A, given in
+    the layout of bvp.assemble_jacobian (rows 0-1 the LU's fill-in), plus one
+    step of iterative refinement on the bordered residual: accurate
+    whenever the bordered matrix is well conditioned, even with A singular
+    to roundoff (Govaerts & Pryce, BIT 30, 1990)."""
+    solve_a = bvp._banded_lu(ab)
+    if solve_a is None:
         return None
-    v = dgbtrs(lu, 2, 2, col, piv)[0]
+    v = solve_a(col)
 
     def eliminate(b):
-        u = dgbtrs(lu, 2, 2, b[:-1], piv)[0]
+        u = solve_a(b[:-1])
         mu = (row @ u - b[-1]) / (row @ v)
         return np.append(u - mu * v, mu)
 
@@ -180,15 +179,16 @@ def first_nonlinear_eigenvalue(n: float, R: float, m: int = 400) -> float:
         -(|F''|^n F'')'' + lambda |F|^n F = 0   at nodes 1..m-1,
 
     in the unknowns x = F_1..F_(m-1) and lambda, bordered by <x0, x> =
-    <x0, x0>, with x0 the clamped bump.  Each blowuplab.newton step solves
-    the bordered system by _bordered_solver on the stencil's band without
-    its two pinned end rows and columns, with border column |x|^n x (the
-    block alone is singular: J x = 0 by homogeneity).  The linear
-    eigenvector lies outside the basin for n >= 2.5 on fine meshes, so
-    Newton runs in stages n_k = 0, N_STAGE, 2 N_STAGE, ..., n, each from
-    the last; the first is the linear pencil.  The quotient of the final x
-    is stationary there, so exact to rounding.  A Newton failure raises
-    RuntimeError with the quotient of the last iterate.
+    <x0, x0>, with x0 the clamped bump.  One stencil evaluation per
+    blowuplab.newton point gives the residual and the factor: the bordered
+    system's _bordered_solver on that point's band without its two pinned
+    end rows and columns, with border column |x|^n x (the block alone is
+    singular: J x = 0 by homogeneity).  The linear eigenvector lies outside
+    the basin for n >= 2.5 on fine meshes, so Newton runs in stages n_k =
+    0, N_STAGE, 2 N_STAGE, ..., n, each from the last; the first is the
+    linear pencil.  The quotient of the final x is stationary there, so
+    exact to rounding.  A Newton failure raises RuntimeError with the
+    quotient of the last iterate.
     """
     if n < 0 or R <= 0:
         raise ValueError("need n >= 0 and R > 0")
@@ -198,14 +198,9 @@ def first_nonlinear_eigenvalue(n: float, R: float, m: int = 400) -> float:
     # trapezoid weights on the full node set
     c = np.full(m + 1, h)
     c[[0, -1]] *= 0.5
-    kept = [None, None]
 
-    def nodes(z):
-        """F = (0, x, 0) of z, one fresh array per z: the stencil's band
-        reuses its residual's terms only for that same array."""
-        if z is not kept[0]:
-            kept[:] = z, np.concatenate(([0.0], z[:-1], [0.0]))
-        return kept[1]
+    def nodes(z):  # F = (0, x, 0) of z = (x, lambda)
+        return np.concatenate(([0.0], z[:-1], [0.0]))
 
     def quotient(z, nk):
         F = nodes(z)
@@ -221,17 +216,14 @@ def first_nonlinear_eigenvalue(n: float, R: float, m: int = 400) -> float:
     for nk in [N_STAGE * k for k in range(math.ceil(n / N_STAGE))] + [n]:
         stencil = bvp._Stencil(mesh, model.ProblemParams(nk, nk + 1.0, 0.0), "dirichlet-far")
 
-        def residual(z):
-            res = stencil.residual(nodes(z), 0.0, z[-1])
-            return np.append(res[1:-1], x0 @ (z[:-1] - x0))
-
-        def factor(z, _r):
-            F = nodes(z)
-            ab = stencil.band(F, 0.0, z[-1])
-            return _bordered_solver(ab[:, 1:-1], stencil.fp[1:-1] * F[1:-1], x0)
+        def evaluate(z):
+            x = z[:-1]
+            res, band = stencil.evaluate(nodes(z), 0.0, z[-1])
+            return np.append(res[1:-1], x0 @ (x - x0)), lambda: _bordered_solver(
+                band()[:, 1:-1], np.abs(x) ** (stencil.p - 1.0) * x, x0)
 
         try:
-            z, _ = newton.solve(residual, factor, z, z_scale, TOL, newton.MAX_ITERS)
+            z, _ = newton.solve(evaluate, z, z_scale, TOL, newton.MAX_ITERS)
         except newton.NewtonError as exc:
             raise RuntimeError(f"{exc} (stage n = {nk:g}); last quotient "
                                f"{quotient(exc.best, nk):.6g}") from None

@@ -77,6 +77,12 @@ class TestResidual:
         with pytest.raises(ValueError, match="uniform"):
             bvp.Mesh(np.linspace(-1.0, 1.0, 101) ** 3)
 
+    @pytest.mark.parametrize("nodes", [[0.0, np.inf], [-np.inf, 0.0]])
+    def test_mesh_nodes_finite(self, nodes):
+        # an infinite end would give h = inf
+        with pytest.raises(ValueError, match="finite"):
+            bvp.Mesh(np.array(nodes))
+
     def test_residual_norm_reproducible(self, f0_profile):
         # recomputing the stored residual norm from values must agree
         assert bvp.residual_norm(f0_profile) == pytest.approx(
@@ -279,8 +285,13 @@ class TestSolve:
                 return fn(*args, **kwargs)
             return call
 
-        monkeypatch.setattr(bvp._Stencil, "band",
-                            counted("jacobian", bvp._Stencil.band))
+        evaluate = bvp._Stencil.evaluate
+
+        def counted_band(self, *args):
+            res, band = evaluate(self, *args)
+            return res, counted("jacobian", band)
+
+        monkeypatch.setattr(bvp._Stencil, "evaluate", counted_band)
         monkeypatch.setattr(bvp, "dgbtrf", counted("lu", bvp.dgbtrf))
         sol = bvp.solve_profile(N02.with_p(1.25), f0_profile)
         assert sol.converged and sol.newton_iters <= 6
@@ -291,26 +302,25 @@ class TestStencil:
     @pytest.mark.parametrize("bc", bvp.BC_CHOICES)
     @pytest.mark.parametrize("p", [1.2, 1.7], ids=["p=n+1", "p!=n+1"])
     def test_kept_terms_never_stale(self, bc, p):
-        # residual at x1, residual at x2, band at x1: the band must not
-        # come from x2's kept terms
+        # an evaluation's band is its own point's: later evaluations at
+        # other points or other (a, b) leave it as it was
         x1 = random_profile(bc, 0.2, p, m=100, seed=1)
         x2 = random_profile(bc, 0.2, p, m=100, seed=2)
         stencil = bvp._Stencil(x1.mesh, x1.params, bc, project=True)
-        r1 = stencil.residual(x1.values)
+        r1, band1 = stencil.evaluate(x1.values)
+        r2, band2 = stencil.evaluate(x2.values)
+        stencil.evaluate(x2.values, 0.0, 30.0)
         assert np.array_equal(r1, bvp.assemble_residual(x1))
-        assert np.array_equal(stencil.residual(x2.values), bvp.assemble_residual(x2))
-        assert np.array_equal(stencil.band(x1.values), bvp.assemble_jacobian(x1))
-        # the band at the last residual's point, built from its kept terms
-        assert np.array_equal(stencil.residual(x2.values), bvp.assemble_residual(x2))
-        assert np.array_equal(stencil.band(x2.values), bvp.assemble_jacobian(x2))
-        # the eigenvalue's zero-order coefficients (0, lambda): a band built
-        # after lambda changes is the band at the new lambda
+        assert np.array_equal(band1(), bvp.assemble_jacobian(x1))
+        assert np.array_equal(r2, bvp.assemble_residual(x2))
+        assert np.array_equal(band2(), bvp.assemble_jacobian(x2))
+        # the eigenvalue's zero-order coefficients (0, lambda): the band at
+        # lambda = 40 is a fresh stencil's
         fresh = bvp._Stencil(x1.mesh, x1.params, bc, project=True)
-        stencil.residual(x2.values, 0.0, 30.0)
-        assert np.array_equal(stencil.band(x2.values, 0.0, 40.0),
-                              fresh.band(x2.values, 0.0, 40.0))
-        assert np.array_equal(stencil.residual(x2.values, 0.0, 40.0),
-                              fresh.residual(x2.values, 0.0, 40.0))
+        r40, band40 = stencil.evaluate(x2.values, 0.0, 40.0)
+        fresh_r40, fresh_band40 = fresh.evaluate(x2.values, 0.0, 40.0)
+        assert np.array_equal(band40(), fresh_band40())
+        assert np.array_equal(r40, fresh_r40)
 
     @pytest.mark.parametrize("bc", bvp.BC_CHOICES)
     def test_projection_pins_the_bc_rows(self, bc):
@@ -321,10 +331,9 @@ class TestStencil:
         off[[0, -1]] += 1e-3
         stencil = bvp._Stencil(prof.mesh, prof.params, bc, project=True)
         pinned = bvp._project_bc(off, bc)
-        assert np.array_equal(stencil.residual(off),
-                              bvp.assemble_residual(prof.replace(values=pinned)))
-        assert np.array_equal(stencil.band(off),
-                              bvp.assemble_jacobian(prof.replace(values=pinned)))
+        res, band = stencil.evaluate(off)
+        assert np.array_equal(res, bvp.assemble_residual(prof.replace(values=pinned)))
+        assert np.array_equal(band(), bvp.assemble_jacobian(prof.replace(values=pinned)))
 
     def test_norm_is_numpys(self):
         # newton's RMS norms are np.linalg.norm of a 1-d array, bit for bit
@@ -343,12 +352,16 @@ def reference_solve(params, guess, opts=bvp.NewtonOptions()):
     def at(values):
         return work.replace(values=bvp._project_bc(values, work.bc))
 
-    def factor(values, _res):
-        lu, piv, info = bvp.dgbtrf(bvp.assemble_jacobian(at(values)), 2, 2)
+    def factor(prof):
+        lu, piv, info = bvp.dgbtrf(bvp.assemble_jacobian(prof), 2, 2)
         return None if info > 0 else lambda b: bvp.dgbtrs(lu, 2, 2, b, piv)[0]
 
-    values, iters = newton.solve(lambda v: bvp.assemble_residual(at(v)), factor,
-                                 work.values, opts.tol, opts.tol, opts.max_iters)
+    def evaluate(values):
+        prof = at(values)
+        return bvp.assemble_residual(prof), lambda: factor(prof)
+
+    values, iters = newton.solve(evaluate, work.values, opts.tol, opts.tol,
+                                 opts.max_iters)
     sol = at(values)
     return sol.replace(residual_norm=bvp.residual_norm(sol), converged=True,
                        newton_iters=iters)

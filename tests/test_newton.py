@@ -7,28 +7,29 @@ import blowuplab.newton as newton
 
 
 def scalar(f, df, calls=None):
-    """residual and factor of the scalar equation f(x) = 0.
+    """evaluate of the scalar equation f(x) = 0.
 
-    factor returns None where df vanishes; calls, if given, collects
+    Its factor returns None where df vanishes; calls, if given, collects
     every point the residual is evaluated at.
     """
-    def residual(x):
+    def evaluate(x):
         if calls is not None:
             calls.append(float(x[0]))
-        return np.array([f(x[0])])
 
-    def factor(x, r):
-        d = df(x[0])
-        return None if d == 0.0 else (lambda b: b / d)
+        def factor():
+            d = df(x[0])
+            return None if d == 0.0 else (lambda b: b / d)
 
-    return residual, factor
+        return np.array([f(x[0])]), factor
+
+    return evaluate
 
 
 def test_quadratic_convergence_on_smooth_root():
     # x^2 = 2 from x = 1: corrections 0.5, 8e-2, 2.5e-3, 2.1e-6, and the
     # simplified correction after the fourth full step is 1.6e-12
-    residual, factor = scalar(lambda x: x * x - 2.0, lambda x: 2.0 * x)
-    x, iters = newton.solve(residual, factor, [1.0], 1.0, 1e-10, 50)
+    evaluate = scalar(lambda x: x * x - 2.0, lambda x: 2.0 * x)
+    x, iters = newton.solve(evaluate, [1.0], 1.0, 1e-10, 50)
     assert iters == 4
     assert x[0] == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
@@ -39,9 +40,8 @@ def test_returns_iterate_plus_its_correction():
     # so the answer is the last visited iterate plus that correction,
     # exactly, and neither the iterate nor the root itself
     calls = []
-    residual, _ = scalar(lambda x: x - 1.0, None, calls)
-    x, iters = newton.solve(residual, lambda x, r: (lambda b: b / 2.0),
-                            [0.0], 1.0, 1e-3, 50)
+    evaluate = scalar(lambda x: x - 1.0, lambda x: 2.0, calls)
+    x, iters = newton.solve(evaluate, [0.0], 1.0, 1e-3, 50)
     last = calls[-1]
     assert x[0] == last + 0.5 * (1.0 - last)
     assert last < x[0] < 1.0
@@ -51,28 +51,49 @@ def test_returns_iterate_plus_its_correction():
 
 def test_singular_factor_raises_with_last_iterate():
     # the first full step from 1 is accepted at 1.5, where the factor fails
-    residual, factor = scalar(lambda x: x * x - 2.0, lambda x: 2.0 * x)
+    evaluate = scalar(lambda x: x * x - 2.0, lambda x: 2.0 * x)
     seen = []
 
-    def failing(x, r):
-        seen.append(float(x[0]))
-        return factor(x, r) if len(seen) == 1 else None
+    def failing(x):
+        r, factor = evaluate(x)
+
+        def once():
+            seen.append(float(x[0]))
+            return factor() if len(seen) == 1 else None
+
+        return r, once
 
     with pytest.raises(newton.NewtonError, match="singular factor at Newton step 1") as exc:
-        newton.solve(residual, failing, [1.0], 1.0, 1e-10, 50)
+        newton.solve(failing, [1.0], 1.0, 1e-10, 50)
     assert exc.value.best.tolist() == [1.5]
 
 
 def test_no_real_root_diverges():
     # x^2 + 1 = 0 has no real root: damping drives t below T_MIN
-    residual, factor = scalar(lambda x: x * x + 1.0, lambda x: 2.0 * x)
+    evaluate = scalar(lambda x: x * x + 1.0, lambda x: 2.0 * x)
     with pytest.raises(newton.NewtonError, match="divergence") as exc:
-        newton.solve(residual, factor, [0.1], 1.0, 1e-10, 50)
+        newton.solve(evaluate, [0.1], 1.0, 1e-10, 50)
     assert np.all(np.isfinite(exc.value.best))
 
 
 def test_exhausted_budget_raises():
-    residual, factor = scalar(lambda x: x * x - 2.0, lambda x: 2.0 * x)
+    evaluate = scalar(lambda x: x * x - 2.0, lambda x: 2.0 * x)
     with pytest.raises(newton.NewtonError, match="no convergence in 2") as exc:
-        newton.solve(residual, factor, [1.0], 1.0, 1e-10, 2)
+        newton.solve(evaluate, [1.0], 1.0, 1e-10, 2)
     assert exc.value.best[0] == pytest.approx(17.0 / 12.0, rel=1e-15)
+
+
+def test_factors_only_accepted_iterates():
+    # arctan(x) = 0 from x = 2: the full steps overshoot, so damping
+    # rejects trials, each of which costs a residual but no factor
+    calls, factors = [], []
+    evaluate = scalar(math.atan, lambda x: 1.0 / (1.0 + x * x), calls)
+
+    def counted(x):
+        r, factor = evaluate(x)
+        return r, lambda: factors.append(float(x[0])) or factor()
+
+    x, iters = newton.solve(counted, [2.0], 1.0, 1e-10, 50)
+    assert x[0] == pytest.approx(0.0, abs=1e-10)
+    assert len(factors) == iters
+    assert len(calls) > iters + 1   # some trials were rejected

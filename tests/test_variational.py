@@ -202,10 +202,11 @@ class TestBandedEulerLagrange:
         stencil = clamped_stencil(n, R, m)
         phi = lambda s: np.abs(s) ** n * s
         el = W.T @ (c * phi(W @ x)) - lam * c_int * phi(x)
-        assert rel_err(-h * stencil.residual(F, 0.0, lam)[1:-1], el) <= 1e-12
+        res, band = stencil.evaluate(F, 0.0, lam)
+        assert rel_err(-h * res[1:-1], el) <= 1e-12
         d, cx = c * np.abs(W @ x) ** n, c_int * np.abs(x) ** n
         dense = (n + 1.0) * (W.T @ (d[:, None] * W) - lam * np.diag(cx))
-        ab = stencil.band(F, 0.0, lam)[:, 1:-1]
+        ab = band()[:, 1:-1]
         assert not ab[:2].any()   # the LU's fill-in rows start empty
         assert rel_err(-h * band_to_dense(ab), dense) <= 1e-12
 
@@ -218,7 +219,7 @@ class TestBandedEulerLagrange:
         x = vecs[:, 0]
         lam = np.sum(c * (W @ x) ** 2) / np.sum(c_int * x * x)
         F = np.concatenate(([0.0], x, [0.0]))
-        ab = clamped_stencil(0.0, R, m).band(F, 0.0, lam)[:, 1:-1]
+        ab = clamped_stencil(0.0, R, m).evaluate(F, 0.0, lam)[1]()[:, 1:-1]
         col = x   # d/dlam of the stencil's lam |F|^0 F
         row = (1.0 - np.linspace(-1.0, 1.0, m + 1)[1:-1] ** 2) ** 2
         b = np.random.default_rng(3).standard_normal(m)
@@ -234,13 +235,13 @@ class TestBandedEulerLagrange:
         # pinned LU counts; the damped walk of stage n = 2.5 moves them by
         # a few LUs with the rounding of the linear solve
         calls = []
-        dgbtrf = var.dgbtrf
+        dgbtrf = bvp.dgbtrf
 
         def counting(*args):
             calls.append(1)
             return dgbtrf(*args)
 
-        monkeypatch.setattr(var, "dgbtrf", counting)
+        monkeypatch.setattr(bvp, "dgbtrf", counting)
         var.first_nonlinear_eigenvalue(n, 1.0, 2000)
         assert len(calls) <= budget
 
