@@ -45,6 +45,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from . import model, newton, oscillation
 from .model import ProblemParams
 from .newton import NewtonError
+from .oscillation import ShootingError
 
 __all__ = [
     "Mesh",
@@ -78,10 +79,6 @@ BC_CHOICES = tuple(BC_RULES)
 MIN_INTERVALS = 64
 # absolute tolerance of the periodic-orbit shots
 ORBIT_ATOL = 1e-13
-
-
-class ShootingError(RuntimeError):
-    """Raised when periodic-orbit shooting fails."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,8 +422,7 @@ def _orbit_shooter(n: float):
     leaves the oscillation strip toward F = 0 or diverges."""
     return oscillation._Shooter(
         _orbit_rhs(n), 1, ORBIT_ATOL,
-        events=(lambda u: u[0] - 0.02, lambda u: abs(u[0]) - 8.0),
-        error=ShootingError)
+        events=(lambda u: u[0] - 0.02, lambda u: abs(u[0]) - 8.0))
 
 
 def _orbit_start(n: float, a: float, b: float) -> tuple:

@@ -1,21 +1,23 @@
 """Command-line front end: reproducible experiments, plot-ready dumps.
 
-Every command writes its outputs through its Manifest, which registers
-each file it writes (in the format of `bvp.write_csv` / `bvp.write_json`)
-and ends with a manifest.json recording the argument vector, resolved
-parameters, input hashes, output list, wall time and solver statistics.
+main builds the Manifest of every command but replay, the one writer of
+its files: it lists each file written (in the format of `bvp.write_csv` /
+`bvp.write_json`) and ends with a manifest.json recording the argument
+vector, resolved parameters, input hashes, output list, wall time and
+solver statistics.
 `blowuplab replay manifest.json` re-executes the recorded invocation into
 a scratch directory and verifies the outputs byte for byte.
 
-Exit codes: 0 success, 1 usage error, 2 computation finished without
-convergence or outside its accuracy bound (best iterate still written; a
-solve whose guess could not be built writes its manifest alone).
+Exit codes: 0 success, 1 usage error (nothing written), 2 computation
+finished without convergence or outside its accuracy bound (best iterate
+still written), or failed with a RuntimeError (manifest.json says why).
 """
 
 from __future__ import annotations
 
 import argparse
 import filecmp
+import functools
 import hashlib
 import json
 import math
@@ -59,13 +61,14 @@ class Manifest:
     """Run record and the one writer of a command's files.
 
     Each output method writes its file into the output directory (--out,
-    else $BLOWUPLAB_OUT, else the working directory) and lists it, so
-    replay compares exactly the files the command wrote.
+    else $BLOWUPLAB_OUT, else the working directory; made with the first
+    file) and lists it, so replay compares exactly the files the command
+    wrote.  write records the command's parameters as they stand.
     """
 
     def __init__(self, args, argv):
         self.out_dir = Path(args.out or os.environ.get("BLOWUPLAB_OUT") or ".")
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.parameters = {}
         self.data = {
             "version": __version__,
             "argv": list(argv),
@@ -78,9 +81,14 @@ class Manifest:
         p = Path(path)
         self.data["inputs"][p.name] = _sha256(p)
 
+    @functools.cached_property
+    def _dir(self) -> Path:
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self.out_dir
+
     def _output(self, name: str) -> Path:
         self.data["outputs"].append(name)
-        return self.out_dir / name
+        return self._dir / name
 
     def csv(self, name: str, header: str, *columns) -> None:
         bvp.write_csv(self._output(name), header, columns)
@@ -92,10 +100,10 @@ class Manifest:
         sidecar = bvp.save_profile(profs, self._output(name))
         self._output(sidecar.name)
 
-    def write(self, parameters: dict, solver_stats: dict) -> None:
-        self.data.update(parameters=parameters, solver_stats=solver_stats,
+    def write(self, solver_stats: dict) -> None:
+        self.data.update(parameters=self.parameters, solver_stats=solver_stats,
                          wall_time_s=time.perf_counter() - self._t0)
-        bvp.write_json(self.out_dir / "manifest.json", self.data)
+        bvp.write_json(self._dir / "manifest.json", self.data)
 
 
 # -- solve --------------------------------------------------------------------
@@ -148,7 +156,7 @@ def _solve_with_warm_start(params, guess, spec, opts):
     return last
 
 
-def cmd_solve(args, argv) -> int:
+def cmd_solve(args, man) -> int:
     params = ProblemParams(n=args.n, p=args.p, eps=args.eps)
     spec = _parse_family(args.family)
     spec = patterns.FamilySpec(spec.kind, spec.index, separation=args.separation,
@@ -156,24 +164,18 @@ def cmd_solve(args, argv) -> int:
     mesh = _family_mesh(spec, args.R, args.N)
     schedule = ([float(s) for s in args.eps_schedule.split(",")]
                 if args.eps_schedule else None)
-    man = Manifest(args, argv)
-    parameters = {"n": args.n, "p": args.p,
-                  "eps": schedule[-1] if schedule else args.eps,
-                  "family": args.family, "R": args.R, "N": args.N,
-                  "tol": args.tol}
+    man.parameters = {"n": args.n, "p": args.p,
+                      "eps": schedule[-1] if schedule else args.eps,
+                      "family": args.family, "R": args.R, "N": args.N,
+                      "tol": args.tol}
     template = None
-    try:
-        if spec.kind in ("glue_pp", "glue_mp", "q_type") or (
-                spec.kind == "basic" and spec.index > 0):
-            t_guess = patterns.guess_factory(
-                patterns.FamilySpec("basic", 0, n=args.n),
-                Mesh.uniform(0.0, args.R, args.N), params)
-            template = bvp.solve_profile(params, t_guess)
-        guess = patterns.guess_factory(spec, mesh, params, template=template)
-    except (bvp.NewtonError, bvp.ShootingError) as exc:
-        # no guess, so no profile: the manifest alone records the failure
-        man.write(parameters, {"converged": False, "message": str(exc)})
-        raise
+    if spec.kind in ("glue_pp", "glue_mp", "q_type") or (
+            spec.kind == "basic" and spec.index > 0):
+        t_guess = patterns.guess_factory(
+            patterns.FamilySpec("basic", 0, n=args.n),
+            Mesh.uniform(0.0, args.R, args.N), params)
+        template = bvp.solve_profile(params, t_guess)
+    guess = patterns.guess_factory(spec, mesh, params, template=template)
     opts = NewtonOptions(tol=args.tol, max_iters=args.max_iters)
     failure = {}
     try:
@@ -183,9 +185,9 @@ def cmd_solve(args, argv) -> int:
             sol = _solve_with_warm_start(params, guess, spec, opts)
     except bvp.NewtonError as exc:
         sol, failure["message"] = exc.best, str(exc)
+    man.parameters["bc"] = sol.bc
     man.profiles("profile.csv", [sol])
-    man.write({**parameters, "bc": sol.bc},
-              {"converged": sol.converged, "p": sol.params.p,
+    man.write({"converged": sol.converged, "p": sol.params.p,
                "eps": sol.params.eps, "residual_norm": sol.residual_norm,
                "newton_iters": sol.newton_iters, "sup_norm": sol.sup_norm,
                **failure})
@@ -195,7 +197,7 @@ def cmd_solve(args, argv) -> int:
 # -- branch -------------------------------------------------------------------
 
 
-def cmd_branch(args, argv) -> int:
+def cmd_branch(args, man) -> int:
     src = Path(args.from_profile)
     if not src.exists():
         raise _UsageError(f"start profile not found: {src}")
@@ -210,8 +212,9 @@ def cmd_branch(args, argv) -> int:
                                        sign * args.dp), 12))
     if not schedule:
         raise _UsageError("empty schedule")
-    man = Manifest(args, argv)
     man.add_input(src)
+    man.parameters = {"n": start.params.n, "p_start": p0, "p_end": args.p_end,
+                      "dp": args.dp, "label": args.label}
     opts = NewtonOptions(tol=args.tol, max_iters=args.max_iters)
     branch = branching.trace_p_branch(start, schedule, label=args.label, opts=opts)
     recs = branch.records
@@ -228,9 +231,7 @@ def cmd_branch(args, argv) -> int:
         "stop_reason": branch.stop_reason,
     })
     # the LUs of every solve this run tried; the start record came solved
-    man.write({"n": branch.n, "p_start": p0, "p_end": args.p_end,
-               "dp": args.dp, "label": args.label},
-              {"records": len(recs), "stop_reason": branch.stop_reason,
+    man.write({"records": len(recs), "stop_reason": branch.stop_reason,
                "newton_iters": branch.newton_iters})
     return EXIT_OK
 
@@ -238,44 +239,38 @@ def cmd_branch(args, argv) -> int:
 # -- oscillate / kernel / eigen / classify -------------------------------------
 
 
-def cmd_oscillate(args, argv) -> int:
+def cmd_oscillate(args, man) -> int:
     if args.n <= 0.0:
         raise _UsageError("--n must be positive")
     mu = args.mu if args.mu is not None else (2.0 * args.n + 3.0) / args.n
     scale = oscillation.equilibrium_value(args.n, mu)
-    man = Manifest(args, argv)
     init = oscillation.OscState(0.0, 0.5 * scale, 0.0, 0.0)
-    parameters = {"n": args.n, "mu": mu, "lambda": args.lam}
-    stats = dict(parameters)
-    try:
-        if args.lam == -1:
-            pc = oscillation.find_periodic_osc(args.n, mu, init)
-            # the dumped trajectory shows the transient settling onto phi_*
-            traj = oscillation.integrate_osc(init, args.n, mu, -1,
-                                             (0.0, args.s_budget))
-            stats.update(period=pc.period, amplitude=pc.amplitude,
-                         multipliers=[[float(z.real), float(z.imag)]
-                                      for z in pc.multipliers],
-                         shooting=pc.counts)
-        else:
-            traj = oscillation.integrate_osc(init, args.n, mu, +1,
-                                             (0.0, args.s_budget))
-            stats.update(final_phi=float(traj.phi[-1]))
-    except RuntimeError as exc:
-        # no trajectory: the manifest alone records the failure
-        man.write(parameters, {"converged": False, "message": str(exc)})
-        raise
+    man.parameters = {"n": args.n, "mu": mu, "lambda": args.lam}
+    stats = dict(man.parameters)
+    if args.lam == -1:
+        pc = oscillation.find_periodic_osc(args.n, mu, init)
+        # the dumped trajectory shows the transient settling onto phi_*
+        traj = oscillation.integrate_osc(init, args.n, mu, -1,
+                                         (0.0, args.s_budget))
+        stats.update(period=pc.period, amplitude=pc.amplitude,
+                     multipliers=[[float(z.real), float(z.imag)]
+                                  for z in pc.multipliers],
+                     shooting=pc.counts)
+    else:
+        traj = oscillation.integrate_osc(init, args.n, mu, +1,
+                                         (0.0, args.s_budget))
+        stats.update(final_phi=float(traj.phi[-1]))
     stats.update(trajectory=traj.counts)
     man.csv("trajectory.csv", "s,phi,phi1,phi2",
             traj.s, traj.phi, traj.phi1, traj.phi2)
-    man.write(parameters, stats)
+    man.write(stats)
     return EXIT_OK
 
 
-def cmd_kernel(args, argv) -> int:
-    man = Manifest(args, argv)
+def cmd_kernel(args, man) -> int:
+    man.parameters = {"L": args.L, "N": args.N}
     table = spectral.compute_kernel(args.L, args.N)
-    man.csv("kernel.csv", "y,F,F1,F2", table.nodes, table.F, table.F1, table.F2)
+    man.csv("kernel.csv", "y,F,F1,F2", table.nodes, *table.ladder[:3])
     stats = {"normalization": table.normalization,
              "decay_D": table.decay_fit[0],
              "decay_d": table.decay_fit[1]}
@@ -286,7 +281,7 @@ def cmd_kernel(args, argv) -> int:
         man.csv("pairing.csv", "l,k,value", *zip(*pairs), values)
         stats["pairing_defect"] = max(abs(v - float(l == k))
                                       for (l, k), v in zip(pairs, values))
-    man.write({"L": args.L, "N": args.N}, stats)
+    man.write(stats)
     if stats.get("pairing_defect", 0.0) > PAIRING_TOL:
         print(f"pairing defect {stats['pairing_defect']:.3g} exceeds "
               f"{PAIRING_TOL:g}: widen --L", file=sys.stderr)
@@ -294,28 +289,26 @@ def cmd_kernel(args, argv) -> int:
     return EXIT_OK
 
 
-def cmd_eigen(args, argv) -> int:
+def cmd_eigen(args, man) -> int:
     ns = [float(v) for v in args.n.split(",")]
     Rs = [float(v) for v in args.R.split(",")]
-    man = Manifest(args, argv)
+    man.parameters = {"n": ns, "R": Rs, "m": args.m}
     grid = [(n, R) for n in ns for R in Rs]
     lams = [variational.first_nonlinear_eigenvalue(n, R, args.m) for n, R in grid]
     man.csv("eigenvalues.csv", "n,R,lambda1", *zip(*grid), lams)
-    man.write({"n": ns, "R": Rs, "m": args.m}, {"count": len(grid)})
+    man.write({"count": len(grid)})
     return EXIT_OK
 
 
-def cmd_classify(args, argv) -> int:
+def cmd_classify(args, man) -> int:
     src = Path(args.profile)
     if not src.exists():
         raise _UsageError(f"profile not found: {src}")
     prof = bvp.load_profile(src, args.record)
-    man = Manifest(args, argv)
     man.add_input(src)
-    parameters = {"tol_zero": args.tol_zero, "tol_eq": args.tol_eq}
+    man.parameters = {"tol_zero": args.tol_zero, "tol_eq": args.tol_eq}
     if not prof.converged:
-        man.write(parameters, {"converged": False,
-                               "residual_norm": prof.residual_norm})
+        man.write({"converged": False, "residual_norm": prof.residual_norm})
         print("profile not converged", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     index = patterns.classify(prof, args.tol_zero, args.tol_eq)
@@ -327,7 +320,7 @@ def cmd_classify(args, argv) -> int:
         "transversal_zeros": patterns.transversal_zeros(
             prof, tol_zero=args.tol_zero, tol_eq=args.tol_eq),
     })
-    man.write(parameters, {"index": str(index)})
+    man.write({"index": str(index)})
     print(str(index))
     return EXIT_OK
 
@@ -335,7 +328,7 @@ def cmd_classify(args, argv) -> int:
 # -- replay ---------------------------------------------------------------------
 
 
-def cmd_replay(args, argv) -> int:
+def cmd_replay(args, man) -> int:
     src = Path(args.manifest)
     if not src.exists():
         raise _UsageError(f"manifest not found: {src}")
@@ -448,17 +441,23 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
+    man = None
     try:
         args = parser.parse_args(argv)
-        return args.func(args, argv)
+        if args.func is not cmd_replay:
+            man = Manifest(args, argv)
+        return args.func(args, man)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (bvp.ShootingError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
+        if man is not None:
+            # the run record says why no (or no further) output was written
+            man.write({"converged": False, "message": str(exc)})
         return EXIT_NO_CONVERGENCE
 
 

@@ -25,7 +25,7 @@ shot, which land exactly on the section by Henon's step (Physica D 5,
 1982), and the sampled ones of integrate_osc and
 blowuplab.bvp.orbit_samples.  The weak Floquet multiplier follows from
 Liouville's formula.  The same shooter finds the regional orbit about +-1
-in blowuplab.bvp.
+in blowuplab.bvp.  Every failed integration or shot raises ShootingError.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ __all__ = [
     "OscState",
     "OscTrajectory",
     "PeriodicComponent",
+    "ShootingError",
     "equilibrium_value",
     "integrate_osc",
     "find_periodic_osc",
@@ -163,7 +164,7 @@ def integrate_osc(init: OscState, n: float, mu: float, lambda_sign: int,
     """The component equation from init, at 2001 uniform points of span.
 
     A failed run (step underflow near the P_2 = 0 set, say) raises
-    RuntimeError with its location.
+    ShootingError with its location.
     """
     if lambda_sign not in (-1, 1):
         raise ValueError("lambda_sign must be -1 or +1")
@@ -187,17 +188,17 @@ def _dop853(f, atol: float, nsteps: int):
 
 
 def _run(integrator, y0, x0: float, x1: float, counts: dict,
-         error=RuntimeError, s=None) -> np.ndarray:
+         s=None) -> np.ndarray:
     """Restart integrator at (x0, y0), integrate to x1 and add dop853's
     nfev, steps, accepted and rejected (IWORK(17..20)) to counts.  A failed
-    run raises error(message) naming the s where it stopped: the
+    run raises ShootingError naming the s where it stopped: the
     integrator's own variable, or s when given (Henon's step runs in u_k)."""
     integrator.set_initial_value(y0, x0)
     y = integrator.integrate(x1).copy()
     code = integrator.get_return_code()
     if code < 0:
         where = integrator.t if s is None else s
-        raise error(f"DOP853 failed with code {code} near s = {where:.6g}")
+        raise ShootingError(f"DOP853 failed with code {code} near s = {where:.6g}")
     for key, c in zip(("nfev", "steps", "accepted", "rejected"),
                       integrator._integrator.iwork[16:20].tolist()):
         counts[key] += c
@@ -255,6 +256,10 @@ def _crossed(g0: float, g1: float, direction: int) -> bool:
     return (direction >= 0 and g0 < 0.0 <= g1) or (direction <= 0 and g0 > 0.0 >= g1)
 
 
+class ShootingError(RuntimeError):
+    """An integration or periodic-orbit shot that failed."""
+
+
 class _Shooter:
     """Section legs of one shooter call, on scipy's compiled DOP853.
 
@@ -264,15 +269,15 @@ class _Shooter:
     section (M. Henon, Physica D 5, 1982): the flow integrated with u_k as
     the independent variable, d(t, u)/du_k = (1, f)/f_k, from the state
     past the section to u_k = 0.  An event crossed before the section
-    stops the leg instead.  A run that fails raises error(message).
+    stops the leg instead.  A run that fails raises ShootingError.
 
     scipy's dop853 never frees an ode instance, so both integrators are
     built once here and restarted for every leg.  counts sums legs and
     dop853's counts of every run.
     """
 
-    def __init__(self, rhs, k: int, atol: float, events=(), error=RuntimeError):
-        self.k, self.events, self.error = k, events, error
+    def __init__(self, rhs, k: int, atol: float, events=()):
+        self.k, self.events = k, events
         self.counts = dict.fromkeys(("legs", "nfev", "steps", "accepted",
                                      "rejected"), 0)
 
@@ -300,12 +305,12 @@ class _Shooter:
         """Leg from u0 to its first crossing of the section in direction."""
         self._direction, self._g, self._stop = direction, None, None
         self._umax = np.zeros(len(u0))
-        y = _run(self.flow, u0, 0.0, LEG_SPAN, self.counts, self.error)
+        y = _run(self.flow, u0, 0.0, LEG_SPAN, self.counts)
         t, stop = self.flow.t, self._stop
         self.counts["legs"] += 1
         if stop == 0 and y[self.k] != 0.0:
             w = _run(self.henon, np.concatenate(([t], y)), y[self.k], 0.0,
-                     self.counts, self.error, t)
+                     self.counts, t)
             t, y = w[0], w[1:]
             y[self.k] = 0.0
             stop = next((i for i, (g0, e) in enumerate(zip(self._g[1:], self.events), 1)
@@ -331,7 +336,7 @@ def _newton(residual, x, scale) -> tuple:
     """Root of residual(x) = 0 by blowuplab.newton, with its last Jacobian.
 
     Column j of the forward-difference Jacobian steps x_j by FD_STEP
-    max(|x_j|, scale_j).  A failure raises RuntimeError with the last residual.
+    max(|x_j|, scale_j).  A failure raises ShootingError with the last residual.
     """
     jac = None
 
@@ -353,8 +358,8 @@ def _newton(residual, x, scale) -> tuple:
     try:   # corrections below 100 RTOL are integration noise
         x, _ = newton.solve(evaluate, x, scale, 100.0 * RTOL, newton.MAX_ITERS)
     except newton.NewtonError as exc:
-        raise RuntimeError(f"shooting Newton: {exc}; last residual "
-                           f"{np.max(np.abs(residual(exc.best))):.3e}") from None
+        raise ShootingError(f"shooting Newton: {exc}; last residual "
+                            f"{np.max(np.abs(residual(exc.best))):.3e}") from None
     return x, jac
 
 
@@ -374,20 +379,20 @@ def find_periodic_osc(n: float, mu: float, init: OscState) -> PeriodicComponent:
         m1 m2 = exp(-(2mu-1 + (n+1)(mu-2)) T).
 
     Newton finds any cycle, so both must lie inside the unit circle, else
-    RuntimeError.
+    ShootingError.
     """
     if init.jet().max() == init.jet().min() == 0.0:
         raise ValueError("init must be a generic nonzero state")
     shooter = _Shooter(_flux_rhs_factory(n, mu, -1), 1, OSC_ATOL)
     lead = shooter.cross(_jet_to_flux(init.jet(), n, mu), -1)
     if lead.stop != 0:
-        raise RuntimeError(f"no maximum of phi within s = {LEG_SPAN} of init")
+        raise ShootingError(f"no maximum of phi within s = {LEG_SPAN} of init")
 
     def half_return(x):
         leg = shooter.cross((x[0], 0.0, x[1]), +1)
         if leg.stop != 0:
-            raise RuntimeError(f"no half return within s = {LEG_SPAN} "
-                               f"from (phi, v) = {tuple(x)}")
+            raise ShootingError(f"no half return within s = {LEG_SPAN} "
+                                f"from (phi, v) = {tuple(x)}")
         return leg
 
     # corrections are measured against the amplitudes along the lead
@@ -400,8 +405,8 @@ def find_periodic_osc(n: float, mu: float, init: OscState) -> PeriodicComponent:
     divergence = -(pk_coefficients(2, mu)[1] + (n + 1.0) * (mu - 2.0))
     multipliers = np.array([m1, math.exp(divergence * period) / m1])
     if np.any(np.abs(multipliers) >= 1.0):
-        raise RuntimeError(f"the cycle found is not stable: Floquet "
-                           f"multipliers {multipliers}")
+        raise ShootingError(f"the cycle found is not stable: Floquet "
+                            f"multipliers {multipliers}")
     return PeriodicComponent(
         n=n, mu=mu, period=period,
         start=OscState(0.0, float(x[0]), 0.0,

@@ -55,9 +55,9 @@ MAX_PAIRING = 8
 class KernelTable:
     """The derivative ladder F^(l), l = 0..MAX_LADDER, tabulated on [0, L].
 
-    ladder[l] holds F^(l) on the nodes; F, F1 and F2 are its rows 0-2.
-    scale is the normalization rescale of the raw Fourier sums, which
-    off-node evaluation applies as well.
+    ladder[l] holds F^(l) on the nodes, and nodes[-1] is L.  scale is the
+    normalization rescale of the raw Fourier sums, which off-node
+    evaluation applies as well.
     """
 
     nodes: np.ndarray
@@ -65,22 +65,6 @@ class KernelTable:
     scale: float
     normalization: float
     decay_fit: tuple  # (D, d) from ln|envelope| least squares
-
-    @property
-    def L(self) -> float:
-        return float(self.nodes[-1])
-
-    @property
-    def F(self) -> np.ndarray:
-        return self.ladder[0]
-
-    @property
-    def F1(self) -> np.ndarray:
-        return self.ladder[1]
-
-    @property
-    def F2(self) -> np.ndarray:
-        return self.ladder[2]
 
 
 def _weights(L: float, l: int) -> tuple:
@@ -158,13 +142,14 @@ def kernel_derivative(table: KernelTable, k: int, y):
     """
     if not 0 <= k <= MAX_LADDER:
         raise ValueError(f"derivative order {k} must lie in [0, {MAX_LADDER}]")
+    L = float(table.nodes[-1])
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     trig = np.sin if k % 2 else np.cos
     out = np.zeros(y_arr.size)
     # one wavenumber at a time keeps memory O(y.size)
-    for kj, aj in zip(*_weights(table.L, k)):
+    for kj, aj in zip(*_weights(L, k)):
         out += aj * trig(kj * y_arr)
-    out = np.where(np.abs(y_arr) <= table.L, table.scale * out, 0.0)
+    out = np.where(np.abs(y_arr) <= L, table.scale * out, 0.0)
     return float(out[0]) if np.isscalar(y) else out
 
 

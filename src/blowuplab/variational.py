@@ -192,9 +192,10 @@ def first_nonlinear_eigenvalue(n: float, R: float, m: int = 400) -> float:
     """
     if n < 0 or R <= 0:
         raise ValueError("need n >= 0 and R > 0")
-    if m < 64:
-        raise ValueError("mesh too coarse")
     mesh, h = bvp.Mesh.uniform(-R, R, m), 2.0 * R / m
+    # built before any use of the mesh: a stencil refuses one too coarse
+    stencils = [bvp._Stencil(mesh, model.ProblemParams(nk, nk + 1.0, 0.0), "dirichlet-far")
+                for nk in [N_STAGE * k for k in range(math.ceil(n / N_STAGE))] + [n]]
     # trapezoid weights on the full node set
     c = np.full(m + 1, h)
     c[[0, -1]] *= 0.5
@@ -213,8 +214,8 @@ def first_nonlinear_eigenvalue(n: float, R: float, m: int = 400) -> float:
     z = np.append(x0, quotient(np.append(x0, 0.0), 0.0))
     z_scale = np.append(np.ones(m - 1), z[-1])
 
-    for nk in [N_STAGE * k for k in range(math.ceil(n / N_STAGE))] + [n]:
-        stencil = bvp._Stencil(mesh, model.ProblemParams(nk, nk + 1.0, 0.0), "dirichlet-far")
+    for stencil in stencils:
+        nk = stencil.n
 
         def evaluate(z):
             x = z[:-1]

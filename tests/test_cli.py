@@ -8,6 +8,8 @@ import blowuplab.branching as branching
 import blowuplab.bvp as bvp
 import blowuplab.oscillation as oscillation
 import blowuplab.patterns as patterns
+import blowuplab.spectral as spectral
+import blowuplab.variational as variational
 from blowuplab.cli import main
 
 
@@ -540,14 +542,43 @@ class TestOtherCommands:
     ["classify", "--profile", "{profile}", "--record", "1"],
     ["classify", "--profile", "{profile}", "--record", "-1"],
     ["branch", "--from-profile", "{profile}", "--record", "1", "--p-end", "1.3"],
+    ["branch", "--from-profile", "{profile}", "--p-end", "1.3", "--dp", "0.1"],
+    ["solve", "--n", "0.2", "--p", "1.2", "--eps-schedule", "0.05,0.1"],
+    ["solve", "--n", "0.2", "--p", "1.2", "--eps", "0"],
+    ["solve", "--n", "0.2", "--p", "1.2", "--N", "30"],
 ], ids=["family", "eps-schedule", "eigen-n", "classify-missing",
-        "classify-record", "classify-negative-record", "branch-record"])
+        "classify-record", "classify-negative-record", "branch-record",
+        "branch-first-step", "eps-schedule-rising", "eps-zero", "coarse-mesh"])
 def test_usage_error_leaves_no_output_directory(solve_run, tmp_path, argv):
     out = tmp_path / "run"
     argv = [a.format(profile=solve_run / "profile.csv") for a in argv]
     code = main([*argv, "--out", str(out)])
     assert code == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("module, name, argv, parameters", [
+    (variational, "first_nonlinear_eigenvalue",
+     ["eigen", "--n", "0,1", "--R", "1", "--m", "100"],
+     {"n": [0.0, 1.0], "R": [1.0], "m": 100}),
+    (spectral, "compute_kernel", ["kernel", "--L", "15", "--N", "2000"],
+     {"L": 15.0, "N": 2000}),
+], ids=["eigen", "kernel"])
+def test_computation_failure_writes_manifest_alone(tmp_path, monkeypatch, module,
+                                                   name, argv, parameters):
+    def failing(*args):
+        raise RuntimeError("no convergence")
+
+    monkeypatch.setattr(module, name, failing)
+    out = tmp_path / "run"
+    code = main([*argv, "--out", str(out)])
+    assert code == 2
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["outputs"] == []
+    assert man["solver_stats"] == {"converged": False,
+                                   "message": "no convergence"}
+    assert man["parameters"] == parameters
 
 
 @pytest.mark.parametrize("argv", [

@@ -150,7 +150,7 @@ class TestPeriodicComponent:
         # the message gives the s where the leg's crossing step ended
         n, mu = 0.1, 32.0
         init = OscState(0.0, 0.5 * osc.equilibrium_value(n, mu), 0.0, 0.0)
-        with pytest.raises(RuntimeError, match=r"code -2 near s = 5\.2"), \
+        with pytest.raises(osc.ShootingError, match=r"code -2 near s = 5\.2"), \
                 pytest.warns(UserWarning, match="dop853"):
             osc.find_periodic_osc(n, mu, init)
 
@@ -167,7 +167,7 @@ class TestPeriodicComponent:
         # the start is no periodic point, so one Newton step cannot meet
         # the stopping test
         monkeypatch.setattr(newton, "MAX_ITERS", 1)
-        with pytest.raises(RuntimeError, match=r"last residual \d"):
+        with pytest.raises(osc.ShootingError, match=r"last residual \d"):
             osc.find_periodic_osc(1.0, 5.0, OscState(0.0, 3e-4, 0.0, 0.0))
 
 
@@ -239,7 +239,7 @@ class TestShooter:
 
     def test_failed_run_raises(self):
         shooter = osc._Shooter(lambda s, u: [math.nan] * 3, 1, osc.OSC_ATOL)
-        with pytest.raises(RuntimeError, match="DOP853 failed with code -3"), \
+        with pytest.raises(osc.ShootingError, match="DOP853 failed with code -3"), \
                 pytest.warns(UserWarning, match="dop853"):
             shooter.cross((1.0, 0.0, 1.0), -1)
 

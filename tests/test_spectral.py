@@ -30,7 +30,7 @@ class TestKernel:
         assert kernel_table.normalization == pytest.approx(1.0, abs=1e-8)
 
     def test_radial_slope_vanishes_at_origin(self, kernel_table):
-        assert abs(kernel_table.F1[0]) <= 1e-10
+        assert abs(kernel_table.ladder[1][0]) <= 1e-10
 
     def test_decay_rate_matches_wkb_constant(self, kernel_table):
         D, d = kernel_table.decay_fit
@@ -58,8 +58,7 @@ class TestKernel:
     def test_closed_form_values_at_origin(self, kernel_table_wide):
         # F(0) = (1/pi) int exp(-k^4) dk = Gamma(5/4)/pi and
         # F''(0) = -(1/pi) int k^2 exp(-k^4) dk = -Gamma(3/4)/(4 pi)
-        F, F1, F2 = (kernel_table_wide.F[0], kernel_table_wide.F1[0],
-                     kernel_table_wide.F2[0])
+        F, F1, F2 = kernel_table_wide.ladder[:3, 0]
         assert F == pytest.approx(math.gamma(1.25) / math.pi, rel=1e-13)
         assert F2 == pytest.approx(-math.gamma(0.75) / (4.0 * math.pi),
                                    rel=1e-13)
@@ -69,7 +68,7 @@ class TestKernel:
                                                  kernel_table_wide):
         # away from the cutoff the L = 15 table is the wide one rescaled
         y = np.linspace(0.0, 14.0, 2801)
-        s = kernel_table.F[0] / kernel_table_wide.F[0]
+        s = kernel_table.ladder[0][0] / kernel_table_wide.ladder[0][0]
         diff = np.max(np.abs(
             spectral.kernel_derivative(kernel_table, 0, y)
             - s * spectral.kernel_derivative(kernel_table_wide, 0, y)))
@@ -150,7 +149,7 @@ class TestLadder:
             assert np.allclose(spectral.kernel_derivative(kernel_table, l, y),
                                kernel_table.ladder[l], rtol=0.0, atol=1e-15)
             assert spectral.kernel_derivative(kernel_table, l,
-                                              kernel_table.L + 0.1) == 0.0
+                                              kernel_table.nodes[-1] + 0.1) == 0.0
 
     @pytest.mark.parametrize("L, N", [(44.0, 20000), (15.0, 2001),
                                       (15.0, 2047)])

@@ -265,6 +265,11 @@ class TestNonlinearEigenvalue:
         lam = var.first_nonlinear_eigenvalue(0.0, R, 400)
         assert lam == pytest.approx(ref, rel=1e-10)
 
+    @pytest.mark.parametrize("m", [1, 32])
+    def test_coarse_mesh_refused_by_the_stencil(self, m):
+        with pytest.raises(ValueError, match="too coarse"):
+            var.first_nonlinear_eigenvalue(0.0, 1.0, m)
+
     def test_non_convergence_raises_with_last_quotient(self, monkeypatch):
         # the stages past the linear one take about five Newton steps; a
         # two-step budget must fail loudly, not return the quotient
