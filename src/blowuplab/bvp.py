@@ -374,7 +374,7 @@ def eps_continuation(params: ProblemParams, guess: Profile, schedule,
     schedule = [float(e) for e in schedule]
     if not schedule:
         raise ValueError("empty eps schedule")
-    if any(b >= a for a, b in zip(schedule, schedule[1:])):
+    if not all(b < a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("eps schedule must be strictly decreasing")
     if schedule[0] < 1e-2:
         raise ValueError("eps schedule must start at or above 1e-2")

@@ -6,17 +6,20 @@ its files: it lists each file written (in the format of `bvp.write_csv` /
 vector, resolved parameters, input hashes, output list, wall time and
 solver statistics.
 `blowuplab replay manifest.json` re-executes the recorded invocation into
-a scratch directory and verifies the outputs byte for byte.
+a scratch directory and decides from the two run records: the re-run's
+inputs, outputs, parameters and solver_stats must equal the recorded ones
+and every output must match byte for byte, so a failure that reproduces
+is a reproduction and one that now converges is a mismatch.
 
-Exit codes: 0 success, 1 usage error (nothing written), 2 computation
-finished without convergence or outside its accuracy bound (best iterate
-still written), or failed with a RuntimeError (manifest.json says why).
+Exit codes: 0 success, 1 usage error (a ValueError or OSError, a
+non-finite number included; nothing written), 2 computation finished
+without convergence or outside its accuracy bound (best iterate still
+written), or failed with a RuntimeError (manifest.json says why).
 """
 
 from __future__ import annotations
 
 import argparse
-import filecmp
 import functools
 import hashlib
 import json
@@ -44,13 +47,9 @@ RECORD_HELP = ("0-based column of the profile CSV: a branch's records.csv "
                "holds one per record, a solve's profile.csv only 0")
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _sha256(path: Path) -> str:
@@ -62,7 +61,7 @@ class Manifest:
 
     Each output method writes its file into the output directory (--out,
     else $BLOWUPLAB_OUT, else the working directory; made with the first
-    file) and lists it, so replay compares exactly the files the command
+    file) and lists it, so the record names exactly the files the command
     wrote.  write records the command's parameters as they stand.
     """
 
@@ -114,7 +113,7 @@ def _parse_family(text: str) -> patterns.FamilySpec:
     mapping = {"basic": "basic", "glue_pp": "glue_pp", "glue_mp": "glue_mp",
                "osc_plus": "osc_plus", "q": "q_type", "q_type": "q_type"}
     if kind not in mapping:
-        raise _UsageError(f"unknown family {text!r}")
+        raise ValueError(f"unknown family {text!r}")
     index = int(idx) if idx else 0
     return patterns.FamilySpec(mapping[kind], index)
 
@@ -200,18 +199,18 @@ def cmd_solve(args, man) -> int:
 def cmd_branch(args, man) -> int:
     src = Path(args.from_profile)
     if not src.exists():
-        raise _UsageError(f"start profile not found: {src}")
-    if args.dp <= 0:
-        raise _UsageError("--dp must be positive")
+        raise ValueError(f"start profile not found: {src}")
+    if not (math.isfinite(args.dp) and args.dp > 0):
+        raise ValueError("--dp must be finite and positive")
     start = bvp.load_profile(src, args.record)
     p0 = start.params.p
     if args.p_end == p0:
-        raise _UsageError("empty schedule: --p-end equals the start exponent")
+        raise ValueError("empty schedule: --p-end equals the start exponent")
     sign = 1.0 if args.p_end > p0 else -1.0
     schedule = list(np.round(np.arange(p0 + sign * args.dp, args.p_end + sign * 1e-12,
                                        sign * args.dp), 12))
     if not schedule:
-        raise _UsageError("empty schedule")
+        raise ValueError("empty schedule")
     man.add_input(src)
     man.parameters = {"n": start.params.n, "p_start": p0, "p_end": args.p_end,
                       "dp": args.dp, "label": args.label}
@@ -240,8 +239,8 @@ def cmd_branch(args, man) -> int:
 
 
 def cmd_oscillate(args, man) -> int:
-    if args.n <= 0.0:
-        raise _UsageError("--n must be positive")
+    if not (math.isfinite(args.n) and args.n > 0.0):
+        raise ValueError("--n must be finite and positive")
     mu = args.mu if args.mu is not None else (2.0 * args.n + 3.0) / args.n
     scale = oscillation.equilibrium_value(args.n, mu)
     init = oscillation.OscState(0.0, 0.5 * scale, 0.0, 0.0)
@@ -303,7 +302,7 @@ def cmd_eigen(args, man) -> int:
 def cmd_classify(args, man) -> int:
     src = Path(args.profile)
     if not src.exists():
-        raise _UsageError(f"profile not found: {src}")
+        raise ValueError(f"profile not found: {src}")
     prof = bvp.load_profile(src, args.record)
     man.add_input(src)
     man.parameters = {"tol_zero": args.tol_zero, "tol_eq": args.tol_eq}
@@ -331,35 +330,25 @@ def cmd_classify(args, man) -> int:
 def cmd_replay(args, man) -> int:
     src = Path(args.manifest)
     if not src.exists():
-        raise _UsageError(f"manifest not found: {src}")
-    data = json.loads(src.read_text(encoding="utf-8"))
-    recorded = data["argv"]
-    orig_dir = src.parent
-    scratch = Path(args.scratch) if args.scratch else orig_dir / "_replay"
-    scratch.mkdir(parents=True, exist_ok=True)
-    rewritten = []
-    it = iter(recorded)
-    for tok in it:
-        if tok == "--out":
-            next(it, None)
-            continue
-        rewritten.append(tok)
-    rewritten += ["--out", str(scratch)]
-    code = main(rewritten)
+        raise ValueError(f"manifest not found: {src}")
+    recorded = json.loads(src.read_text(encoding="utf-8"))
+    scratch = Path(args.scratch) if args.scratch else src.parent / "_replay"
+    # argparse keeps the last --out
+    code = main([*recorded["argv"], "--out", str(scratch)])
     if code not in (EXIT_OK, EXIT_NO_CONVERGENCE):
         print(f"replay run exited with {code}", file=sys.stderr)
         return code
-    mismatches = []
-    # filecmp's cache is keyed by size and mtime, blind to a same-tick rewrite
-    filecmp.clear_cache()
-    for name in data["outputs"]:
-        a, b = orig_dir / name, scratch / name
-        if not b.exists() or not filecmp.cmp(a, b, shallow=False):
-            mismatches.append(name)
+    rerun = json.loads((scratch / "manifest.json").read_text(encoding="utf-8"))
+    # compared as JSON text, so that a recorded NaN matches itself
+    mismatches = [key for key in ("inputs", "outputs", "parameters", "solver_stats")
+                  if json.dumps(rerun.get(key)) != json.dumps(recorded.get(key))]
+    if not mismatches:
+        mismatches = [name for name in recorded["outputs"] if
+                      (scratch / name).read_bytes() != (src.parent / name).read_bytes()]
     if mismatches:
         print("replay mismatch: " + ", ".join(mismatches), file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    print(f"replay reproduced {len(data['outputs'])} outputs byte-exactly")
+    print(f"replay reproduced {len(recorded['outputs'])} outputs byte-exactly")
     return EXIT_OK
 
 
@@ -447,11 +436,8 @@ def main(argv=None) -> int:
         if args.func is not cmd_replay:
             man = Manifest(args, argv)
         return args.func(args, man)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:
         print(f"computation failed: {exc}", file=sys.stderr)

@@ -68,12 +68,12 @@ class ProblemParams:
     eps: float = 1e-2
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
-        if self.p < 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
-        if self.eps < 0:
-            raise ValueError(f"eps must be >= 0, got {self.eps}")
+        if not (math.isfinite(self.n) and self.n >= 0):
+            raise ValueError(f"n must be finite and >= 0, got {self.n}")
+        if not (math.isfinite(self.p) and self.p >= 1):
+            raise ValueError(f"p must be finite and >= 1, got {self.p}")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
 
     @property
     def regime(self) -> str:

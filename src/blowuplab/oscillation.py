@@ -112,8 +112,8 @@ def equilibrium_value(n: float, mu: float) -> float:
 
         phi_+ = [(n+1)(mu-2)]^(-1/n) * [mu(mu-1)]^(-(n+1)/n).
     """
-    if n <= 0 or mu <= 2:
-        raise ValueError("equilibria need n > 0 and mu > 2")
+    if not (math.isfinite(n) and math.isfinite(mu) and n > 0 and mu > 2):
+        raise ValueError("equilibria need finite n > 0 and mu > 2")
     return ((n + 1.0) * (mu - 2.0)) ** (-1.0 / n) * (mu * (mu - 1.0)) ** (-(n + 1.0) / n)
 
 

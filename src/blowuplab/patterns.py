@@ -115,8 +115,10 @@ def crossing_locations(profile: Profile, tol_zero: float = DEFAULT_TOL_ZERO,
 
     Zero crossings outside the span of the equilibrium crossings are
     end-of-support tail zeros, never part of a pattern's index, and are
-    dropped here.
+    dropped here.  Both tolerances must be finite and positive.
     """
+    if not (0.0 < tol_zero < np.inf and 0.0 < tol_eq < np.inf):
+        raise ValueError(f"tolerances must be finite and positive: {tol_zero}, {tol_eq}")
     prof = profile.full_extension()
     win = _scan_window(prof.values, tol_zero)
     y = prof.mesh.nodes[win]

@@ -97,8 +97,8 @@ def compute_kernel(L: float = 15.0, N: int = 4000) -> KernelTable:
     folded in.  One rescale, chosen so that the Simpson quadrature of F is
     exactly normalized, applies to every row.
     """
-    if L < 15.0:
-        raise ValueError(f"L must be >= 15, got {L}")
+    if not (math.isfinite(L) and L >= 15.0):
+        raise ValueError(f"L must be finite and >= 15, got {L}")
     if N < 2000:
         raise ValueError(f"N must be >= 2000, got {N}")
 

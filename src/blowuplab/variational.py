@@ -190,8 +190,8 @@ def first_nonlinear_eigenvalue(n: float, R: float, m: int = 400) -> float:
     exact to rounding.  A Newton failure raises RuntimeError with the
     quotient of the last iterate.
     """
-    if n < 0 or R <= 0:
-        raise ValueError("need n >= 0 and R > 0")
+    if not (math.isfinite(n) and math.isfinite(R) and n >= 0 and R > 0):
+        raise ValueError("need finite n >= 0 and R > 0")
     mesh, h = bvp.Mesh.uniform(-R, R, m), 2.0 * R / m
     # built before any use of the mesh: a stencil refuses one too coarse
     stencils = [bvp._Stencil(mesh, model.ProblemParams(nk, nk + 1.0, 0.0), "dirichlet-far")

@@ -260,6 +260,40 @@ class TestReplay:
             assert code == 2
 
 
+    def test_failure_that_now_converges_is_a_mismatch(self, tmp_path, monkeypatch,
+                                                      capsys):
+        def failing(*args):
+            raise RuntimeError("no convergence")
+
+        out = tmp_path / "run"
+        with monkeypatch.context() as mp:
+            mp.setattr(variational, "first_nonlinear_eigenvalue", failing)
+            assert main(["eigen", "--m", "100", "--out", str(out)]) == 2
+        capsys.readouterr()
+        code = main(["replay", str(out / "manifest.json"),
+                     "--scratch", str(tmp_path / "rep")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "outputs" in err and "solver_stats" in err
+
+    def test_changed_input_is_a_mismatch(self, solve_run, tmp_path, capsys):
+        for name in ("profile.csv", "profile.json"):
+            (tmp_path / name).write_bytes((solve_run / name).read_bytes())
+        out = tmp_path / "cls"
+        assert main(["classify", "--profile", str(tmp_path / "profile.csv"),
+                     "--out", str(out)]) == 0
+        # np.loadtxt skips the blank line, so classification.json is unchanged
+        with open(tmp_path / "profile.csv", "a", encoding="utf-8") as f:
+            f.write("\n")
+        capsys.readouterr()
+        code = main(["replay", str(out / "manifest.json"),
+                     "--scratch", str(tmp_path / "rep")])
+        assert code == 2
+        assert (tmp_path / "rep" / "classification.json").read_bytes() == (
+            out / "classification.json").read_bytes()
+        assert "inputs" in capsys.readouterr().err
+
+
 class TestBranchCommand:
     def test_branch_run(self, branch_run):
         out, _ = branch_run
@@ -408,6 +442,18 @@ class TestOtherCommands:
         assert rep["transversal_zeros"] == 0
         assert len(rep["crossings"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol-zero", "nan"), ("--tol-zero", "inf"), ("--tol-eq", "nan"),
+        ("--tol-eq", "-1")])
+    def test_classify_tolerances_must_be_finite_and_positive(self, solve_run, tmp_path,
+                                                             flag, value):
+        # F0 is {+2}; these tolerances printed {} or {+2,3,+1,1,+1} with exit 0
+        out = tmp_path / "cls"
+        code = main(["classify", "--profile", str(solve_run / "profile.csv"),
+                     flag, value, "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+
     def test_classify_rejects_tampered_profile(self, solve_run, tmp_path):
         # the sidecar still says converged, but the recomputed residual
         # of the edited values is far above the stored one
@@ -546,9 +592,28 @@ class TestOtherCommands:
     ["solve", "--n", "0.2", "--p", "1.2", "--eps-schedule", "0.05,0.1"],
     ["solve", "--n", "0.2", "--p", "1.2", "--eps", "0"],
     ["solve", "--n", "0.2", "--p", "1.2", "--N", "30"],
+    # non-finite numbers: each check that bounds a value also rejects NaN and inf
+    ["kernel", "--L", "nan"],
+    ["kernel", "--L", "inf"],
+    ["solve", "--n", "0.2", "--p", "inf"],
+    ["eigen", "--n", "inf"],
+    ["solve", "--n", "0.2", "--p", "nan"],
+    ["eigen", "--n", "nan"],
+    ["solve", "--n", "0.2", "--p", "1.2", "--eps", "nan"],
+    ["solve", "--n", "0.2", "--p", "1.2", "--eps", "inf"],
+    ["solve", "--n", "nan", "--p", "1.2"],
+    ["solve", "--n", "0.2", "--p", "1.2", "--eps-schedule", "nan"],
+    ["solve", "--n", "0.2", "--p", "1.2", "--eps-schedule", "0.05,nan"],
+    ["oscillate", "--n", "nan"],
+    ["oscillate", "--n", "inf"],
+    ["oscillate", "--n", "5", "--mu", "nan"],
 ], ids=["family", "eps-schedule", "eigen-n", "classify-missing",
         "classify-record", "classify-negative-record", "branch-record",
-        "branch-first-step", "eps-schedule-rising", "eps-zero", "coarse-mesh"])
+        "branch-first-step", "eps-schedule-rising", "eps-zero", "coarse-mesh",
+        "kernel-L-nan", "kernel-L-inf", "solve-p-inf", "eigen-n-inf", "solve-p-nan",
+        "eigen-n-nan", "eps-nan", "eps-inf", "solve-n-nan", "eps-schedule-nan",
+        "eps-schedule-last-nan", "oscillate-n-nan", "oscillate-n-inf",
+        "oscillate-mu-nan"])
 def test_usage_error_leaves_no_output_directory(solve_run, tmp_path, argv):
     out = tmp_path / "run"
     argv = [a.format(profile=solve_run / "profile.csv") for a in argv]
