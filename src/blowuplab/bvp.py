@@ -24,8 +24,8 @@ reflection ghosts (slope conditions) plus value rows, one BC_RULES entry:
 The same module shoots for the periodic orbits about +-1 of the
 autonomous p = n+1 equation, and owns the format of every output file:
 `write_csv` (17 significant digits) and `write_json` (sorted keys, indent
-2), UTF-8 with LF endings.  Stored profiles are one CSV with an `F`
-column per profile (one for a solve, one per record for a branch) plus a
+2), UTF-8 with LF endings, and stored profiles: one table (a solve's CSV
+`F` column, a branch's np.save float64 array, record k in row k) plus a
 JSON sidecar whose `mesh` block (a, b, intervals) rebuilds the uniform
 nodes bit for bit.
 """
@@ -312,6 +312,10 @@ class NewtonOptions:
     tol: float = 1e-6
     max_iters: int = 200
 
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0 and self.max_iters >= 1):
+            raise ValueError("Newton needs a finite tol > 0 and max_iters >= 1")
+
 
 def _banded_lu(ab: np.ndarray):
     """b -> A^-1 b by dgbtrf's LU of the band A (kl = ku = 2); None if singular."""
@@ -572,15 +576,15 @@ def write_json(path, obj) -> None:
                           encoding="utf-8", newline="\n")
 
 
-def save_profile(profiles, csv_path) -> Path:
-    """Write profiles as one CSV, an `F` column each, plus a JSON sidecar.
+def save_profile(profiles, path) -> Path:
+    """Write profiles as one table plus a JSON sidecar.
 
-    The profiles must share n, eps, bc and mesh, which the sidecar holds
-    once; its `records` list holds each column's p, residual norm,
-    convergence and LU count, in column order.  The mesh block replaces
-    a `y` column, so the nodes must be exactly `Mesh.uniform(a, b,
-    intervals)`; any other mesh (a `full_extension()` one, say) raises
-    ValueError.  Returns the sidecar's path.
+    A `.npy` path gets np.save's float64 array, record k in row k, any
+    other a CSV, an `F` column each.  The profiles must share n, eps, bc
+    and mesh, which the sidecar holds once with each record's p, residual
+    norm, convergence and LU count.  Its mesh block replaces a `y` column,
+    so the nodes must be `Mesh.uniform(a, b, intervals)` bit for bit (not
+    a `full_extension()` mesh), else ValueError.  Returns the sidecar.
     """
     first = profiles[0]
     nodes = first.mesh.nodes
@@ -594,10 +598,13 @@ def save_profile(profiles, csv_path) -> Path:
                 or not np.array_equal(prof.mesh.nodes, nodes)):
             raise ValueError("profiles saved together must share n, eps, bc "
                              "and mesh")
-    csv_path = Path(csv_path)
-    write_csv(csv_path, ",".join(["F"] * len(profiles)),
-              [prof.values for prof in profiles])
-    sidecar = csv_path.with_suffix(".json")
+    path = Path(path)
+    values = np.stack([prof.values for prof in profiles])
+    if path.suffix == ".npy":
+        np.save(path, values, allow_pickle=False)
+    else:
+        write_csv(path, ",".join(["F"] * len(profiles)), values)
+    sidecar = path.with_suffix(".json")
     write_json(sidecar, {
         "n": first.params.n,
         "eps": first.params.eps,
@@ -611,37 +618,43 @@ def save_profile(profiles, csv_path) -> Path:
     return sidecar
 
 
-def load_profile(csv_path, record: int = 0) -> Profile:
-    """Load column `record` (0-based) of a stored profile CSV.
+def load_profile(path, record: int = 0) -> Profile:
+    """Load record `record` (0-based) of a stored profile table.
 
     The residual norm is recomputed, never trusted.  The nodes are
-    rebuilt from the sidecar's mesh block, the header must name one `F`
-    column per sidecar record, and the column must hold one row per node.
-    Both round-trip bit for bit, so the profile stays converged only if
-    its record says so and the recomputed residual is no larger than
-    stored.
+    rebuilt from the sidecar's mesh block.  A `.npy` table must be <f8 of
+    shape (records, intervals + 1); a CSV must name one `F` column per
+    record and hold one row per node.  Both round-trip bit for bit, so
+    the profile stays converged only if its record says so and the
+    recomputed residual is no larger than stored.
     """
-    csv_path = Path(csv_path)
-    sidecar = csv_path.with_suffix(".json")
+    path = Path(path)
+    sidecar = path.with_suffix(".json")
     meta = json.loads(sidecar.read_text(encoding="utf-8"))
     if "records" not in meta:
         raise ValueError(f"{sidecar} has no records list; it predates the "
                          "one-file records format")
     records = meta["records"]
     if not 0 <= record < len(records):
-        raise ValueError(f"record {record} is out of range: {csv_path} holds "
+        raise ValueError(f"record {record} is out of range: {path} holds "
                          f"{len(records)} records")
     grid = meta["mesh"]
-    with open(csv_path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if header != ["F"] * len(records):
-            raise ValueError(f"{csv_path} has {len(header)} columns, its "
-                             f"sidecar {len(records)} records")
-        values = np.loadtxt(fh, delimiter=",", usecols=record, ndmin=1)
-    if values.size != grid["intervals"] + 1:
-        raise ValueError(f"{csv_path} holds {values.size} rows of F, the "
-                         f"sidecar's mesh needs intervals + 1 = "
-                         f"{grid['intervals'] + 1}")
+    shape = (len(records), grid["intervals"] + 1)
+    if path.suffix == ".npy":
+        table = np.load(path, mmap_mode="r", allow_pickle=False)
+        if table.dtype.str != "<f8" or table.shape != shape:
+            raise ValueError(f"{path} is not a <f8 array of shape {shape}")
+        values = np.array(table[record])
+    else:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            if header != ["F"] * len(records):
+                raise ValueError(f"{path} has {len(header)} columns, its "
+                                 f"sidecar {len(records)} records")
+            values = np.loadtxt(fh, delimiter=",", usecols=record, ndmin=1)
+        if values.size != shape[1]:
+            raise ValueError(f"{path} holds {values.size} rows of F, the "
+                             f"sidecar's mesh needs intervals + 1 = {shape[1]}")
     rec = records[record]
     params = ProblemParams(n=meta["n"], p=rec["p"], eps=meta["eps"])
     prof = Profile(Mesh.uniform(grid["a"], grid["b"], grid["intervals"]),

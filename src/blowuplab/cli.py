@@ -1,8 +1,8 @@
 """Command-line front end: reproducible experiments, plot-ready dumps.
 
 main builds the Manifest of every command but replay, the one writer of
-its files: it lists each file written (in the format of `bvp.write_csv` /
-`bvp.write_json`) and ends with a manifest.json recording the argument
+its files: it lists each file written (by `bvp.write_csv`, `write_json` or
+`save_profile`) and ends with a manifest.json recording the argument
 vector, resolved parameters, input hashes, output list, wall time and
 solver statistics.
 `blowuplab replay manifest.json` re-executes the recorded invocation into
@@ -43,8 +43,8 @@ EXIT_NO_CONVERGENCE = 2
 # the bi-orthogonality bound of acceptance criterion 03
 PAIRING_TOL = 1e-5
 
-RECORD_HELP = ("0-based column of the profile CSV: a branch's records.csv "
-               "holds one per record, a solve's profile.csv only 0")
+RECORD_HELP = ("0-based record of the stored profile: a row of a branch's "
+               "records.npy, a solve's profile.csv holds only 0")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -157,6 +157,7 @@ def _solve_with_warm_start(params, guess, spec, opts):
 
 def cmd_solve(args, man) -> int:
     params = ProblemParams(n=args.n, p=args.p, eps=args.eps)
+    opts = NewtonOptions(tol=args.tol, max_iters=args.max_iters)
     spec = _parse_family(args.family)
     spec = patterns.FamilySpec(spec.kind, spec.index, separation=args.separation,
                                n=args.n)
@@ -175,7 +176,6 @@ def cmd_solve(args, man) -> int:
             Mesh.uniform(0.0, args.R, args.N), params)
         template = bvp.solve_profile(params, t_guess)
     guess = patterns.guess_factory(spec, mesh, params, template=template)
-    opts = NewtonOptions(tol=args.tol, max_iters=args.max_iters)
     failure = {}
     try:
         if schedule:
@@ -202,6 +202,7 @@ def cmd_branch(args, man) -> int:
         raise ValueError(f"start profile not found: {src}")
     if not (math.isfinite(args.dp) and args.dp > 0):
         raise ValueError("--dp must be finite and positive")
+    opts = NewtonOptions(tol=args.tol, max_iters=args.max_iters)
     start = bvp.load_profile(src, args.record)
     p0 = start.params.p
     if args.p_end == p0:
@@ -214,10 +215,9 @@ def cmd_branch(args, man) -> int:
     man.add_input(src)
     man.parameters = {"n": start.params.n, "p_start": p0, "p_end": args.p_end,
                       "dp": args.dp, "label": args.label}
-    opts = NewtonOptions(tol=args.tol, max_iters=args.max_iters)
     branch = branching.trace_p_branch(start, schedule, label=args.label, opts=opts)
     recs = branch.records
-    man.profiles("records.csv", [r.profile for r in recs])
+    man.profiles("records.npy", [r.profile for r in recs])
     # every record is a converged solve; the constant column keeps the format
     man.csv("curve.csv", "p,sup_norm,residual,converged",
             [r.p for r in recs], [r.sup_norm for r in recs],
@@ -333,6 +333,8 @@ def cmd_replay(args, man) -> int:
         raise ValueError(f"manifest not found: {src}")
     recorded = json.loads(src.read_text(encoding="utf-8"))
     scratch = Path(args.scratch) if args.scratch else src.parent / "_replay"
+    if scratch.resolve() == src.parent.resolve():
+        raise ValueError("--scratch must not be the manifest's own directory")
     # argparse keeps the last --out
     code = main([*recorded["argv"], "--out", str(scratch)])
     if code not in (EXIT_OK, EXIT_NO_CONVERGENCE):

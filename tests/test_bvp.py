@@ -500,6 +500,54 @@ class TestSerialization:
             with pytest.raises(ValueError, match="out of range"):
                 bvp.load_profile(path, k)
 
+    def test_records_npy_round_trip_by_row(self, f0_profile, tmp_path):
+        # a branch's records.npy: record k is row k, bit for bit, read
+        # into an array of its own
+        rng = np.random.default_rng(3)
+        size = f0_profile.values.size
+        profs = [f0_profile.replace(
+                     values=rng.standard_normal(size) * np.exp(
+                         rng.uniform(-40.0, 40.0, size)),
+                     params=f0_profile.params.with_p(p), newton_iters=k)
+                 for k, p in enumerate([1.2, 1.25, 1.3, 1.35])]
+        profs[1].values[:3] = (-0.0, 5e-324, 0.1)
+        path = tmp_path / "records.npy"
+        bvp.save_profile(profs, path)
+        for k, prof in enumerate(profs):
+            back = bvp.load_profile(path, k)
+            assert back.values.tobytes() == prof.values.tobytes()
+            assert type(back.values) is np.ndarray and back.values.flags.owndata
+            assert np.array_equal(back.mesh.nodes, prof.mesh.nodes)
+            assert back.params == prof.params
+            assert back.bc == prof.bc
+            assert back.newton_iters == k
+
+    def test_records_npy_header(self, f0_profile, tmp_path):
+        # NEP 1 format 1.0, padded to 128 bytes: replay's byte comparison
+        # needs the same header from every numpy the package supports
+        k, m = 3, f0_profile.mesh.m
+        path = tmp_path / "records.npy"
+        bvp.save_profile([f0_profile] * k, path)
+        header = f"{{'descr': '<f8', 'fortran_order': False, 'shape': ({k}, {m + 1}), }}"
+        raw = path.read_bytes()
+        assert raw[:128] == (b"\x93NUMPY\x01\x00" + (118).to_bytes(2, "little")
+                             + header.ljust(117).encode() + b"\n")
+        assert len(raw) == 128 + 8 * k * (m + 1)
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t.astype(np.float32),
+        lambda t: t[0],
+        lambda t: t[:-1],
+        lambda t: t[:, :-1],
+    ], ids=["float32", "1-d", "row-short", "node-short"])
+    def test_records_npy_dtype_and_shape_checked(self, f0_profile, tmp_path,
+                                                 edit):
+        path = tmp_path / "records.npy"
+        bvp.save_profile([f0_profile, f0_profile], path)
+        np.save(path, edit(np.load(path)))
+        with pytest.raises(ValueError, match="<f8 array of shape"):
+            bvp.load_profile(path)
+
     @pytest.mark.parametrize("change", [
         {"bc": "antisymmetry"},
         {"params": ProblemParams(0.2, 1.3, 5e-3)},

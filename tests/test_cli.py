@@ -242,6 +242,15 @@ class TestReplay:
         assert code == 0
         assert "reproduced 1 outputs byte-exactly" in capsys.readouterr().out
 
+    def test_branch_byte_exact(self, branch_run, tmp_path, capsys):
+        out, _ = branch_run
+        code = main(["replay", str(out / "manifest.json"),
+                     "--scratch", str(tmp_path / "rep")])
+        assert code == 0
+        assert "reproduced 4 outputs byte-exactly" in capsys.readouterr().out
+        assert (tmp_path / "rep" / "records.npy").read_bytes() == (
+            out / "records.npy").read_bytes()
+
     def test_detects_tampering(self, solve_run, tmp_path):
         # a row cut short changes the size; one digit changed does not
         row = (solve_run / "profile.csv").read_text().splitlines()[1]
@@ -259,6 +268,25 @@ class TestReplay:
                          "--scratch", str(tmp_path / f"rep_{name}")])
             assert code == 2
 
+
+    def test_scratch_in_own_directory_refused(self, solve_run, tmp_path):
+        # the re-run would overwrite the tampered output and then compare
+        # every file with itself
+        run = tmp_path / "run"
+        run.mkdir()
+        for f in solve_run.iterdir():
+            (run / f.name).write_bytes(f.read_bytes())
+        rows = (run / "profile.csv").read_text().splitlines()
+        rows[1] = rows[1][:-1] + ("2" if rows[1].endswith("1") else "1")
+        tampered = "\n".join(rows) + "\n"
+        (run / "profile.csv").write_text(tampered)
+        for scratch in (run, run / "sub" / ".."):
+            code = main(["replay", str(run / "manifest.json"),
+                         "--scratch", str(scratch)])
+            assert code == 1
+            assert (run / "profile.csv").read_text() == tampered
+        assert sorted(f.name for f in run.iterdir()) == sorted(
+            f.name for f in solve_run.iterdir())
 
     def test_failure_that_now_converges_is_a_mismatch(self, tmp_path, monkeypatch,
                                                       capsys):
@@ -305,20 +333,19 @@ class TestBranchCommand:
                              "stop_reason"}
         assert bman["stop_reason"] == "completed"
         assert bman["label"] == "F0-down"
-        # every record of the curve is a column of records.csv, in order
+        # every record of the curve is a row of records.npy, in order
         ps = [float(row.split(",")[0]) for row in curve[1:]]
         records = json.loads((out / "records.json").read_text())["records"]
         assert [r["p"] for r in records] == ps
-        assert (out / "records.csv").read_text().splitlines()[0] == ",".join(
-            ["F"] * len(ps))
-        assert [bvp.load_profile(out / "records.csv", k).params.p
+        assert np.load(out / "records.npy").shape == (len(ps), 2001)
+        assert [bvp.load_profile(out / "records.npy", k).params.p
                 for k in range(len(ps))] == ps
 
     @pytest.mark.parametrize("k", [1, -1])
     def test_classify_selects_record(self, branch_run, tmp_path, capsys, k):
         out, branch = branch_run
         k %= len(branch.records)
-        code = main(["classify", "--profile", str(out / "records.csv"),
+        code = main(["classify", "--profile", str(out / "records.npy"),
                      "--record", str(k), "--out", str(tmp_path / "cls")])
         assert code == 0
         assert capsys.readouterr().out.strip() == str(
@@ -328,14 +355,28 @@ class TestBranchCommand:
         out, branch = branch_run
         last = len(branch.records) - 1
         more = tmp_path / "more"
-        code = main(["branch", "--from-profile", str(out / "records.csv"),
+        code = main(["branch", "--from-profile", str(out / "records.npy"),
                      "--record", str(last), "--p-end", "1.13", "--dp", "0.01",
                      "--out", str(more)])
         assert code == 0
         records = json.loads((more / "records.json").read_text())["records"]
         assert [r["p"] for r in records] == [1.15, 1.14, 1.13]
-        start = bvp.load_profile(more / "records.csv")
+        start = bvp.load_profile(more / "records.npy")
         assert np.array_equal(start.values, branch.records[-1].profile.values)
+
+    def test_classify_rejects_tampered_record(self, branch_run, tmp_path):
+        # 0.1 added to one value of row k: record k's recomputed residual
+        # is far above its stored one, the other rows still load converged
+        out, branch = branch_run
+        k = len(branch.records) - 1
+        for name in ("records.npy", "records.json"):
+            (tmp_path / name).write_bytes((out / name).read_bytes())
+        table = np.load(tmp_path / "records.npy")
+        table[k, 100] += 0.1
+        np.save(tmp_path / "records.npy", table)
+        argv = ["classify", "--profile", str(tmp_path / "records.npy")]
+        assert main([*argv, "--record", str(k), "--out", str(tmp_path / "k")]) == 2
+        assert main([*argv, "--record", "0", "--out", str(tmp_path / "0")]) == 0
 
     def test_empty_schedule_rejected(self, solve_run, tmp_path):
         code = main(["branch", "--from-profile", str(solve_run / "profile.csv"),
@@ -607,13 +648,19 @@ class TestOtherCommands:
     ["oscillate", "--n", "nan"],
     ["oscillate", "--n", "inf"],
     ["oscillate", "--n", "5", "--mu", "nan"],
+    # Newton's options: a finite tol > 0 and at least one iteration
+    ["solve", "--n", "0.2", "--p", "1.2", "--tol", "nan"],
+    ["solve", "--n", "0.2", "--p", "1.2", "--tol", "-1"],
+    ["solve", "--n", "0.2", "--p", "1.2", "--max-iters", "0"],
+    ["branch", "--from-profile", "{profile}", "--p-end", "1.3", "--tol", "nan"],
 ], ids=["family", "eps-schedule", "eigen-n", "classify-missing",
         "classify-record", "classify-negative-record", "branch-record",
         "branch-first-step", "eps-schedule-rising", "eps-zero", "coarse-mesh",
         "kernel-L-nan", "kernel-L-inf", "solve-p-inf", "eigen-n-inf", "solve-p-nan",
         "eigen-n-nan", "eps-nan", "eps-inf", "solve-n-nan", "eps-schedule-nan",
         "eps-schedule-last-nan", "oscillate-n-nan", "oscillate-n-inf",
-        "oscillate-mu-nan"])
+        "oscillate-mu-nan", "solve-tol-nan", "solve-tol-negative",
+        "solve-max-iters-zero", "branch-tol-nan"])
 def test_usage_error_leaves_no_output_directory(solve_run, tmp_path, argv):
     out = tmp_path / "run"
     argv = [a.format(profile=solve_run / "profile.csv") for a in argv]
