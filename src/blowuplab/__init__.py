@@ -2,8 +2,8 @@
 p-Laplacian equation with source.
 
 Modules by task: model (exponent pair, regime, tail exponents and P_k
-coefficients), newton (the damped Newton loop), bvp (profile solver and
-periodic shooting), oscillation (interface components), spectral (linear
+coefficients), newton (the damped Newton loop), bvp (profile solver, also
+of the periodic orbit), oscillation (interface components), spectral (linear
 kernel and eigenfunction ladder), variational (energy, fibering and
 nonlinear eigenvalues), branching (p-continuation), patterns
 (classification and guesses), cli (command-line front end).

@@ -20,9 +20,13 @@ reflection ghosts (slope conditions) plus value rows, one BC_RULES entry:
     q-plateau        F = 1, F' = 0 at -R (plateau), F = F' = 0 at R
     symmetry         even reflection at 0 on [0, R], F = F' = 0 at R
     antisymmetry     odd reflection at 0 on [0, R], F = F' = 0 at R
+    half-period      even reflection at both ends of [0, L], no value row
 
-The same module shoots for the periodic orbits about +-1 of the
-autonomous p = n+1 equation, and owns the format of every output file:
+The last is no Profile's: on it the same stencil and Newton find the
+periodic orbits about +-1 of the autonomous p = n+1 equation, with L an
+unknown, bordered onto the band by _bordered_solver (block elimination on
+the banded LU, which the nonlinear eigenvalue shares).  The module owns
+the format of every output file:
 `write_csv` (17 significant digits) and `write_json` (sorted keys, indent
 2), UTF-8 with LF endings, and stored profiles: one table (a solve's CSV
 `F` column, a branch's np.save float64 array, record k in row k) plus a
@@ -40,45 +44,52 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from . import model, newton, oscillation
+from . import model, newton
 from .model import ProblemParams
 from .newton import NewtonError
-from .oscillation import ShootingError
 
 __all__ = [
     "Mesh",
     "Profile",
     "NewtonOptions",
     "NewtonError",
-    "ShootingError",
     "PeriodicOrbit",
     "assemble_residual",
     "assemble_jacobian",
     "solve_profile",
     "eps_continuation",
     "shoot_periodic_full",
+    "orbit_samples",
     "save_profile",
     "load_profile",
     "write_csv",
     "write_json",
 ]
 
-# F = 0 at the right end for every bc; per bc, the left ghosts are F_-k =
-# ghost_sign F_k, pin is F at node 0 (None: node 0 keeps its equation row),
-# and a half-domain bc lives on [0, R], extended to [-R, R] with that parity
-BcRule = namedtuple("BcRule", "ghost_sign pin half_domain")
+# per bc, the left ghosts are F_-k = ghost_sign F_k and the right ones even,
+# pin is F at node 0 and far F at node m (None: the node keeps its equation
+# row), and a half-domain bc lives on [0, R], extended to [-R, R] with that
+# parity; half-period is the periodic orbit's, every other one a Profile's
+BcRule = namedtuple("BcRule", "ghost_sign pin far half_domain")
 BC_RULES = {
-    "symmetry": BcRule(1.0, None, True),
-    "antisymmetry": BcRule(-1.0, 0.0, True),
-    "q-plateau": BcRule(1.0, 1.0, False),
-    "dirichlet-far": BcRule(1.0, 0.0, False),
+    "symmetry": BcRule(1.0, None, 0.0, True),
+    "antisymmetry": BcRule(-1.0, 0.0, 0.0, True),
+    "q-plateau": BcRule(1.0, 1.0, 0.0, False),
+    "dirichlet-far": BcRule(1.0, 0.0, 0.0, False),
+    "half-period": BcRule(1.0, None, None, False),
 }
-BC_CHOICES = tuple(BC_RULES)
+BC_CHOICES = tuple(bc for bc, rule in BC_RULES.items() if rule.far is not None)
 MIN_INTERVALS = 64
-# absolute tolerance of the periodic-orbit shots
-ORBIT_ATOL = 1e-13
+# intervals of the periodic orbit's half period
+ORBIT_INTERVALS = 1000
+# the eps = 0 solves (the periodic orbit, the nonlinear eigenvalue): step in
+# n between their Newton stages, and their Newton tolerance (the eigenvalue
+# quotient's error is quadratic in the eigenvector's)
+N_STAGE = 0.5
+TOL = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +139,7 @@ class Profile:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != self.mesh.nodes.shape:
             raise ValueError("values and mesh nodes must have matching shape")
-        if self.bc not in BC_RULES:
+        if self.bc not in BC_CHOICES:
             raise ValueError(f"bc must be one of {BC_CHOICES}, got {self.bc!r}")
 
     @property
@@ -242,7 +253,8 @@ class _Stencil:
         res += a * F
         fp = np.abs(F) ** (self.p - 1.0)
         res += b * fp * F
-        res[-1] = F[-1]
+        if self.rule.far is not None:
+            res[-1] = F[-1] - self.rule.far
         if pin is not None:
             res[0] = F[0] - pin
 
@@ -253,7 +265,7 @@ class _Stencil:
             # diagonals read -gp_k / h^4, the inner 2 (gp_k + gp_k+1) / h^4 -+ drift
             outer = gp / -h4
             inner = 2.0 * (gp[:-1] + gp[1:]) / h4
-            ab = np.zeros((7, fp.size))
+            ab = np.zeros((7, fp.size), order="F")   # LAPACK's: no transposing copy
             ab[2, 2:] = ab[6, :-2] = outer[2:-2]
             ab[3, 1:] = inner[1:-1] - drift[:-1]
             ab[4] = (gp[:-2] + 4.0 * gp[1:-1] + gp[2:]) / -h4 + a + b * self.p * fp
@@ -261,15 +273,20 @@ class _Stencil:
 
             # ghost folds: res_0 sees ghosts -1, -2 (a pinned row 0 is
             # overwritten below) and res_1 ghost -1, all with the ghost_sign;
-            # res_{m-1} sees ghost m+1, which is node m-1
+            # res_{m-1} sees ghost m+1, which is node m-1, and an unpinned
+            # res_m ghosts m+1, m+2, which are nodes m-1, m-2
             ab[3, 1] += sign * (inner[0] + drift[0])
             ab[2, 2] += sign * outer[0]
             ab[4, 1] += sign * outer[1]
             ab[4, -2] += outer[-2]
 
-            # bc value rows overwrite their equation rows: F = 0 at the right
-            # end, the pinned value at node 0
-            ab[6, -3], ab[5, -2], ab[4, -1] = 0.0, 0.0, 1.0
+            # bc value rows overwrite their equation rows: the far value at
+            # node m, the pinned value at node 0
+            if self.rule.far is None:
+                ab[5, -2] += inner[-1] - drift[-1]
+                ab[6, -3] += outer[-1]
+            else:
+                ab[6, -3], ab[5, -2], ab[4, -1] = 0.0, 0.0, 1.0
             if pin is not None:
                 ab[4, 0], ab[3, 1], ab[2, 2] = 1.0, 0.0, 0.0
             return ab
@@ -288,10 +305,14 @@ def assemble_residual(profile: Profile) -> np.ndarray:
     return _Stencil(profile.mesh, profile.params, profile.bc).evaluate(profile.values)[0]
 
 
+def _equation_norm(res: np.ndarray, bc: str) -> float:
+    first = 0 if BC_RULES[bc].pin is None else 1
+    return float(np.max(np.abs(res[first:-1])))
+
+
 def residual_norm(profile: Profile) -> float:
     """Max-norm of the equation rows of the residual (not the bc rows)."""
-    first = 0 if BC_RULES[profile.bc].pin is None else 1
-    return float(np.max(np.abs(assemble_residual(profile)[first:-1])))
+    return _equation_norm(assemble_residual(profile), profile.bc)
 
 
 def assemble_jacobian(profile: Profile) -> np.ndarray:
@@ -321,6 +342,38 @@ def _banded_lu(ab: np.ndarray):
     """b -> A^-1 b by dgbtrf's LU of the band A (kl = ku = 2); None if singular."""
     lu, piv, info = dgbtrf(ab, 2, 2)
     return None if info > 0 else lambda b: dgbtrs(lu, 2, 2, b, piv)[0]
+
+
+def _bordered_solver(ab: np.ndarray, col: np.ndarray, row: np.ndarray,
+                     corner: float = 0.0):
+    """b -> z solving [[A, col], [row^T, corner]] z = b (None if A is singular)
+    by block elimination on the banded LU (_banded_lu) of A, given in the
+    layout of assemble_jacobian (rows 0-1 the LU's fill-in), plus one step
+    of iterative refinement on the bordered residual: accurate whenever the
+    bordered matrix is well conditioned, even with A singular to roundoff
+    (Govaerts & Pryce, BIT 30, 1990)."""
+    solve_a = _banded_lu(ab)
+    if solve_a is None:
+        return None
+    v = solve_a(col)
+
+    def eliminate(b):
+        u = solve_a(b[:-1])
+        mu = (row @ u - b[-1]) / (row @ v - corner)
+        return np.append(u - mu * v, mu)
+
+    def solve(b):
+        z = eliminate(b)
+        az = dgbmv(col.size, col.size, 2, 2, 1.0, ab[2:], z[:-1]) + z[-1] * col
+        return z + eliminate(b - np.append(az, row @ z[:-1] + corner * z[-1]))
+
+    return solve
+
+
+def _stages(n0: float, n: float) -> list:
+    """Exponents n0, n0 + N_STAGE, ... below n, then n: one Newton stage
+    each, warm-started from the last."""
+    return [n0 + N_STAGE * k for k in range(math.ceil((n - n0) / N_STAGE))] + [n]
 
 
 def _project_bc(values: np.ndarray, bc: str) -> np.ndarray:
@@ -358,11 +411,11 @@ def solve_profile(params: ProblemParams, guess: Profile,
     except NewtonError as exc:
         last = Profile(mesh, _project_bc(exc.best, bc), params, bc,
                        newton_iters=exc.newton_iters)
-        last.residual_norm = residual_norm(last)
+        last.residual_norm = _equation_norm(stencil.evaluate(last.values)[0], bc)
         raise NewtonError(str(exc), last, exc.newton_iters) from None
     sol = Profile(mesh, _project_bc(values, bc), params, bc, converged=True,
                   newton_iters=iters)
-    sol.residual_norm = residual_norm(sol)
+    sol.residual_norm = _equation_norm(stencil.evaluate(sol.values)[0], bc)
     return sol
 
 
@@ -395,93 +448,86 @@ def eps_continuation(params: ProblemParams, guess: Profile, schedule,
     return profile.replace(newton_iters=iters)
 
 
-# -- periodic orbits of the autonomous regional equation ---------------------
+# -- the periodic orbit of the autonomous regional equation -------------------
 
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
-    """Closed orbit of the autonomous p = n+1 equation about +-1."""
+    """Closed orbit of the autonomous p = n+1 equation about +-1; values is
+    F on the half period, from F(0) = a to F(period/2), at uniform nodes."""
 
-    a: float          # F at the starting minimum (about=+1 convention)
+    a: float          # F at the start, the minimum for about=+1
     b: float          # F'' there
     period: float
-    min_val: float    # the extremes of F, at the section landings
+    min_val: float    # the extremes of F, at the half period's ends
     max_val: float
     about: int
-    counts: dict = field(compare=False)  # legs, nfev, steps, accepted, rejected
+    values: np.ndarray = field(compare=False, repr=False)
+    counts: dict = field(compare=False)  # lus: the LUs of every stage
 
 
-def _orbit_rhs(n: float):
-    inv = 1.0 / (n + 1.0)
-
-    def rhs(t, u):
-        F, F1, w, w1 = u.tolist()
-        return [F1, math.copysign(abs(w) ** inv, w), w1, -F + abs(F) ** n * F]
-
-    return rhs
-
-
-def _orbit_shooter(n: float):
-    """Legs of the regional orbit to the section F' = 0, stopped when F
-    leaves the oscillation strip toward F = 0 or diverges."""
-    return oscillation._Shooter(
-        _orbit_rhs(n), 1, ORBIT_ATOL,
-        events=(lambda u: u[0] - 0.02, lambda u: abs(u[0]) - 8.0))
+def _energy_row(F0: float, w0: float, n: float) -> tuple:
+    """H = (n+1)/(n+2) |w0|^(n+2) - F0^2/2 + |F0|^(n+2)/(n+2) and its
+    partials in F0 and w0: the conserved first integral -w'F' + wF'' -
+    |F''|^(n+2)/(n+2) - F^2/2 + |F|^(n+2)/(n+2), w = |F''|^n F'', where F'
+    = F''' = 0, F = F0 and F'' = w0.  Orbits gluing onto compactly supported
+    profiles share the level H = 0 of the interface state."""
+    flux0 = abs(w0) ** n * w0
+    return ((n + 1.0) / (n + 2.0) * flux0 * w0 - 0.5 * F0 * F0
+            + abs(F0) ** (n + 2.0) / (n + 2.0),
+            abs(F0) ** n * F0 - F0, (n + 1.0) * flux0)
 
 
-def _orbit_start(n: float, a: float, b: float) -> tuple:
-    return (a, 0.0, oscillation._spow(b, n + 1.0), 0.0)
+def _orbit_system(n: float, m: int):
+    """evaluate(x) for blowuplab.newton on the half period, x = (F_0..F_m, L).
 
-
-def _terminal_jet(n: float, u) -> tuple:
-    F, F1, w, w1 = u
-    F2 = oscillation._spow(w, 1.0 / (n + 1.0))
-    F3 = w1 / ((n + 1.0) * abs(F2) ** n) if F2 != 0.0 else math.inf
-    return (F, F1, F2, F3)
-
-
-def _zero_energy_b(a: float, n: float) -> float:
-    """F''(0) > 0 with the conserved integral of the autonomous equation zero.
-
-    The first integral is H = -w'F' + wF'' - |F''|^(n+2)/(n+2) - F^2/2
-    + |F|^(n+2)/(n+2) with w = |F''|^n F''.  Orbits gluing onto compactly
-    supported profiles share the level H = 0 of the interface state, which
-    pins F''(0) once F(0) = a is chosen:
-
-        (n+1)/(n+2) b^(n+2) = a^2/2 - |a|^(n+2)/(n+2).
+    Rows 0..m are the equation at eps = 0, p = n+1, bc half-period, h = L/m;
+    row m+1 is H = 0 at node 0 with F''_0 = 2(F_1 - F_0)/h^2.  The fourth-
+    order part is homogeneous of degree -(2n+4) in h, so a stencil on unit
+    spacing with zero-order coefficients (-c, c), c = h^(2n+4), gives c
+    times the equation for every L, and the border column d/dL is closed
+    form.  A damped trial at L <= 0 evaluates to NaN, failing Newton's test.
     """
-    rhs = 0.5 * a * a - abs(a) ** (n + 2.0) / (n + 2.0)
-    if rhs <= 0.0:
-        raise ValueError(f"no zero-energy curvature for a = {a}")
-    return (rhs * (n + 2.0) / (n + 1.0)) ** (1.0 / (n + 2.0))
+    stencil = _Stencil(Mesh.uniform(0.0, m, m), ProblemParams(n, n + 1.0, 0.0),
+                       "half-period")
+    k = 2.0 * n + 4.0
 
+    def evaluate(x):
+        F, L = x[:-1], x[-1]
+        if not L > 0.0:
+            return np.full(x.size, math.nan), None
+        h2, c = (L / m) ** 2, (L / m) ** k
+        res, band = stencil.evaluate(F, -c, c)
+        res /= c
+        w0 = 2.0 * (F[1] - F[0]) / h2
+        energy, dF0, dw0 = _energy_row(F[0], w0, n)
 
-def _half_return_f3(shooter, n: float, a: float) -> float:
-    """F''' at the half return of the zero-energy shot from a: -inf if the
-    shot escapes toward F = 0 first, +inf if it diverges first."""
-    leg = shooter.cross(_orbit_start(n, a, _zero_energy_b(a, n)), -1)
-    if leg.stop is None:
-        raise ShootingError("no section return within the integration budget")
-    return (float(_terminal_jet(n, leg.y)[3]), -math.inf, math.inf)[leg.stop]
+        def factor():
+            ab = band()
+            ab /= c
+            row = np.zeros(F.size)
+            row[0], row[1] = dF0 - 2.0 * dw0 / h2, 2.0 * dw0 / h2
+            col = (k / -L) * (res - (np.abs(F) ** n - 1.0) * F)
+            return _bordered_solver(ab, col, row, dw0 * -2.0 * w0 / L)
+
+        return np.append(res, energy), factor
+
+    return evaluate
 
 
 def shoot_periodic_full(n: float, about: int, a_init: float) -> PeriodicOrbit:
     """Periodic orbit of the autonomous equation oscillating about +-1.
 
-    Shooting runs on the zero-energy manifold of the conserved first
-    integral (the level shared with compactly supported profiles), where
-    F''(0) is a closed form of F(0) = a.  The equation is reversible, so
-    a shot from the symmetric jet (a, 0, b, 0) that reaches another
-    symmetric jet (F' = F''' = 0) at its half return closes into a
-    periodic orbit by reflection.  F'''(T/2) changes sign once on 0 < a
-    < 1, from negative (or -inf) below to positive (or +inf) above.
-    Regula falsi with the Illinois modification (Dowell & Jarratt, BIT 11,
-    1971) finds that a from a first shot at a_init, bisecting while an end
-    of the bracket is infinite, to a bracket of 100 RTOL (the shots' noise
-    floor) within newton.MAX_ITERS shots.  The full jet must then return to
-    1e-8.  F' = 0 only on the section, so the extremes of F are the
-    landings there: the minimum a and the maximum F(T/2).  orbit_samples
-    re-runs the orbit to give F at any times.
+    The equation is reversible, so a solution on [0, L] with F' = F''' = 0
+    at both ends closes into a periodic orbit by reflection: blowuplab.newton
+    solves _orbit_system on ORBIT_INTERVALS to TOL, about +1 (the mirror is
+    the orbit about -1).  The first stage starts from F = 1 - (1 - a + c)
+    cos(pi s/L) + c cos(2 pi s/L) with a = |a_init|, L = pi n^(-1/4) and c
+    such that H = 0 (the plain cosine, c = 0, puts its inflection on the
+    middle node, where (n+1)|F''|^n vanishes, and fails at 2000 intervals);
+    for n > N_STAGE the stages _stages(N_STAGE, n) follow, each from the
+    last, then full Newton steps to the rounding floor.  F(0) = a and F(L)
+    are the extremes.  A Newton failure raises RuntimeError naming its stage.
     """
     if about not in (1, -1):
         raise ValueError("about must be +1 or -1")
@@ -490,57 +536,49 @@ def shoot_periodic_full(n: float, about: int, a_init: float) -> PeriodicOrbit:
     if not (0.0 < a_init * about < 1.0):
         raise ValueError("a_init must sit strictly between 0 and the equilibrium "
                          f"{about}; got {a_init}")
-    if n <= 0:
-        raise ValueError("n must be positive")
+    if not (math.isfinite(n) and n > 0):
+        raise ValueError("n must be finite and positive")
 
-    shooter = _orbit_shooter(n)
-    # the bracket's ends with their F''' values; side is -1 (+1) when the
-    # last shot moved the lower (upper) end, and Illinois halves the value
-    # at an end kept twice running
-    (lo, f_lo), (hi, f_hi) = (0.0, -math.inf), (1.0, math.inf)
-    a, side = a_init * about, 0  # mirrored problem oscillates about +1
-    for _ in range(newton.MAX_ITERS):
-        f = _half_return_f3(shooter, n, a)
-        if f == 0.0:
+    m = ORBIT_INTERVALS
+    stages = _stages(N_STAGE, n) if n > N_STAGE else [n]
+    a, n0, L = a_init * about, stages[0], math.pi * stages[0] ** -0.25
+    b = ((0.5 * a * a - a ** (n0 + 2.0) / (n0 + 2.0)) * (n0 + 2.0) / (n0 + 1.0)
+         ) ** (1.0 / (n0 + 2.0))                      # F''(0) with H = 0
+    c = (1.0 - a - b * (L / math.pi) ** 2) / 3.0
+    theta = np.linspace(0.0, math.pi, m + 1)
+    x = np.append(1.0 - (1.0 - a + c) * np.cos(theta) + c * np.cos(2.0 * theta), L)
+    lus = 0
+    for nk in stages:
+        evaluate = _orbit_system(nk, m)
+        try:
+            x, iters = newton.solve(evaluate, x, 1.0, TOL, newton.MAX_ITERS)
+        except NewtonError as exc:
+            raise RuntimeError(f"periodic orbit, stage n = {nk:g}: {exc}") from None
+        lus += iters
+    # Newton converges with order 1 + n only, at the Hoelder point F'' = 0,
+    # so a last correction within TOL can leave an error near TOL; the floor
+    # is where a full step stops shrinking tenfold
+    step = math.inf
+    while True:
+        polished, iters = newton.solve(evaluate, x, 1.0, TOL, 1)
+        step, last = float(np.max(np.abs(polished - x))), step
+        x, lus = polished, lus + iters
+        if step > 0.1 * last:
             break
-        if f < 0.0:
-            f_hi *= 0.5 if side < 0 else 1.0
-            (lo, f_lo), side = (a, f), -1
-        else:
-            f_lo *= 0.5 if side > 0 else 1.0
-            (hi, f_hi), side = (a, f), 1
-        a = (0.5 * (lo + hi) if math.isinf(f_lo) or math.isinf(f_hi)
-             else (lo * f_hi - hi * f_lo) / (f_hi - f_lo))
-        if hi - lo < 100.0 * oscillation.RTOL:
-            break
-    else:
-        raise ShootingError(f"no root of F'''(T/2) within {newton.MAX_ITERS} "
-                            f"shots: bracket [{lo:.6g}, {hi:.6g}]")
-    b = _zero_energy_b(a, n)
-    # the shot from the minimum returns to the next minimum, where F' = 0
-    # is crossed upward
-    legs = shooter.section_return(_orbit_start(n, a, b), 1)
-    if legs[-1].stop != 0:
-        raise ShootingError("the orbit's shot did not return to the section")
-    jetT = _terminal_jet(n, legs[-1].y)
-    closure = max(abs(p - q) for p, q in zip((a, 0.0, b, 0.0), jetT))
-    if closure > 1e-8:
-        raise ShootingError(
-            f"no closure within iteration budget (jet mismatch {closure:.3e})")
-
-    period = float(legs[0].t + legs[1].t)
-    ends = (about * a, about * float(legs[0].y[0]))
-    return PeriodicOrbit(a=about * a, b=about * b, period=period,
-                         min_val=min(ends), max_val=max(ends), about=about,
-                         counts=shooter.counts)
+    F, L = about * x[:-1], float(x[-1])
+    return PeriodicOrbit(a=float(F[0]), b=2.0 * float(F[1] - F[0]) / (L / m) ** 2,
+                         period=2.0 * L, min_val=float(min(F[0], F[-1])),
+                         max_val=float(max(F[0], F[-1])), about=about, values=F,
+                         counts={"lus": lus})
 
 
-def orbit_samples(orbit: PeriodicOrbit, n: float, ts) -> np.ndarray:
-    """F at the increasing times ts >= 0 of a converged orbit, F(0) = a."""
-    u0 = _orbit_start(n, orbit.a * orbit.about, orbit.b * orbit.about)
-    us, _ = oscillation._samples(_orbit_rhs(n), u0, np.concatenate(([0.0], ts)),
-                                 ORBIT_ATOL)
-    return orbit.about * us[0, 1:]
+def orbit_samples(orbit: PeriodicOrbit, ts) -> np.ndarray:
+    """F at the times ts of the orbit, F(0) = a: the half period reflected
+    and interpolated linearly between its nodes."""
+    T = orbit.period
+    s = np.mod(np.asarray(ts, dtype=float), T)
+    return np.interp(np.minimum(s, T - s), np.linspace(0.0, 0.5 * T, orbit.values.size),
+                     orbit.values)
 
 
 # -- serialization ------------------------------------------------------------

@@ -77,8 +77,9 @@ class Manifest:
         self._t0 = time.perf_counter()
 
     def add_input(self, path):
-        p = Path(path)
-        self.data["inputs"][p.name] = _sha256(p)
+        """Record the hashes of a stored profile table and its JSON sidecar."""
+        for p in (Path(path), Path(path).with_suffix(".json")):
+            self.data["inputs"][p.name] = _sha256(p)
 
     @functools.cached_property
     def _dir(self) -> Path:
@@ -357,6 +358,7 @@ def cmd_replay(args, man) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+@functools.cache  # once per process: main runs again under replay
 def _build_parser() -> _Parser:
     parser = _Parser(prog="blowuplab",
                      description="similarity blow-up profile laboratory")

@@ -22,10 +22,10 @@ on the half return H of a Poincare section, H(x) = -x (Seydel, Practical
 Bifurcation and Stability Analysis, 2010, ch. 7), and its monodromy is
 dH^2.  Every trajectory runs on scipy's compiled DOP853: the legs of a
 shot, which land exactly on the section by Henon's step (Physica D 5,
-1982), and the sampled ones of integrate_osc and
-blowuplab.bvp.orbit_samples.  The weak Floquet multiplier follows from
-Liouville's formula.  The same shooter finds the regional orbit about +-1
-in blowuplab.bvp.  Every failed integration or shot raises ShootingError.
+1982), and the sampled ones of integrate_osc.  The weak Floquet
+multiplier follows from Liouville's formula.  Every failed integration or
+shot raises ShootingError.  (The regional orbit about +-1 is no shot: it
+is a Newton solve on the profile stencil, blowuplab.bvp.shoot_periodic_full.)
 """
 
 from __future__ import annotations
@@ -236,24 +236,16 @@ def _samples(rhs, u0, ts: np.ndarray, atol: float) -> tuple:
 
 
 class Leg(NamedTuple):
-    """End of one section leg, and what the shooters read along it.
+    """End of one section leg, and what the shooter reads along it.
 
-    stop is 0 at the section, i >= 1 at the caller's event i, and None
-    when the span ran out; umax is the componentwise max |u| along the leg.
+    stop is 0 at the section and None when the span ran out; umax is the
+    componentwise max |u| along the leg.
     """
 
     t: float
     y: np.ndarray
     stop: int | None
     umax: np.ndarray
-
-
-def _crossed(g0: float, g1: float, direction: int) -> bool:
-    """Whether one step took g across 0 in direction (0: either way).
-
-    g0 = 0 never counts, so a leg never stops at its own start.
-    """
-    return (direction >= 0 and g0 < 0.0 <= g1) or (direction <= 0 and g0 > 0.0 >= g1)
 
 
 class ShootingError(RuntimeError):
@@ -264,20 +256,19 @@ class _Shooter:
     """Section legs of one shooter call, on scipy's compiled DOP853.
 
     A leg runs from u0 to the first accepted step that crosses the
-    section {u_k = 0} in a given direction or one of the caller's events
-    g(u) = 0, within LEG_SPAN.  Henon's step then lands exactly on the
-    section (M. Henon, Physica D 5, 1982): the flow integrated with u_k as
-    the independent variable, d(t, u)/du_k = (1, f)/f_k, from the state
-    past the section to u_k = 0.  An event crossed before the section
-    stops the leg instead.  A run that fails raises ShootingError.
+    section {u_k = 0} in a given direction, within LEG_SPAN.  Henon's step
+    then lands exactly on the section (M. Henon, Physica D 5, 1982): the
+    flow integrated with u_k as the independent variable, d(t, u)/du_k =
+    (1, f)/f_k, from the state past the section to u_k = 0.  A run that
+    fails raises ShootingError.
 
     scipy's dop853 never frees an ode instance, so both integrators are
     built once here and restarted for every leg.  counts sums legs and
     dop853's counts of every run.
     """
 
-    def __init__(self, rhs, k: int, atol: float, events=()):
-        self.k, self.events = k, events
+    def __init__(self, rhs, k: int, atol: float):
+        self.k = k
         self.counts = dict.fromkeys(("legs", "nfev", "steps", "accepted",
                                      "rejected"), 0)
 
@@ -290,13 +281,13 @@ class _Shooter:
         self.flow.set_solout(self._accepted)
 
     def _accepted(self, t, y):
-        """dop853's solout: -1 stops the run at the first crossing."""
-        g = [y[self.k], *(e(y) for e in self.events)]
-        if self._g is not None:
-            for i, (g0, g1) in enumerate(zip(self._g, g)):
-                if _crossed(g0, g1, self._direction if i == 0 else 0):
-                    self._stop = i
-                    return -1
+        """dop853's solout: -1 stops the run at the first step across the
+        section in direction (+1 up, -1 down); a step from u_k = 0 never
+        counts, so a leg never stops at its own start."""
+        g = self._direction * y[self.k]
+        if self._g is not None and self._g < 0.0 <= g:
+            self._stop = 0
+            return -1
         self._g = g
         np.maximum(self._umax, np.abs(y), out=self._umax)
         return 0
@@ -313,23 +304,7 @@ class _Shooter:
                      self.counts, t)
             t, y = w[0], w[1:]
             y[self.k] = 0.0
-            stop = next((i for i, (g0, e) in enumerate(zip(self._g[1:], self.events), 1)
-                         if _crossed(g0, e(y), 0)), 0)
         return Leg(t, y, stop, np.maximum(self._umax, np.abs(y)))
-
-    def section_return(self, u0, direction: int) -> list:
-        """Shot from u0 on the section to its return, as the legs run.
-
-        Crossings of one section alternate in direction, so from any start
-        on it the first leg stops at the half return (the first crossing
-        against direction) and the second at the return.  The shot
-        returned iff the last leg stopped at the section, after
-        legs[0].t + legs[-1].t.
-        """
-        legs = [self.cross(u0, -direction)]
-        if legs[0].stop == 0:
-            legs.append(self.cross(legs[0].y, direction))
-        return legs
 
 
 def _newton(residual, x, scale) -> tuple:

@@ -291,9 +291,7 @@ def guess_factory(spec: FamilySpec, mesh: Mesh,
         span = (k - 1) * T / 2.0
         vals = np.zeros_like(y)
         mid = np.abs(y) <= span
-        phases, where = np.unique(np.mod(y[mid] + span + T / 2.0, T),
-                                  return_inverse=True)
-        vals[mid] = bvp.orbit_samples(orbit, params.n, phases)[where]
+        vals[mid] = bvp.orbit_samples(orbit, y[mid] + span + T / 2.0)
         edge = ~mid
         vals[edge] = orbit.max_val * np.exp(-(((np.abs(y[edge]) - span) / 2.5) ** 2))
         bc = "symmetry" if half else "dirichlet-far"

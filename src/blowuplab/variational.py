@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgbmv
 
 from . import bvp, model, newton
 from .bvp import Profile
@@ -44,11 +43,6 @@ __all__ = [
     "fiber_reduce",
     "first_nonlinear_eigenvalue",
 ]
-
-# first_nonlinear_eigenvalue: step in n between Newton stages, and the
-# Newton tolerance (the quotient's error is quadratic in the eigenvector's)
-N_STAGE = 0.5
-TOL = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -143,31 +137,6 @@ def fiber_reduce(v: Profile) -> FiberReport:
 # -- first nonlinear eigenvalue ---------------------------------------------
 
 
-def _bordered_solver(ab: np.ndarray, col: np.ndarray, row: np.ndarray):
-    """b -> z solving [[A, col], [row^T, 0]] z = b (None if A is singular)
-    by block elimination on the banded LU (bvp._banded_lu) of A, given in
-    the layout of bvp.assemble_jacobian (rows 0-1 the LU's fill-in), plus one
-    step of iterative refinement on the bordered residual: accurate
-    whenever the bordered matrix is well conditioned, even with A singular
-    to roundoff (Govaerts & Pryce, BIT 30, 1990)."""
-    solve_a = bvp._banded_lu(ab)
-    if solve_a is None:
-        return None
-    v = solve_a(col)
-
-    def eliminate(b):
-        u = solve_a(b[:-1])
-        mu = (row @ u - b[-1]) / (row @ v)
-        return np.append(u - mu * v, mu)
-
-    def solve(b):
-        z = eliminate(b)
-        az = dgbmv(col.size, col.size, 2, 2, 1.0, ab[2:], z[:-1]) + z[-1] * col
-        return z + eliminate(b - np.append(az, row @ z[:-1]))
-
-    return solve
-
-
 def first_nonlinear_eigenvalue(n: float, R: float, m: int = 400) -> float:
     """Minimum of the clamped Rayleigh quotient on (-R, R).
 
@@ -181,21 +150,21 @@ def first_nonlinear_eigenvalue(n: float, R: float, m: int = 400) -> float:
     in the unknowns x = F_1..F_(m-1) and lambda, bordered by <x0, x> =
     <x0, x0>, with x0 the clamped bump.  One stencil evaluation per
     blowuplab.newton point gives the residual and the factor: the bordered
-    system's _bordered_solver on that point's band without its two pinned
+    system's bvp._bordered_solver on that point's band without its two pinned
     end rows and columns, with border column |x|^n x (the block alone is
     singular: J x = 0 by homogeneity).  The linear eigenvector lies outside
-    the basin for n >= 2.5 on fine meshes, so Newton runs in stages n_k =
-    0, N_STAGE, 2 N_STAGE, ..., n, each from the last; the first is the
-    linear pencil.  The quotient of the final x is stationary there, so
-    exact to rounding.  A Newton failure raises RuntimeError with the
-    quotient of the last iterate.
+    the basin for n >= 2.5 on fine meshes, so Newton runs in the stages
+    n_k = 0, bvp.N_STAGE, 2 bvp.N_STAGE, ..., n of bvp._stages, each from
+    the last; the first is the linear pencil.  The quotient of the final x
+    is stationary there, so exact to rounding.  A Newton failure raises
+    RuntimeError with the quotient of the last iterate.
     """
     if not (math.isfinite(n) and math.isfinite(R) and n >= 0 and R > 0):
         raise ValueError("need finite n >= 0 and R > 0")
     mesh, h = bvp.Mesh.uniform(-R, R, m), 2.0 * R / m
     # built before any use of the mesh: a stencil refuses one too coarse
     stencils = [bvp._Stencil(mesh, model.ProblemParams(nk, nk + 1.0, 0.0), "dirichlet-far")
-                for nk in [N_STAGE * k for k in range(math.ceil(n / N_STAGE))] + [n]]
+                for nk in bvp._stages(0.0, n)]
     # trapezoid weights on the full node set
     c = np.full(m + 1, h)
     c[[0, -1]] *= 0.5
@@ -220,11 +189,11 @@ def first_nonlinear_eigenvalue(n: float, R: float, m: int = 400) -> float:
         def evaluate(z):
             x = z[:-1]
             res, band = stencil.evaluate(nodes(z), 0.0, z[-1])
-            return np.append(res[1:-1], x0 @ (x - x0)), lambda: _bordered_solver(
+            return np.append(res[1:-1], x0 @ (x - x0)), lambda: bvp._bordered_solver(
                 band()[:, 1:-1], np.abs(x) ** (stencil.p - 1.0) * x, x0)
 
         try:
-            z, _ = newton.solve(evaluate, z, z_scale, TOL, newton.MAX_ITERS)
+            z, _ = newton.solve(evaluate, z, z_scale, bvp.TOL, newton.MAX_ITERS)
         except newton.NewtonError as exc:
             raise RuntimeError(f"{exc} (stage n = {nk:g}); last quotient "
                                f"{quotient(exc.best, nk):.6g}") from None

@@ -681,24 +681,52 @@ class TestPeriodicOrbit:
         assert orbit_n02.min_val < 1.0 < orbit_n02.max_val
 
     def test_extremes_match_resample(self, orbit_n02):
-        # F' vanishes only at the section landings: the start and the
+        # F' vanishes only at the half period's ends: the start and the
         # half return
-        assert orbit_n02.min_val == orbit_n02.a
-        F = bvp.orbit_samples(orbit_n02, 0.2,
-                              np.linspace(0.0, orbit_n02.period, 4001))
+        assert orbit_n02.min_val == orbit_n02.a == orbit_n02.values[0]
+        assert orbit_n02.max_val == orbit_n02.values[-1]
+        assert (np.diff(orbit_n02.values) > 0.0).all()
+        F = bvp.orbit_samples(orbit_n02, np.linspace(0.0, orbit_n02.period, 4001))
         assert orbit_n02.max_val == pytest.approx(np.max(F), abs=1e-9)
         assert np.min(F) >= orbit_n02.min_val - 1e-9
 
-    def test_counts(self, orbit_n02):
-        c = orbit_n02.counts
-        assert c["nfev"] > c["steps"] >= c["accepted"] > c["legs"] > 0
+    def test_samples_reflect_the_half_period(self, orbit_n02):
+        # periodic with the period, even about 0 and the half period, and
+        # the stored values at the nodes
+        T, v = orbit_n02.period, orbit_n02.values
+        ts = np.linspace(0.0, 0.5 * T, v.size)
+        assert np.array_equal(bvp.orbit_samples(orbit_n02, ts), v)
+        s = np.linspace(0.0, T, 333)
+        F = bvp.orbit_samples(orbit_n02, s)
+        assert np.max(np.abs(F - bvp.orbit_samples(orbit_n02, s + 3.0 * T))) <= 1e-12
+        assert np.max(np.abs(F - bvp.orbit_samples(orbit_n02, T - s))) <= 1e-12
+        assert np.max(np.abs(F - bvp.orbit_samples(orbit_n02, -s))) <= 1e-12
 
-    def test_jet_closure(self, orbit_n02):
-        legs = bvp._orbit_shooter(0.2).section_return(
-            bvp._orbit_start(0.2, orbit_n02.a, orbit_n02.b), 1)
-        jetT = bvp._terminal_jet(0.2, legs[-1].y)
-        jet0 = (orbit_n02.a, 0.0, orbit_n02.b, 0.0)
-        assert max(abs(x - y) for x, y in zip(jet0, jetT)) <= 1e-8
+    def test_counts(self, orbit_n02):
+        # LUs: the crude start's stage, and the full steps to the floor
+        assert list(orbit_n02.counts) == ["lus"]
+        assert 1 <= orbit_n02.counts["lus"] <= 8
+
+    def test_reflected_period_solves(self, orbit_n02):
+        # closure by construction: the half period reflected is one full
+        # period with even ends, whose rows 0..m are the half period's bit
+        # for bit, and from which Newton's first correction is within TOL
+        m, v, T = bvp.ORBIT_INTERVALS, orbit_n02.values, orbit_n02.period
+        half, _ = bvp._orbit_system(0.2, m)(np.append(v, 0.5 * T))
+        full = np.append(np.concatenate([v, v[-2::-1]]), T)
+        res, _ = bvp._orbit_system(0.2, 2 * m)(full)
+        assert np.array_equal(res[:m + 1], half[:-1])
+        assert res[-1] == half[-1]
+        assert newton.solve(bvp._orbit_system(0.2, 2 * m), full, 1.0,
+                            bvp.TOL, 1)[1] == 1
+
+    def test_observed_order_is_two(self, monkeypatch):
+        periods = []
+        for m in (500, 1000, 2000):
+            monkeypatch.setattr(bvp, "ORBIT_INTERVALS", m)
+            periods.append(bvp.shoot_periodic_full(0.2, 1, 0.45).period)
+        order = math.log2((periods[1] - periods[0]) / (periods[2] - periods[1]))
+        assert order == pytest.approx(2.0, abs=0.3)
 
     def test_mirror_orbit(self, orbit_n02):
         mirrored = bvp.shoot_periodic_full(0.2, -1, -0.45)
@@ -709,36 +737,71 @@ class TestPeriodicOrbit:
         with pytest.raises(ValueError, match="constant orbit"):
             bvp.shoot_periodic_full(0.2, 1, 1.0)
 
-    def test_failed_integration_is_shooting_error(self, monkeypatch):
-        # a run that dop853 abandons (code -3) is no missing crossing
-        monkeypatch.setattr(bvp, "_orbit_rhs", lambda n: lambda t, u: [math.nan] * 4)
-        with pytest.raises(bvp.ShootingError, match="DOP853 failed"), \
-                pytest.warns(UserWarning, match="dop853"):
+    def test_singular_factor_names_its_stage(self, monkeypatch):
+        monkeypatch.setattr(bvp, "_bordered_solver", lambda *args: None)
+        with pytest.raises(RuntimeError, match=r"stage n = 0\.2: singular factor "
+                                               r"at Newton step 0"):
             bvp.shoot_periodic_full(0.2, 1, 0.45)
 
     def test_wrong_side_rejected(self):
         with pytest.raises(ValueError):
             bvp.shoot_periodic_full(0.2, 1, -0.45)
 
-    @pytest.mark.parametrize("a_init", [0.1, 0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("a_init", [0.1, 0.3, 0.44, 0.46, 0.6, 0.9])
     def test_starts_on_both_sides_agree(self, orbit_n02, a_init):
-        # 0.1 escapes toward F = 0 and 0.6, 0.9 diverge: the bracket holds
-        # the one sign change of F'''(T/2) from either side
+        # starts below and above the orbit's minimum reach the same orbit
         orbit = bvp.shoot_periodic_full(0.2, 1, a_init)
         assert orbit.a == pytest.approx(orbit_n02.a, abs=1e-12)
         assert type(orbit.a) is type(orbit.max_val) is float
 
     @pytest.mark.parametrize("n", [1.5, 2.0, 3.0])
     def test_larger_n_closes(self, n):
+        # the stages in n end on a solution of the last stage's system:
+        # Newton's first correction from it is within TOL
         orbit = bvp.shoot_periodic_full(n, 1, 0.45)
-        legs = bvp._orbit_shooter(n).section_return(
-            bvp._orbit_start(n, orbit.a, orbit.b), 1)
-        jetT = bvp._terminal_jet(n, legs[-1].y)
-        jet0 = (orbit.a, 0.0, orbit.b, 0.0)
-        assert max(abs(x - y) for x, y in zip(jet0, jetT)) <= 1e-8
+        m = bvp.ORBIT_INTERVALS
+        x = np.append(orbit.values, 0.5 * orbit.period)
+        assert newton.solve(bvp._orbit_system(n, m), x, 1.0, bvp.TOL, 1)[1] == 1
         assert orbit.min_val < 1.0 < orbit.max_val
 
-    def test_shot_budget_exhausted(self, monkeypatch):
+    def test_n5_converges_on_the_default_mesh(self):
+        # the dop853 shooter failed closure here (jet mismatch 1.7e-8)
+        orbit = bvp.shoot_periodic_full(5.0, 1, 0.45)
+        assert orbit.period == pytest.approx(3.5614, abs=2e-4)
+        assert orbit.min_val < 1.0 < orbit.max_val
+
+    def test_newton_budget_exhausted(self, monkeypatch):
         monkeypatch.setattr(bvp.newton, "MAX_ITERS", 2)
-        with pytest.raises(bvp.ShootingError, match="2 shots"):
+        with pytest.raises(RuntimeError, match=r"stage n = 0\.2: no convergence "
+                                               r"in 2 Newton steps"):
             bvp.shoot_periodic_full(0.2, 1, 0.45)
+
+    def test_half_period_band_matches_finite_differences(self):
+        # the even right end keeps row m; its ghosts fold into columns
+        # m-1 and m-2
+        m = 80
+        rng = np.random.default_rng(7)
+        F = 0.5 + rng.random(m + 1)
+        stencil = bvp._Stencil(bvp.Mesh.uniform(0.0, 4.0, m),
+                               ProblemParams(0.7, 1.7, 0.0), "half-period")
+        r0, band = stencil.evaluate(F)
+        J = band_to_dense(band())
+        step = 1e-7
+        fd = np.column_stack([(stencil.evaluate(F + step * e)[0] - r0) / step
+                              for e in np.eye(m + 1)])
+        assert np.max(np.abs(fd - J)) <= 1e-5 * np.max(np.abs(J))
+        assert "half-period" not in bvp.BC_CHOICES
+
+    def test_bordered_solver_with_corner(self):
+        # [[A, col], [row^T, corner]] against numpy's dense solve
+        rng = np.random.default_rng(11)
+        N = 90
+        ab = np.zeros((7, N), order="F")
+        ab[2:] = rng.standard_normal((5, N))
+        ab[4] += 6.0
+        col, row, b = (rng.standard_normal(N), rng.standard_normal(N),
+                       rng.standard_normal(N + 1))
+        M = np.block([[band_to_dense(ab), col[:, None]],
+                      [row[None, :], np.full((1, 1), 2.5)]])
+        z = bvp._bordered_solver(ab, col, row, 2.5)(b)
+        assert np.max(np.abs(z - np.linalg.solve(M, b))) <= 1e-12 * np.max(np.abs(z))

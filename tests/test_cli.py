@@ -6,6 +6,7 @@ import pytest
 
 import blowuplab.branching as branching
 import blowuplab.bvp as bvp
+import blowuplab.cli as cli
 import blowuplab.oscillation as oscillation
 import blowuplab.patterns as patterns
 import blowuplab.spectral as spectral
@@ -181,7 +182,7 @@ class TestSolveCommand:
         # a failed orbit shot leaves osc_plus without a guess: no profile,
         # but the manifest says why
         def diverged(*args):
-            raise bvp.ShootingError("trajectory diverged")
+            raise RuntimeError("trajectory diverged")
 
         monkeypatch.setattr(bvp, "shoot_periodic_full", diverged)
         out = tmp_path / "osc"
@@ -320,6 +321,34 @@ class TestReplay:
         assert (tmp_path / "rep" / "classification.json").read_bytes() == (
             out / "classification.json").read_bytes()
         assert "inputs" in capsys.readouterr().err
+
+    def test_changed_sidecar_is_a_mismatch(self, solve_run, tmp_path, capsys):
+        # the sidecar holds the record's p, n, eps and convergence: an edit
+        # that leaves classification.json as it was must still show
+        for name in ("profile.csv", "profile.json"):
+            (tmp_path / name).write_bytes((solve_run / name).read_bytes())
+        out = tmp_path / "cls"
+        assert main(["classify", "--profile", str(tmp_path / "profile.csv"),
+                     "--out", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert sorted(man["inputs"]) == ["profile.csv", "profile.json"]
+        meta = json.loads((tmp_path / "profile.json").read_text())
+        meta["records"][0]["newton_iters"] = 999
+        bvp.write_json(tmp_path / "profile.json", meta)
+        capsys.readouterr()
+        code = main(["replay", str(out / "manifest.json"),
+                     "--scratch", str(tmp_path / "rep")])
+        assert code == 2
+        assert (tmp_path / "rep" / "classification.json").read_bytes() == (
+            out / "classification.json").read_bytes()
+        assert "inputs" in capsys.readouterr().err
+
+    def test_parser_built_once(self, solve_run, tmp_path):
+        # replay's nested main reuses the process's one parser
+        cli._build_parser.cache_clear()
+        assert main(["replay", str(solve_run / "manifest.json"),
+                     "--scratch", str(tmp_path / "rep")]) == 0
+        assert cli._build_parser.cache_info().misses == 1
 
 
 class TestBranchCommand:

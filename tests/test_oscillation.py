@@ -106,7 +106,7 @@ class TestPeriodicComponent:
 
     def test_no_resampling_pass(self, monkeypatch):
         # the extremes come from the shot itself; the sampler is left to
-        # integrate_osc and orbit_samples
+        # integrate_osc, and the regional orbit is no shot at all
         def forbidden(*args, **kwargs):
             raise AssertionError("_samples called")
 
@@ -121,7 +121,9 @@ class TestPeriodicComponent:
         # the start: the symmetry the half-return shot relies on
         for n, pc in periodic_components.items():
             u0 = osc._jet_to_flux(pc.start.jet(), n, pc.mu)
-            half, back = _flux_shooter(n, pc.mu).section_return(u0, -1)
+            shooter = _flux_shooter(n, pc.mu)
+            half = shooter.cross(u0, 1)
+            back = shooter.cross(half.y, -1)
             assert half.stop == back.stop == 0
             assert half.t == pytest.approx(back.t, rel=1e-9)
             assert half.t + back.t == pytest.approx(pc.period, rel=1e-9)
@@ -230,7 +232,8 @@ class TestShooter:
 
         shooter = osc._Shooter(counted, 1, osc.OSC_ATOL)
         eq = osc.equilibrium_value(1.0, 5.0)
-        legs = shooter.section_return((0.5 * eq, 0.0, 0.0), -1)
+        legs = [shooter.cross((0.5 * eq, 0.0, 0.0), 1)]
+        legs.append(shooter.cross(legs[0].y, -1))
         assert [leg.stop for leg in legs] == [0, 0]
         c = shooter.counts
         assert c["nfev"] == calls > 0

@@ -223,7 +223,7 @@ class TestBandedEulerLagrange:
         col = x   # d/dlam of the stencil's lam |F|^0 F
         row = (1.0 - np.linspace(-1.0, 1.0, m + 1)[1:-1] ** 2) ** 2
         b = np.random.default_rng(3).standard_normal(m)
-        z = var._bordered_solver(ab, col, row)(b)
+        z = bvp._bordered_solver(ab, col, row)(b)
         M = np.block([[band_to_dense(ab), col[:, None]], [row[None, :], np.zeros((1, 1))]])
         eta = (np.linalg.norm(M @ z - b, np.inf)
                / (np.linalg.norm(M, np.inf) * np.linalg.norm(z, np.inf)
@@ -281,7 +281,7 @@ class TestNonlinearEigenvalue:
         # without the stages in n, Newton from the linear start diverges at
         # n = 3 on a fine mesh; the failure must name its Newton step and
         # the last finite quotient, not escape as a bare solver error
-        monkeypatch.setattr(var, "N_STAGE", 10.0)
+        monkeypatch.setattr(bvp, "N_STAGE", 10.0)
         with pytest.raises(RuntimeError,
                            match=r"divergence at Newton step \d+.*last quotient \d"):
             var.first_nonlinear_eigenvalue(3.0, 1.0, 2000)
