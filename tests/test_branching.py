@@ -159,16 +159,29 @@ class TestStepRule:
         assert sum(r.profile.newton_iters for r in hunt.records[1:]) < len(calls)
 
 
+def _neville(ps, vs, p):
+    """The interpolant through (ps, vs) at p by Neville's scheme."""
+    t = list(vs)
+    for d in range(1, len(ps)):
+        t = [((p - ps[i + d]) * t[i] + (ps[i] - p) * t[i + 1]) / (ps[i] - ps[i + d])
+             for i in range(len(t) - 1)]
+    return t[0]
+
+
 class TestPredictor:
-    def test_f0_up_newton_budget(self, f0_profile):
-        # criterion 07's up branch: the secant predictor needs 134 LUs
-        # where the last profile as the guess needed 198
-        up = br.trace_p_branch(f0_profile,
-                               np.round(np.arange(1.25, 6.001, 0.05), 10),
-                               "F0-up", bvp.NewtonOptions(max_iters=500))
-        assert up.stop_reason == "completed"
-        assert up.records[-1].p == 6.0
-        assert sum(r.profile.newton_iters for r in up.records[1:]) <= 145
+    def test_f0_up_newton_budget(self, f0_branch_up):
+        # criterion 07's up branch: the cubic predictor needs 108 LUs, the
+        # secant through the last two records needed 134, the last profile
+        # as the guess 198
+        assert f0_branch_up.stop_reason == "completed"
+        assert f0_branch_up.records[-1].p == 6.0
+        assert sum(r.profile.newton_iters
+                   for r in f0_branch_up.records[1:]) <= 115
+
+    def test_f0_down_newton_budget(self, f0_branch_down):
+        # criterion 07's down branch: 27 LUs, 33 with the secant
+        assert f0_branch_down.stop_reason == "completed"
+        assert f0_branch_down.newton_iters <= 30
 
     def test_f1_hunt_end_unchanged(self, basic_family):
         # criterion 07's F1 hunt ends where it ended with the warm start
@@ -178,7 +191,9 @@ class TestPredictor:
         assert hunt.stop_reason == "newton-failure"
         assert hunt.records[-1].p == pytest.approx(1.21934375, abs=1e-12)
 
-    def test_second_step_starts_from_secant(self, f0_profile, monkeypatch):
+    def test_guesses_are_lagrange_extrapolants(self, f0_profile, monkeypatch):
+        # the k-th solve starts from the interpolant through the last
+        # min(k, 4) records, evaluated at its target
         guesses = []
         solve = bvp.solve_profile
 
@@ -187,9 +202,42 @@ class TestPredictor:
             return solve(params, guess, opts)
 
         monkeypatch.setattr(bvp, "solve_profile", recording)
-        b = br.trace_p_branch(f0_profile, [1.21, 1.22, 1.24])
+        b = br.trace_p_branch(f0_profile, [1.21, 1.22, 1.24, 1.25, 1.27, 1.28])
+        ps = [r.p for r in b.records]
         v = [r.profile.values for r in b.records]
+        assert len(guesses) == len(ps) - 1 == 6
         assert guesses[0] is f0_profile.values
-        assert np.allclose(guesses[1], 2.0 * v[1] - v[0], rtol=0, atol=1e-12)
-        assert np.allclose(guesses[2], v[2] + 2.0 * (v[2] - v[1]),
-                           rtol=0, atol=1e-12)
+        for k in range(1, len(guesses)):
+            lo = max(0, k - 3)
+            expected = _neville(ps[lo:k + 1], v[lo:k + 1], ps[k + 1])
+            assert np.allclose(guesses[k], expected, rtol=0, atol=1e-12)
+
+    def test_predict_reproduces_cubic(self, f0_profile):
+        # records after halvings sit at uneven spacing dp, dp/2, dp/16; the
+        # predictor is exact on values cubic in p
+        rng = np.random.default_rng(0)
+        coef = rng.standard_normal((4, f0_profile.values.size))
+
+        def cubic(p):
+            return coef[0] + p * (coef[1] + p * (coef[2] + p * coef[3]))
+
+        dp = 0.05
+        ps = np.cumsum([1.2, dp, dp / 2, dp / 16])
+        records = [br.BranchRecord(p, 0.0, 0.0, f0_profile.replace(values=cubic(p)))
+                   for p in ps]
+        for p in (ps[-1] + dp / 16, ps[-1] + dp):
+            guess = br._predict(records, p)
+            assert guess.mesh is f0_profile.mesh
+            assert np.allclose(guess.values, cubic(p), rtol=0, atol=1e-11)
+        assert br._predict(records[:1], 1.25) is records[0].profile
+
+    def test_cubic_record_within_newton_tol(self, f0_branch_up):
+        # fewer LUs, same contract: the cubic-predicted record with the
+        # largest residual took one LU and sits within Newton's tol (1e-6,
+        # relative to max|F|) of its own re-solve at tol 1e-12
+        rec = max(f0_branch_up.records[4:], key=lambda r: r.residual_norm)
+        assert rec.profile.newton_iters == 1
+        tight = bvp.solve_profile(rec.profile.params, rec.profile,
+                                  bvp.NewtonOptions(tol=1e-12))
+        shift = np.max(np.abs(rec.profile.values - tight.values))
+        assert shift <= bvp.NewtonOptions().tol * np.max(np.abs(tight.values))
