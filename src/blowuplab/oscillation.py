@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import ode
 
 from . import newton
 from .model import pk_coefficients
@@ -181,6 +180,7 @@ def integrate_osc(init: OscState, n: float, mu: float, lambda_sign: int,
 
 
 def _dop853(f, atol: float, nsteps: int):
+    from scipy.integrate import ode  # here, so only trajectories load it
     # beta = 0.04 is Hairer's stabilized (PI) step-size control; on the
     # Hoelder-continuous flux field it halves the rejected steps
     return ode(f).set_integrator("dop853", rtol=RTOL, atol=atol,

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -739,3 +742,34 @@ def test_manifest_lists_every_written_file(solve_run, tmp_path, argv):
     man = json.loads((out / "manifest.json").read_text())
     written = {p.name for p in out.iterdir()} - {"manifest.json"}
     assert sorted(man["outputs"]) == sorted(written)
+
+
+IMPORT_CONTRACT = """
+import sys
+from blowuplab.cli import main
+
+out = sys.argv[1]
+profile = out + "/solve/profile.csv"
+for argv in (["solve", "--n", "0.2", "--p", "1.2", "--R", "30", "--N", "300"],
+             ["branch", "--from-profile", profile, "--p-end", "1.23", "--dp", "0.01"],
+             ["kernel", "--L", "15", "--N", "2000"],
+             ["eigen", "--m", "100"],
+             ["classify", "--profile", profile]):
+    assert main([*argv, "--out", f"{out}/{argv[0]}"]) == 0, argv
+loaded = sorted({"scipy.integrate", "scipy.optimize"} & set(sys.modules))
+assert not loaded, loaded
+assert main(["oscillate", "--n", "5", "--s-budget", "5", "--out", f"{out}/oscillate"]) == 0
+assert "scipy.integrate" in sys.modules
+"""
+
+
+def test_only_trajectories_load_the_integrator(tmp_path):
+    # pytest itself has loaded scipy.integrate, so the commands run in a
+    # fresh interpreter: solve, branch, kernel, eigen and classify load
+    # neither scipy.integrate nor scipy.optimize; oscillate loads dop853
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", IMPORT_CONTRACT, str(tmp_path)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -196,6 +196,50 @@ class TestLadder:
         assert abs(row - float(exact)) <= 1e-16
 
 
+class TestSimpsonWeights:
+    @pytest.mark.parametrize("count", [3, 5, 7, 2001, 4001])
+    def test_exact_for_cubics_on_odd_counts(self, count):
+        h = 0.37
+        y = h * np.arange(count)
+        b = y[-1]
+        got = (1.0 - 2.0 * y + 0.5 * y**2 - 0.25 * y**3) @ \
+            spectral._simpson_weights(count, h)
+        exact = b - b**2 + b**3 / 6.0 - b**4 / 16.0
+        assert got == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("count", [4, 6, 8, 2002, 2048])
+    def test_exact_for_quadratics_on_even_counts(self, count):
+        h = 0.37
+        y = h * np.arange(count)
+        b = y[-1]
+        got = (1.0 - 2.0 * y + 0.5 * y**2) @ spectral._simpson_weights(count, h)
+        assert got == pytest.approx(b - b**2 + b**3 / 6.0, rel=1e-13)
+
+    @pytest.mark.parametrize("N", [4000, 2001, 2047])
+    def test_matches_scipy_simpson_on_the_ladder(self, N):
+        # odd N (an even node count) is where the last-interval rule acts.
+        # scipy < 1.11 averages two other end rules there, so on it the
+        # oracle is simpson on all nodes but the last plus the exact
+        # integral of the parabola through the last three.  The bound is
+        # relative to the integral of |F^(l)|, since rows such as l = 2
+        # and 4 nearly cancel and would read only rounding against their
+        # own value.
+        import scipy
+        from scipy.integrate import simpson
+
+        cartwright = tuple(map(int, scipy.__version__.split(".")[:2])) >= (1, 11)
+        table = spectral.compute_kernel(15.0, N)
+        y = table.nodes
+        w = spectral._simpson_weights(N + 1, 15.0 / N)
+        for row in table.ladder:
+            if cartwright or N % 2 == 0:
+                oracle = simpson(row, x=y)
+            else:
+                last = np.polynomial.Polynomial.fit(y[-3:], row[-3:], 2).integ()
+                oracle = simpson(row[:-1], x=y[:-1]) + last(y[-1]) - last(y[-2])
+            assert abs(row @ w - oracle) <= 1e-14 * (np.abs(row) @ w)
+
+
 class TestAdjointPolynomials:
     def test_constant(self):
         p = spectral.adjoint_eigenfunction(0)
@@ -245,6 +289,13 @@ class TestPairing:
         M = np.array([[spectral.pairing(kernel_table_wide, l, k)
                        for k in range(7)] for l in range(7)])
         assert np.max(np.abs(M - np.eye(7))) <= 1e-5
+
+    def test_lmax_8_defect_is_pinned(self, kernel_table_wide):
+        # the 9x9 defect sits near 3.8e-6 (rounding alone moves it by about
+        # 1e-6); the quadrature's summation order may move it only by far less
+        M = np.array([[spectral.pairing(kernel_table_wide, l, k)
+                       for k in range(9)] for l in range(9)])
+        assert abs(np.max(np.abs(M - np.eye(9))) - 3.8073e-6) <= 1e-9
 
     def test_index_guard(self, kernel_table):
         with pytest.raises(ValueError):
