@@ -14,13 +14,18 @@ with the fourth derivative built as D2 o (nonlinear flux) o D2 so the
 regularized coefficient sits between the two second differences; Newton
 (blowuplab.newton) factors the Jacobian, banded with bandwidth 2, built
 from the terms of its point's residual.  Boundary conditions are encoded as
-reflection ghosts (slope conditions) plus value rows, one BC_RULES entry:
+reflection ghosts (slope conditions) plus pinned end values, one BC_RULES
+entry:
 
     dirichlet-far    F = F' = 0 at both ends of [-R, R]
     q-plateau        F = 1, F' = 0 at -R (plateau), F = F' = 0 at R
     symmetry         even reflection at 0 on [0, R], F = F' = 0 at R
     antisymmetry     odd reflection at 0 on [0, R], F = F' = 0 at R
-    half-period      even reflection at both ends of [0, L], no value row
+    half-period      even reflection at both ends of [0, L], nothing pinned
+
+A pinned node is no unknown: Newton solves the equation on the free nodes
+(_free), so its matrix is the band's free block, at p = n+1 on [-R, R] a
+multiple of the Hessian of the discrete energy, symmetric.
 
 The last is no Profile's: on it the same stencil and Newton find the
 periodic orbits about +-1 of the autonomous p = n+1 equation, with L an
@@ -70,8 +75,8 @@ __all__ = [
 ]
 
 # per bc, the left ghosts are F_-k = ghost_sign F_k and the right ones even,
-# pin is F at node 0 and far F at node m (None: the node keeps its equation
-# row), and a half-domain bc lives on [0, R], extended to [-R, R] with that
+# pin is F at node 0 and far F at node m (None: the node is free, see
+# _free), and a half-domain bc lives on [0, R], extended to [-R, R] with that
 # parity; half-period is the periodic orbit's, every other one a Profile's
 BcRule = namedtuple("BcRule", "ghost_sign pin far half_domain")
 BC_RULES = {
@@ -221,13 +226,13 @@ class _Stencil:
     Built once per solve: h^2, h^4, bt y, the drift bt y / (2h), eps^2 and a
     ghost buffer.  The zero-order term is a F + b |F|^(p-1) F, (a, b) =
     (-1, 1) for profiles and (0, lambda) for the nonlinear eigenvalue.
-    evaluate(F, a, b) returns the residual at F and band(), which builds
-    the Jacobian there from that evaluation's F'' (w), flux base eps^2 +
-    w^2 and |F|^(p-1).  With project, F is pinned onto the bc value rows
-    first.
+    evaluate(F, a, b) returns the equation at every node 0..m and band(),
+    which builds its Jacobian there from that evaluation's F'' (w), flux
+    base eps^2 + w^2 and |F|^(p-1).  Pinned nodes are the caller's: a
+    solve takes the rows and columns _free(bc) of both.
     """
 
-    def __init__(self, mesh: Mesh, params: ProblemParams, bc: str, project: bool = False):
+    def __init__(self, mesh: Mesh, params: ProblemParams, bc: str):
         if mesh.m < MIN_INTERVALS:
             raise ValueError(f"mesh too coarse: {mesh.m} < {MIN_INTERVALS} intervals")
         self.h2, self.h4, self.two_h = mesh.h**2, mesh.h**4, 2.0 * mesh.h
@@ -235,14 +240,11 @@ class _Stencil:
         self.bty = self.bt * mesh.nodes
         self.drift = self.bty / self.two_h
         self.n, self.p, self.eps2 = params.n, params.p, params.eps * params.eps
-        self.bc, self.rule, self.project = bc, BC_RULES[bc], project
+        self.bc, self.sign = bc, BC_RULES[bc].ghost_sign
         self.ext = np.empty(mesh.nodes.size + 4)
 
     def evaluate(self, values: np.ndarray, a: float = -1.0, b: float = 1.0):
-        pin = self.rule.pin
         ext = _extended(values, self.bc, self.ext)
-        if self.project:
-            ext[-3], ext[2] = 0.0, ext[2] if pin is None else pin
         F = ext[2:-2]
         w = _d2(ext, self.h2)                                  # F'' at nodes -1..m+1
         base = self.eps2 + w * w
@@ -253,13 +255,9 @@ class _Stencil:
         res += a * F
         fp = np.abs(F) ** (self.p - 1.0)
         res += b * fp * F
-        if self.rule.far is not None:
-            res[-1] = F[-1] - self.rule.far
-        if pin is not None:
-            res[0] = F[0] - pin
 
         def band():
-            h4, drift, sign = self.h4, self.drift, self.rule.ghost_sign
+            h4, drift, sign = self.h4, self.drift, self.sign
             gp = _flux_prime(w, base, self.n, self.eps2)       # nodes -1..m+1
             # row i couples to i-2 .. i+2 through gp at nodes i-1, i, i+1: the outer
             # diagonals read -gp_k / h^4, the inner 2 (gp_k + gp_k+1) / h^4 -+ drift
@@ -271,48 +269,42 @@ class _Stencil:
             ab[4] = (gp[:-2] + 4.0 * gp[1:-1] + gp[2:]) / -h4 + a + b * self.p * fp
             ab[5, :-1] = inner[1:-1] + drift[1:]
 
-            # ghost folds: res_0 sees ghosts -1, -2 (a pinned row 0 is
-            # overwritten below) and res_1 ghost -1, all with the ghost_sign;
-            # res_{m-1} sees ghost m+1, which is node m-1, and an unpinned
-            # res_m ghosts m+1, m+2, which are nodes m-1, m-2
+            # ghost folds: res_0 sees ghosts -1, -2 and res_1 ghost -1, all
+            # with the ghost_sign; res_{m-1} sees ghost m+1, which is node
+            # m-1, and res_m ghosts m+1, m+2, which are nodes m-1, m-2
             ab[3, 1] += sign * (inner[0] + drift[0])
             ab[2, 2] += sign * outer[0]
             ab[4, 1] += sign * outer[1]
             ab[4, -2] += outer[-2]
-
-            # bc value rows overwrite their equation rows: the far value at
-            # node m, the pinned value at node 0
-            if self.rule.far is None:
-                ab[5, -2] += inner[-1] - drift[-1]
-                ab[6, -3] += outer[-1]
-            else:
-                ab[6, -3], ab[5, -2], ab[4, -1] = 0.0, 0.0, 1.0
-            if pin is not None:
-                ab[4, 0], ab[3, 1], ab[2, 2] = 1.0, 0.0, 0.0
+            ab[5, -2] += inner[-1] - drift[-1]
+            ab[6, -3] += outer[-1]
             return ab
 
         return res, band
 
 
-def assemble_residual(profile: Profile) -> np.ndarray:
-    """Residual of the regularized equation, one row per node.
+def _free(bc: str) -> slice:
+    """The nodes that are Newton's unknowns: all but node 0 if the bc sets
+    pin and node m if it sets far (half-period keeps every node).  Rows
+    and columns alike, so band[:, _free(bc)] is the free block: LAPACK
+    reads only the in-matrix part of a band."""
+    rule = BC_RULES[bc]
+    return slice(0 if rule.pin is None else 1, None if rule.far is None else -1)
 
-    Interior rows hold the discrete equation; boundary rows hold the bc
-    value constraints (F(+-R) = 0, F(-R) = 1 for the plateau, F(0) = 0 for
-    antisymmetry).  Slope conditions live in the ghost reflections used by
-    the interior rows, not in rows of their own.
+
+def assemble_residual(profile: Profile) -> np.ndarray:
+    """Residual of the regularized equation at every node 0..m.
+
+    Slope conditions live in the ghost reflections, value conditions in
+    the pinned nodes, which are no unknowns: a solve takes the rows
+    _free(bc), and the rows of pinned nodes hold the equation there too.
     """
     return _Stencil(profile.mesh, profile.params, profile.bc).evaluate(profile.values)[0]
 
 
-def _equation_norm(res: np.ndarray, bc: str) -> float:
-    first = 0 if BC_RULES[bc].pin is None else 1
-    return float(np.max(np.abs(res[first:-1])))
-
-
 def residual_norm(profile: Profile) -> float:
-    """Max-norm of the equation rows of the residual (not the bc rows)."""
-    return _equation_norm(assemble_residual(profile), profile.bc)
+    """Max-norm of the residual on the free nodes (_free), the rows solved."""
+    return float(np.max(np.abs(assemble_residual(profile)[_free(profile.bc)])))
 
 
 def assemble_jacobian(profile: Profile) -> np.ndarray:
@@ -320,7 +312,8 @@ def assemble_jacobian(profile: Profile) -> np.ndarray:
 
     Entry dres_i / dF_j sits in ab[4 + i - j, j] (kl = ku = 2); rows 0-1
     are zero, the LU's fill-in.  Ghost dependencies fold back into columns
-    1, 2 (left, with the bc's ghost_sign) and m-1 (right).
+    1, 2 (left, with the bc's ghost_sign) and m-1, m-2 (right).  Newton
+    factors its free block, ab[:, _free(bc)].
     """
     return _Stencil(profile.mesh, profile.params, profile.bc).evaluate(profile.values)[1]()
 
@@ -348,10 +341,10 @@ def _bordered_solver(ab: np.ndarray, col: np.ndarray, row: np.ndarray,
                      corner: float = 0.0):
     """b -> z solving [[A, col], [row^T, corner]] z = b (None if A is singular)
     by block elimination on the banded LU (_banded_lu) of A, given in the
-    layout of assemble_jacobian (rows 0-1 the LU's fill-in), plus one step
-    of iterative refinement on the bordered residual: accurate whenever the
-    bordered matrix is well conditioned, even with A singular to roundoff
-    (Govaerts & Pryce, BIT 30, 1990)."""
+    layout of assemble_jacobian or as its free block (rows 0-1 the LU's
+    fill-in), plus one step of iterative refinement on the bordered
+    residual: accurate whenever the bordered matrix is well conditioned,
+    even with A singular to roundoff (Govaerts & Pryce, BIT 30, 1990)."""
     solve_a = _banded_lu(ab)
     if solve_a is None:
         return None
@@ -377,7 +370,7 @@ def _stages(n0: float, n: float) -> list:
 
 
 def _project_bc(values: np.ndarray, bc: str) -> np.ndarray:
-    """Pin the bc value rows of a guess exactly."""
+    """A copy of values with the bc's pinned nodes set exactly."""
     pin = BC_RULES[bc].pin
     v = np.array(values, dtype=float)
     v[-1] = 0.0
@@ -390,33 +383,36 @@ def solve_profile(params: ProblemParams, guess: Profile,
                   opts: NewtonOptions = NewtonOptions()) -> Profile:
     """Profile by blowuplab.newton, one banded LU (_banded_lu) per iteration.
 
-    Residual and band come from one _Stencil evaluation per Newton point.
-    Corrections are scaled by max(|F_i|, opts.tol); newton_iters counts
-    the LUs.  Failure raises NewtonError with the last iterate, unconverged,
-    and the LUs it made.
+    The unknowns are the free nodes (_free) of one buffer whose pinned
+    nodes hold the bc values exactly; residual and band come from one
+    _Stencil evaluation per Newton point, restricted to them.  Corrections
+    are scaled by max(|F_i|, opts.tol); newton_iters counts the LUs.
+    Failure raises NewtonError with the last iterate, unconverged, and the
+    LUs it made.
     """
     if params.eps == 0.0 and params.n > 0.0:
         raise ValueError("eps = 0 with n > 0: degenerate equation, Newton refused")
     mesh, bc = guess.mesh, guess.bc
-    # pivoting solves J's identity bc rows only to roundoff: pin every iterate
-    stencil = _Stencil(mesh, params, bc, project=True)
+    stencil, free = _Stencil(mesh, params, bc), _free(bc)
+    values = _project_bc(guess.values, bc)
 
-    def evaluate(values):
+    def evaluate(x):
+        values[free] = x
         res, band = stencil.evaluate(values)
-        return res, lambda: _banded_lu(band())
+        return res[free], lambda: _banded_lu(band()[:, free])
+
+    def profile(x, **kw):
+        res = evaluate(x)[0]
+        return Profile(mesh, values.copy(), params, bc,
+                       float(np.max(np.abs(res))), **kw)
 
     try:
-        values, iters = newton.solve(evaluate, _project_bc(guess.values, bc),
-                                     opts.tol, opts.tol, opts.max_iters)
+        x, iters = newton.solve(evaluate, values[free], opts.tol, opts.tol,
+                                opts.max_iters)
     except NewtonError as exc:
-        last = Profile(mesh, _project_bc(exc.best, bc), params, bc,
-                       newton_iters=exc.newton_iters)
-        last.residual_norm = _equation_norm(stencil.evaluate(last.values)[0], bc)
+        last = profile(exc.best, newton_iters=exc.newton_iters)
         raise NewtonError(str(exc), last, exc.newton_iters) from None
-    sol = Profile(mesh, _project_bc(values, bc), params, bc, converged=True,
-                  newton_iters=iters)
-    sol.residual_norm = _equation_norm(stencil.evaluate(sol.values)[0], bc)
-    return sol
+    return profile(x, converged=True, newton_iters=iters)
 
 
 def eps_continuation(params: ProblemParams, guess: Profile, schedule,

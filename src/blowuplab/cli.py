@@ -109,14 +109,11 @@ class Manifest:
 # -- solve --------------------------------------------------------------------
 
 
-def _parse_family(text: str) -> patterns.FamilySpec:
+def _parse_family(text: str, separation: float, n: float) -> patterns.FamilySpec:
+    """KIND[:INDEX] as a FamilySpec; `q` is short for q_type."""
     kind, _, idx = text.partition(":")
-    mapping = {"basic": "basic", "glue_pp": "glue_pp", "glue_mp": "glue_mp",
-               "osc_plus": "osc_plus", "q": "q_type", "q_type": "q_type"}
-    if kind not in mapping:
-        raise ValueError(f"unknown family {text!r}")
-    index = int(idx) if idx else 0
-    return patterns.FamilySpec(mapping[kind], index)
+    return patterns.FamilySpec("q_type" if kind == "q" else kind,
+                               int(idx) if idx else 0, separation, n)
 
 
 def _family_mesh(spec: patterns.FamilySpec, R: float, N: int) -> Mesh:
@@ -159,9 +156,7 @@ def _solve_with_warm_start(params, guess, spec, opts):
 def cmd_solve(args, man) -> int:
     params = ProblemParams(n=args.n, p=args.p, eps=args.eps)
     opts = NewtonOptions(tol=args.tol, max_iters=args.max_iters)
-    spec = _parse_family(args.family)
-    spec = patterns.FamilySpec(spec.kind, spec.index, separation=args.separation,
-                               n=args.n)
+    spec = _parse_family(args.family, args.separation, args.n)
     mesh = _family_mesh(spec, args.R, args.N)
     schedule = ([float(s) for s in args.eps_schedule.split(",")]
                 if args.eps_schedule else None)

@@ -19,8 +19,9 @@ def _norm(v: np.ndarray) -> float:  # np.linalg.norm of a 1-d v, bit for bit
 
 
 class NewtonError(RuntimeError):
-    """Newton failed; best is the last iterate (a Profile from bvp) and
-    newton_iters the number of factorizations made."""
+    """Newton failed; best is the last accepted iterate, the array x (a
+    caller may re-raise it as its own type: bvp.solve_profile as a
+    Profile), and newton_iters the number of factorizations made."""
 
     def __init__(self, message, best, newton_iters):
         super().__init__(message)

@@ -240,8 +240,8 @@ def guess_factory(spec: FamilySpec, mesh: Mesh,
     basic(l) superposes l+1 alternating-sign template copies (rightmost
     positive); gluing kinds need a stored converged first pattern as the
     template; osc_plus rides the periodic orbit about +1 (computed on
-    demand when not supplied); q_type pins the plateau.  The bc value rows
-    are pinned exactly.
+    demand when not supplied); q_type pins the plateau.  The bc's pinned
+    nodes hold their values exactly.
     """
     if params is None:
         params = ProblemParams(n=spec.n, p=spec.n + 1.0)

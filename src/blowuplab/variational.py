@@ -147,11 +147,11 @@ def first_nonlinear_eigenvalue(n: float, R: float, m: int = 400) -> float:
 
         -(|F''|^n F'')'' + lambda |F|^n F = 0   at nodes 1..m-1,
 
-    in the unknowns x = F_1..F_(m-1) and lambda, bordered by <x0, x> =
-    <x0, x0>, with x0 the clamped bump.  One stencil evaluation per
-    blowuplab.newton point gives the residual and the factor: the bordered
-    system's bvp._bordered_solver on that point's band without its two pinned
-    end rows and columns, with border column |x|^n x (the block alone is
+    in the unknowns x = F_1..F_(m-1), the free nodes (bvp._free), and
+    lambda, bordered by <x0, x> = <x0, x0>, with x0 the clamped bump.  One
+    stencil evaluation per blowuplab.newton point gives the residual and
+    the factor: the bordered system's bvp._bordered_solver on that point's
+    band's free block, with border column |x|^n x (the block alone is
     singular: J x = 0 by homogeneity).  The linear eigenvector lies outside
     the basin for n >= 2.5 on fine meshes, so Newton runs in the stages
     n_k = 0, bvp.N_STAGE, 2 bvp.N_STAGE, ..., n of bvp._stages, each from
@@ -165,21 +165,22 @@ def first_nonlinear_eigenvalue(n: float, R: float, m: int = 400) -> float:
     # built before any use of the mesh: a stencil refuses one too coarse
     stencils = [bvp._Stencil(mesh, model.ProblemParams(nk, nk + 1.0, 0.0), "dirichlet-far")
                 for nk in bvp._stages(0.0, n)]
+    free = bvp._free("dirichlet-far")
     # trapezoid weights on the full node set
     c = np.full(m + 1, h)
     c[[0, -1]] *= 0.5
 
-    def nodes(z):  # F = (0, x, 0) of z = (x, lambda)
+    def nodes(z):  # F = (0, x, 0) of z = (x, lambda), x on the free nodes
         return np.concatenate(([0.0], z[:-1], [0.0]))
 
     def quotient(z, nk):
         F = nodes(z)
         w = _second_difference(F, "dirichlet-far", h)
         return float(np.sum(c * np.abs(w) ** (nk + 2.0))
-                     / np.sum(c[1:-1] * np.abs(F[1:-1]) ** (nk + 2.0)))
+                     / np.sum(c[free] * np.abs(F[free]) ** (nk + 2.0)))
 
     # unknowns (x, lambda), from the clamped bump (1 - (y/R)^2)^2 of order one
-    x0 = (1.0 - np.linspace(-1.0, 1.0, m + 1)[1:-1] ** 2) ** 2
+    x0 = (1.0 - np.linspace(-1.0, 1.0, m + 1)[free] ** 2) ** 2
     z = np.append(x0, quotient(np.append(x0, 0.0), 0.0))
     z_scale = np.append(np.ones(m - 1), z[-1])
 
@@ -189,8 +190,8 @@ def first_nonlinear_eigenvalue(n: float, R: float, m: int = 400) -> float:
         def evaluate(z):
             x = z[:-1]
             res, band = stencil.evaluate(nodes(z), 0.0, z[-1])
-            return np.append(res[1:-1], x0 @ (x - x0)), lambda: bvp._bordered_solver(
-                band()[:, 1:-1], np.abs(x) ** (stencil.p - 1.0) * x, x0)
+            return np.append(res[free], x0 @ (x - x0)), lambda: bvp._bordered_solver(
+                band()[:, free], np.abs(x) ** (stencil.p - 1.0) * x, x0)
 
         try:
             z, _ = newton.solve(evaluate, z, z_scale, bvp.TOL, newton.MAX_ITERS)

@@ -39,16 +39,18 @@ def band_to_dense(ab):
 
 def jacobian_fd_error(prof, step=1e-7):
     """Column-wise relative mismatch of the analytic Jacobian against
-    forward finite differences of the residual."""
-    J = band_to_dense(bvp.assemble_jacobian(prof))
-    r0 = bvp.assemble_residual(prof)
+    forward finite differences of the residual, on the free nodes
+    (bvp._free): the block Newton factors."""
+    free = bvp._free(prof.bc)
+    J = band_to_dense(bvp.assemble_jacobian(prof)[:, free])
+    r0 = bvp.assemble_residual(prof)[free]
     worst = 0.0
-    for j in range(prof.values.size):
+    for col, j in enumerate(range(prof.values.size)[free]):
         bumped = prof.values.copy()
         bumped[j] += step
-        col_fd = (bvp.assemble_residual(prof.replace(values=bumped)) - r0) / step
-        denom = max(1.0, float(np.max(np.abs(J[:, j]))))
-        worst = max(worst, float(np.max(np.abs(col_fd - J[:, j]))) / denom)
+        col_fd = (bvp.assemble_residual(prof.replace(values=bumped))[free] - r0) / step
+        denom = max(1.0, float(np.max(np.abs(J[:, col]))))
+        worst = max(worst, float(np.max(np.abs(col_fd - J[:, col]))) / denom)
     return worst
 
 
@@ -127,6 +129,20 @@ class TestJacobian:
         ab = bvp.assemble_jacobian(prof)
         assert ab.shape == (7, 101)
         assert not ab[:2].any()
+
+    @pytest.mark.parametrize("n", [0.0, 0.2, 1.0, 3.0])
+    def test_free_block_is_symmetric_at_p_regional(self, n):
+        # at p = n+1 the equation is the Euler-Lagrange equation of the
+        # discrete energy, so the matrix Newton factors, the band's free
+        # block, is its Hessian: symmetric to the last bit.  Off p = n+1
+        # the drift bt y F' breaks the symmetry by O(bt R / h)
+        prof = random_profile("dirichlet-far", n, n + 1.0, seed=6)
+        free = bvp._free(prof.bc)
+        A = band_to_dense(bvp.assemble_jacobian(prof)[:, free])
+        assert np.max(np.abs(A - A.T)) == 0.0
+        B = band_to_dense(bvp.assemble_jacobian(
+            prof.replace(params=prof.params.with_p(n + 1.5)))[:, free])
+        assert np.max(np.abs(B - B.T)) > 1.0
 
     def test_symmetry_preserved_by_iterates(self):
         # even guess on a full domain stays even through the whole solve
@@ -306,7 +322,7 @@ class TestStencil:
         # other points or other (a, b) leave it as it was
         x1 = random_profile(bc, 0.2, p, m=100, seed=1)
         x2 = random_profile(bc, 0.2, p, m=100, seed=2)
-        stencil = bvp._Stencil(x1.mesh, x1.params, bc, project=True)
+        stencil = bvp._Stencil(x1.mesh, x1.params, bc)
         r1, band1 = stencil.evaluate(x1.values)
         r2, band2 = stencil.evaluate(x2.values)
         stencil.evaluate(x2.values, 0.0, 30.0)
@@ -316,24 +332,11 @@ class TestStencil:
         assert np.array_equal(band2(), bvp.assemble_jacobian(x2))
         # the eigenvalue's zero-order coefficients (0, lambda): the band at
         # lambda = 40 is a fresh stencil's
-        fresh = bvp._Stencil(x1.mesh, x1.params, bc, project=True)
+        fresh = bvp._Stencil(x1.mesh, x1.params, bc)
         r40, band40 = stencil.evaluate(x2.values, 0.0, 40.0)
         fresh_r40, fresh_band40 = fresh.evaluate(x2.values, 0.0, 40.0)
         assert np.array_equal(band40(), fresh_band40())
         assert np.array_equal(r40, fresh_r40)
-
-    @pytest.mark.parametrize("bc", bvp.BC_CHOICES)
-    def test_projection_pins_the_bc_rows(self, bc):
-        # Newton's iterates leave the bc value rows by roundoff; the solve's
-        # stencil evaluates them pinned, as the projected profile
-        prof = random_profile(bc, 0.2, 1.5, m=100, seed=4)
-        off = prof.values.copy()
-        off[[0, -1]] += 1e-3
-        stencil = bvp._Stencil(prof.mesh, prof.params, bc, project=True)
-        pinned = bvp._project_bc(off, bc)
-        res, band = stencil.evaluate(off)
-        assert np.array_equal(res, bvp.assemble_residual(prof.replace(values=pinned)))
-        assert np.array_equal(band(), bvp.assemble_jacobian(prof.replace(values=pinned)))
 
     def test_norm_is_numpys(self):
         # newton's RMS norms are np.linalg.norm of a 1-d array, bit for bit
@@ -345,24 +348,27 @@ class TestStencil:
 
 def reference_solve(params, guess, opts=bvp.NewtonOptions()):
     """solve_profile wired as before the stencil kernel: newton.solve on the
-    public assemblers through a projected Profile."""
+    public assemblers' free block (bvp._free) through a pinned Profile."""
+    free = bvp._free(guess.bc)
     work = bvp.Profile(guess.mesh, bvp._project_bc(guess.values, guess.bc),
                        params, guess.bc)
 
-    def at(values):
-        return work.replace(values=bvp._project_bc(values, work.bc))
+    def at(x):
+        values = work.values.copy()
+        values[free] = x
+        return work.replace(values=values)
 
     def factor(prof):
-        lu, piv, info = bvp.dgbtrf(bvp.assemble_jacobian(prof), 2, 2)
+        lu, piv, info = bvp.dgbtrf(bvp.assemble_jacobian(prof)[:, free], 2, 2)
         return None if info > 0 else lambda b: bvp.dgbtrs(lu, 2, 2, b, piv)[0]
 
-    def evaluate(values):
-        prof = at(values)
-        return bvp.assemble_residual(prof), lambda: factor(prof)
+    def evaluate(x):
+        prof = at(x)
+        return bvp.assemble_residual(prof)[free], lambda: factor(prof)
 
-    values, iters = newton.solve(evaluate, work.values, opts.tol, opts.tol,
-                                 opts.max_iters)
-    sol = at(values)
+    x, iters = newton.solve(evaluate, work.values[free], opts.tol, opts.tol,
+                            opts.max_iters)
+    sol = at(x)
     return sol.replace(residual_norm=bvp.residual_norm(sol), converged=True,
                        newton_iters=iters)
 
@@ -408,7 +414,7 @@ class TestReferenceIteration:
         assert str(got.value) == str(ref.value)
         assert got.value.newton_iters == ref.value.newton_iters
         best = got.value.best
-        assert np.array_equal(best.values, bvp._project_bc(ref.value.best, "antisymmetry"))
+        assert np.array_equal(best.values[bvp._free("antisymmetry")], ref.value.best)
         assert best.residual_norm == bvp.residual_norm(best)
         assert not best.converged and best.newton_iters == ref.value.newton_iters
 

@@ -73,6 +73,21 @@ class TestSolveCommand:
                      "--out", str(tmp_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("family", ["nope:1", "Q", "basic:x", "glue_pp:1"])
+    def test_bad_family_is_usage_error(self, tmp_path, family):
+        out = tmp_path / "bad"
+        code = main(["solve", "--n", "0.2", "--p", "1.2", "--family", family,
+                     "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+
+    def test_family_parsed_once(self):
+        # q is short for q_type; separation and n come in with the text
+        assert cli._parse_family("q", 4.0, 0.3) == patterns.FamilySpec(
+            "q_type", 0, 4.0, 0.3)
+        assert cli._parse_family("glue_mp:3", 9.0, 1.0) == patterns.FamilySpec(
+            "glue_mp", 3, 9.0, 1.0)
+
     def test_non_convergence_exits_2_with_best_iterate(self, tmp_path):
         out = tmp_path / "starved"
         code = main(["solve", "--n", "0.2", "--p", "1.2", "--family", "basic:0",
